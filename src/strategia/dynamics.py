@@ -441,6 +441,8 @@ def sample_experiment(
         raise UnsupportedCaseError("table has no decisive entries to sample")
     if sample_size <= 0:
         raise ValidationError("sample_size must be positive")
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     rng = random.Random(seed)
     population = decisive.tolist()
     if sample_size >= len(population):

@@ -40,6 +40,11 @@ def kqk8():
 
 
 @pytest.fixture(scope="session")
+def kpk6():
+    return sg.solve(sg.MaterialClass.from_string("KPvK", sg.BoardSpec(6, 6)))
+
+
+@pytest.fixture(scope="session")
 def krk8_file(tmp_path_factory, krk8):
     path = tmp_path_factory.mktemp("tables") / "krk8.ctb"
     krk8.save(path)

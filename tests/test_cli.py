@@ -42,6 +42,23 @@ class TestSolveCommand:
         assert code == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_malformed_budget_variable_exits_3(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", raw)
+        out = tmp_path / "x.ctb"
+        code = main(["solve", "--board", "4x4", "--material", "KvK", "--out", str(out)])
+        assert code == 3
+        assert "STRATEGIA_MEM_BUDGET_MB" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "x.ctb"
+        code = main(["solve", "--board", "4x4", "--material", "KvK", "--out", str(out),
+                     "--workers", workers])
+        assert code == 2
+        assert not out.exists()
+
     def test_bad_board_flag_exits_3(self, tmp_path):
         code = main(["solve", "--board", "8by8", "--material", "KQvK",
                      "--out", str(tmp_path / "x.ctb")])
@@ -127,6 +144,14 @@ class TestExperimentCommand:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["thresholds"]["forced_mate_max_dtm"] == 3
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_2(self, kqk4_file, tmp_path, capsys, workers):
+        out = tmp_path / "run"
+        code = main(["experiment", "--tb", str(kqk4_file), "--sample", "6",
+                     "--seed", "1", "--workers", workers, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
     def test_unknown_threshold_key_exits_3(self, kqk4_file, tmp_path):
         cfg = tmp_path / "bad.json"

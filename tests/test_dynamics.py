@@ -248,6 +248,11 @@ class TestSampleExperiment:
         b = sg.sample_experiment(krk5, 12, seed=3, workers=2)
         assert a.json_text() == b.json_text()
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, krk5, workers):
+        with pytest.raises(sg.ValidationError, match="workers"):
+            sg.sample_experiment(krk5, 5, seed=1, workers=workers)
+
     def test_empty_decisive_set_is_an_error(self):
         tb = sg.solve(sg.MaterialClass.from_string("KvK", sg.BoardSpec(4, 4)))
         with pytest.raises(sg.UnsupportedCaseError, match="decisive"):

@@ -122,6 +122,19 @@ class TestSolveProperties:
         assert np.array_equal(one.wdl, two.wdl)
         assert np.array_equal(one.dtm, two.dtm)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        mc = sg.MaterialClass.from_string("KvK", sg.BoardSpec(4, 4))
+        with pytest.raises(sg.ValidationError, match="workers"):
+            sg.solve(mc, workers=workers)
+
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_malformed_budget_variable_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", raw)
+        mc = sg.MaterialClass.from_string("KvK", sg.BoardSpec(4, 4))
+        with pytest.raises(sg.ValidationError, match="STRATEGIA_MEM_BUDGET_MB"):
+            sg.solve(mc)
+
     def test_budget_refusal(self):
         mc = sg.MaterialClass.from_string("KQvK", STANDARD)
         with pytest.raises(sg.BudgetExceededError):
