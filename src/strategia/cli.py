@@ -188,6 +188,7 @@ def _cmd_probe(args, argv) -> int:
 
 def _cmd_path(args, argv) -> int:
     table = _load_table(args.tb)
+    table.solve_subclasses(progress=_stderr)
     pos = parse_fen(args.fen, table.material.spec)
     playout = generate_playout(pos, table, Mode(args.mode))
     buffer = io.StringIO()
@@ -243,6 +244,7 @@ def _cmd_perturb(args, argv) -> int:
 
 def _cmd_experiment(args, argv) -> int:
     table = _load_table(args.tb)
+    table.solve_subclasses(workers=args.workers, progress=_stderr)
     thresholds = _parse_thresholds(args.thresholds)
     report = sample_experiment(
         table,

@@ -38,6 +38,7 @@ from .encoding import Mode, encode
 from .errors import UnsupportedCaseError, ValidationError
 from .fen import format_fen
 from .playout import Playout, generate_playout
+from .runio import fork_map
 from .tablebase import Tablebase, Wdl, WdlDtm, index_of, position_at
 
 SCHEMA_VERSION = 1
@@ -137,6 +138,18 @@ def _value_from_playout(playout: Playout) -> WdlDtm:
     return WdlDtm(wdl, playout.initial_dtm)
 
 
+def _separation(va, vb) -> tuple:
+    """(Euclidean, Hamming) distance between two encoded vectors."""
+    sq_sum = 0
+    differing = 0
+    for ca, cb in zip(va.components, vb.components):
+        if ca != cb:
+            diff = cb - ca
+            sq_sum += diff * diff
+            differing += 1
+    return math.sqrt(sq_sum), differing
+
+
 def divergence(path_a: Playout, path_b: Playout) -> DivergenceRecord:
     """Compare two playouts over their common prefix.
 
@@ -147,20 +160,9 @@ def divergence(path_a: Playout, path_b: Playout) -> DivergenceRecord:
     if path_a.mode is not path_b.mode:
         raise ValidationError("playout encoding modes differ")
     m = min(path_a.plies, path_b.plies)
-    vecs_a = path_a.vectors()[: m + 1]
-    vecs_b = path_b.vectors()[: m + 1]
-    d_series = []
-    hamming_series = []
-    for va, vb in zip(vecs_a, vecs_b):
-        sq_sum = 0
-        differing = 0
-        for ca, cb in zip(va.components, vb.components):
-            if ca != cb:
-                diff = cb - ca
-                sq_sum += diff * diff
-                differing += 1
-        d_series.append(math.sqrt(sq_sum))
-        hamming_series.append(differing)
+    d_series, hamming_series = zip(
+        *map(_separation, path_a.vectors()[: m + 1], path_b.vectors()[: m + 1])
+    )
     first_div = None
     for n in range(1, m + 1):
         if path_a.steps[n - 1].move != path_b.steps[n - 1].move:
@@ -176,8 +178,8 @@ def divergence(path_a: Playout, path_b: Playout) -> DivergenceRecord:
         base_value=_value_from_playout(path_a),
         perturbed_value=_value_from_playout(path_b),
         outcome_class=outcome_class,
-        d_series=tuple(d_series),
-        hamming_series=tuple(hamming_series),
+        d_series=d_series,
+        hamming_series=hamming_series,
         first_divergence_ply=first_div,
     )
 
@@ -272,6 +274,8 @@ class PairRecord:
 
     base_index: int
     perturbed_index: int
+    moved_from: int
+    moved_to: int
     record: DivergenceRecord
 
 
@@ -338,8 +342,8 @@ class ExperimentReport:
                     format_fen(base),
                     rec.base_value.wdl.name.lower(),
                     "" if rec.base_value.dtm is None else rec.base_value.dtm,
-                    square_name(_perturb_from(base, pert), width),
-                    square_name(_perturb_to(base, pert), width),
+                    square_name(pair.moved_from, width),
+                    square_name(pair.moved_to, width),
                     pair.perturbed_index,
                     format_fen(pert),
                     rec.perturbed_value.wdl.name.lower(),
@@ -356,39 +360,18 @@ class ExperimentReport:
             )
 
 
-def _perturb_from(base: Position, perturbed: Position) -> int:
-    for sq, (a, b) in enumerate(zip(base.placement, perturbed.placement)):
-        if a != 0 and b == 0:
-            return sq
-    raise ValueError("positions do not differ by a relocation")
-
-
-def _perturb_to(base: Position, perturbed: Position) -> int:
-    for sq, (a, b) in enumerate(zip(base.placement, perturbed.placement)):
-        if a == 0 and b != 0:
-            return sq
-    raise ValueError("positions do not differ by a relocation")
-
-
 def _draw_involved_record(
     base: Position, perturbed: Position, base_value: WdlDtm, pert_value: WdlDtm, mode: Mode
 ) -> DivergenceRecord:
-    va = encode(base, mode)
-    vb = encode(perturbed, mode)
-    sq_sum = 0
-    differing = 0
-    for ca, cb in zip(va.components, vb.components):
-        if ca != cb:
-            sq_sum += (cb - ca) ** 2
-            differing += 1
+    d0, hamming0 = _separation(encode(base, mode), encode(perturbed, mode))
     return DivergenceRecord(
         base=base,
         perturbed=perturbed,
         base_value=base_value,
         perturbed_value=pert_value,
         outcome_class=OutcomeClass.DRAW_INVOLVED,
-        d_series=(math.sqrt(sq_sum),),
-        hamming_series=(differing,),
+        d_series=(d0,),
+        hamming_series=(hamming0,),
         first_divergence_ply=None,
     )
 
@@ -409,16 +392,10 @@ def _pairs_for_base(tb: Tablebase, base_idx: int, mode: Mode) -> list:
             record = divergence(base_path, pert_path)
             if record.outcome_class is OutcomeClass.SAME_WINNER and record.prefix_plies >= 2:
                 record = replace(record, lambda_ft=finite_time_lyapunov(record))
-        out.append(PairRecord(base_idx, pert_idx, record))
+        out.append(
+            PairRecord(base_idx, pert_idx, perturbation.moved_from, perturbation.moved_to, record)
+        )
     return out
-
-
-_EXPERIMENT_STATE: Optional[tuple] = None
-
-
-def _worker_pairs(indices):
-    tb, mode = _EXPERIMENT_STATE
-    return [_pairs_for_base(tb, idx, mode) for idx in indices]
 
 
 def sample_experiment(
@@ -441,8 +418,6 @@ def sample_experiment(
         raise UnsupportedCaseError("table has no decisive entries to sample")
     if sample_size <= 0:
         raise ValidationError("sample_size must be positive")
-    if workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {workers}")
     rng = random.Random(seed)
     population = decisive.tolist()
     if sample_size >= len(population):
@@ -451,23 +426,8 @@ def sample_experiment(
         chosen = rng.sample(population, sample_size)
     base_indices = sorted(chosen)
 
-    if workers > 1:
-        import multiprocessing
-
-        global _EXPERIMENT_STATE
-        _EXPERIMENT_STATE = (tb, mode)
-        chunk = max(1, len(base_indices) // (workers * 4))
-        chunks = [base_indices[i:i + chunk] for i in range(0, len(base_indices), chunk)]
-        try:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                nested = pool.map(_worker_pairs, chunks)
-        finally:
-            _EXPERIMENT_STATE = None
-        pairs = [pair for chunk_result in nested for per_base in chunk_result for pair in per_base]
-    else:
-        pairs = [
-            pair for idx in base_indices for pair in _pairs_for_base(tb, idx, mode)
-        ]
+    per_base = fork_map(lambda idx: _pairs_for_base(tb, idx, mode), base_indices, workers)
+    pairs = [pair for records in per_base for pair in records]
 
     counts = {
         "bases": len(base_indices),

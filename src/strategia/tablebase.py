@@ -11,7 +11,14 @@ Captures and promotions leave the class, so a class is solved on top
 of its one-move-reachable subclasses (solved first, recursively); the
 value of an out-of-class successor is folded in as a fixed constant.
 Distance to mate therefore counts plies across material transitions,
-exactly as play does.
+exactly as play does. ``solve`` returns the class's table with every
+subclass table in ``subtables``.
+
+Lookups never solve. ``probe`` reads the value of a position of the
+table's own class; ``resolve`` picks this table or the subtable of the
+position's class and probes it, and raises MaterialMismatchError naming
+a class it has no table for. A table file holds one class, so a loaded
+table has no subtables until ``solve_subclasses`` solves them.
 
 Successor rows are built with numpy over whole index chunks, not one
 position at a time. A chunk is decoded into digit columns (one square
@@ -58,6 +65,7 @@ from .errors import (
     TablebaseFormatError,
     ValidationError,
 )
+from .runio import check_workers, fork_map
 
 MAGIC = b"CTB1"
 FORMAT_VERSION = 1
@@ -149,15 +157,9 @@ class MaterialClass:
 
     @property
     def name(self) -> str:
-        white = "".join(
-            p.letter for p in self.pieces if p.color is Color.WHITE
-        )
-        black = "".join(
-            p.letter.upper() for p in self.pieces if p.color is Color.BLACK
-        )
-        return f"{white}v{black}"
+        return _class_name(self.pieces)
 
-    @property
+    @functools.cached_property
     def key(self) -> tuple:
         return (
             self.spec.width,
@@ -172,6 +174,12 @@ class MaterialClass:
     @property
     def index_size(self) -> int:
         return 2 * self.spec.num_squares ** len(self.pieces)
+
+
+def _class_name(pieces) -> str:
+    white = "".join(p.letter for p in pieces if p.color is Color.WHITE)
+    black = "".join(p.letter.upper() for p in pieces if p.color is Color.BLACK)
+    return f"{white}v{black}"
 
 
 def material_key_of(pos: Position) -> tuple:
@@ -282,14 +290,17 @@ def index_of(pos: Position, material: MaterialClass) -> int:
     return total
 
 
-def _decode_digits_impl(idx: int, ctx: _Ctx, side: Color):
-    """(side, digits, board list) for a raw index, or None if not a legal position."""
-    S = ctx.S
-    rem = idx - ctx.half if idx >= ctx.half else idx
+def position_at(idx: int, material: MaterialClass) -> Optional[Position]:
+    """Inverse of index_of; None marks indices that are not legal positions."""
+    ctx = _context(material)
+    if not 0 <= idx < material.index_size:
+        raise ValidationError(f"index {idx} outside [0, {material.index_size})")
+    side = Color.BLACK if idx >= ctx.half else Color.WHITE
+    rem = idx - side.value * ctx.half
     digits = []
     for _ in range(ctx.k):
-        digits.append(rem % S)
-        rem //= S
+        digits.append(rem % ctx.S)
+        rem //= ctx.S
     if len(set(digits)) != ctx.k:
         return None
     for lo, hi in ctx.dup_groups:
@@ -301,7 +312,7 @@ def _decode_digits_impl(idx: int, ctx: _Ctx, side: Color):
         rank = digits[slot] // width
         if rank == 0 or rank == height - 1:
             return None
-    board = [0] * S
+    board = [0] * ctx.S
     for slot, cell in enumerate(ctx.cells):
         board[digits[slot]] = cell
     movers = ctx.white_slots if side is Color.WHITE else ctx.black_slots
@@ -311,19 +322,6 @@ def _decode_digits_impl(idx: int, ctx: _Ctx, side: Color):
     ]
     if _attacked(board, their_king, mover_list, side.value, ctx.geo):
         return None
-    return side, digits, board
-
-
-def position_at(idx: int, material: MaterialClass) -> Optional[Position]:
-    """Inverse of index_of; None marks indices that are not legal positions."""
-    ctx = _context(material)
-    if not 0 <= idx < material.index_size:
-        raise ValidationError(f"index {idx} outside [0, {material.index_size})")
-    side = Color.BLACK if idx >= ctx.half else Color.WHITE
-    decoded = _decode_digits_impl(idx, ctx, side)
-    if decoded is None:
-        return None
-    side, _digits, board = decoded
     return Position(
         spec=material.spec,
         placement=tuple(board),
@@ -354,13 +352,12 @@ class Tablebase:
     _checksum: Optional[int] = None
 
     def probe(self, pos: Position) -> WdlDtm:
-        """Constant-time value lookup for a position of this class."""
-        if material_key_of(pos) != self.material.key:
-            raise MaterialMismatchError(
-                f"position material does not match table class {self.material.name}"
-            )
-        if pos.castle_rights.any():
-            raise ValidationError("tablebase positions carry no castle rights")
+        """Constant-time value lookup for a position of this class.
+
+        ``index_of`` refuses a position of another board size or
+        material (MaterialMismatchError) or with castle rights
+        (ValidationError).
+        """
         idx = index_of(pos, self.material)
         raw = int(self.wdl[idx])
         if raw == 0 or raw == _UNDECIDED:
@@ -369,24 +366,37 @@ class Tablebase:
         dtm = None if wdl is Wdl.DRAW else int(self.dtm[idx])
         return WdlDtm(wdl, dtm)
 
-    def resolve(self, pos: Position, solve_missing: bool = True) -> WdlDtm:
-        """Probe across material boundaries, solving subclasses on demand."""
+    def resolve(self, pos: Position) -> WdlDtm:
+        """Probe this table or the subtable of the position's class; never solves.
+
+        A class with no table here raises MaterialMismatchError naming it.
+        """
         key = material_key_of(pos)
-        if key == self.material.key:
-            return self.probe(pos)
-        sub = self.subtables.get(key)
-        if sub is None:
-            if not solve_missing:
-                raise MaterialMismatchError(
-                    f"no loaded table for material {key} and solve_missing is off"
-                )
-            registry = dict(self.subtables)
-            registry[self.material.key] = self
-            sub = solve(_class_from_key(key, self.material.spec), _registry=registry)
-            for reg_key, table in registry.items():
-                if reg_key != self.material.key:
-                    self.subtables.setdefault(reg_key, table)
-        return sub.probe(pos)
+        table = self if key == self.material.key else self.subtables.get(key)
+        if table is None:
+            width, height, codes = key
+            pieces = [Piece(PieceKind(kind), Color(color)) for kind, color in codes]
+            raise MaterialMismatchError(
+                f"no table loaded for {_class_name(pieces)} on {width}x{height}"
+            )
+        return table.probe(pos)
+
+    def solve_subclasses(
+        self,
+        *,
+        workers: int = 1,
+        progress: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        """Solve the subclasses that captures and promotions reach and ``subtables`` lacks.
+
+        A table file holds one class, so a loaded table starts with no
+        subtables; a table from ``solve`` already has them all, and this
+        solves nothing. Each solve reports through `progress`.
+        """
+        tables = dict(self.subtables)
+        for key in _successor_keys(self.material):
+            _solve_closure(_class_from_key(key, self.material.spec), tables, workers, None, progress)
+        self.subtables = tables
 
     def decisive_indices(self) -> np.ndarray:
         return np.flatnonzero((self.wdl == Wdl.WIN.value) | (self.wdl == Wdl.LOSS.value))
@@ -839,15 +849,6 @@ def _build_chunk(material: MaterialClass, registry: dict, lo: int, hi: int, max_
     )
 
 
-# Module-level state inherited by forked build workers.
-_WORKER_STATE: Optional[tuple] = None
-
-
-def _build_chunk_worker(bounds: tuple):
-    material, registry, max_moves = _WORKER_STATE
-    return _build_chunk(material, registry, bounds[0], bounds[1], max_moves)
-
-
 def _resolve_budget(mem_budget_mb: Optional[int]) -> int:
     if mem_budget_mb is None:
         raw = os.environ.get(BUDGET_ENV_VAR, "").strip()
@@ -878,57 +879,50 @@ def solve(
     workers: int = 1,
     mem_budget_mb: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-    _registry: Optional[dict] = None,
 ) -> Tablebase:
     """Solve a material class exactly, subclasses first.
 
     Refuses up front (no partial output) if the estimated working set
     exceeds the memory budget (STRATEGIA_MEM_BUDGET_MB, default 2048).
     The result is a pure function of the class; worker count only
-    affects wall time.
+    affects wall time. Its ``subtables`` hold every subclass solved.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {workers}")
-    registry = {} if _registry is None else _registry
-    if material.key in registry:
-        return registry[material.key]
-    _check_budget(material, mem_budget_mb)
-    for sub_key in _successor_keys(material):
-        if sub_key not in registry:
-            solve(
-                _class_from_key(sub_key, material.spec),
-                workers=workers,
-                mem_budget_mb=mem_budget_mb,
-                progress=progress,
-                _registry=registry,
+    return _solve_closure(material, {}, workers, mem_budget_mb, progress)
+
+
+def _solve_closure(material, tables, workers, mem_budget_mb, progress) -> Tablebase:
+    """The table of `material`, solved after its subclasses into `tables` (class key -> table).
+
+    Classes already in `tables` are reused, not solved again. A solved
+    table's ``subtables`` are the tables solved before it.
+    """
+    table = tables.get(material.key)
+    if table is None:
+        _check_budget(material, mem_budget_mb)
+        for sub_key in _successor_keys(material):
+            _solve_closure(
+                _class_from_key(sub_key, material.spec), tables, workers, mem_budget_mb, progress
             )
-    table = _solve_single(material, registry, workers, mem_budget_mb, progress)
-    registry[material.key] = table
-    table.subtables = {k: v for k, v in registry.items() if k != material.key}
+        table = _solve_single(material, tables, workers, progress)
+        table.subtables = dict(tables)
+        tables[material.key] = table
     return table
 
 
-def _solve_single(material, registry, workers, mem_budget_mb, progress) -> Tablebase:
+def _solve_single(material, registry, workers, progress) -> Tablebase:
+    check_workers(workers)
     n = material.index_size
     max_moves = _max_move_bound(material)
-    _check_budget(material, mem_budget_mb)
     if progress:
         progress(f"solving {material.name}: {n} indices")
 
     chunk = max(4096, n // (workers * 8))
     ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if workers > 1:
-        import multiprocessing
-
-        global _WORKER_STATE
-        _WORKER_STATE = (material, registry, max_moves)
-        try:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = pool.map(_build_chunk_worker, ranges)
-        finally:
-            _WORKER_STATE = None
-    else:
-        results = [_build_chunk(material, registry, lo, hi, max_moves) for lo, hi in ranges]
+    results = fork_map(
+        lambda bounds: _build_chunk(material, registry, bounds[0], bounds[1], max_moves),
+        ranges,
+        workers,
+    )
 
     invalid = sum(r[0] for r in results)
     term_loss = np.concatenate([r[1] for r in results]) if results else np.empty(0, np.int64)

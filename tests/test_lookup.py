@@ -1,0 +1,104 @@
+"""One lookup path: probe reads one class, resolve never solves, loaded tables solve subclasses in the open."""
+
+import numpy as np
+import pytest
+
+import strategia as sg
+from strategia.cli import main
+
+SPEC4 = sg.BoardSpec(4, 4)
+PROMOTING_FEN = "4/1P1k/4/K3 w - -"  # b3-b4 promotes at once on 4x4
+
+
+@pytest.fixture(scope="module")
+def kpk4_file(tmp_path_factory, kpk4):
+    path = tmp_path_factory.mktemp("lookup") / "kpk4.ctb"
+    kpk4.save(path)
+    return path
+
+
+def promotion_successors(pos):
+    return [succ for move, succ in sg.legal_transitions(pos) if move.promotion is not None]
+
+
+def test_resolve_on_a_loaded_table_names_the_missing_class(kpk4_file):
+    loaded = sg.Tablebase.load(kpk4_file)
+    pos = sg.parse_fen(PROMOTING_FEN, SPEC4)
+    queen = next(
+        succ for succ in promotion_successors(pos)
+        if any(piece.kind is sg.PieceKind.QUEEN for _, piece in succ.pieces())
+    )
+    with pytest.raises(sg.MaterialMismatchError, match="KQvK on 4x4"):
+        loaded.resolve(queen)
+    assert loaded.subtables == {}
+
+
+def test_solve_subclasses_matches_the_solved_closure(kpk4, kpk4_file):
+    loaded = sg.Tablebase.load(kpk4_file)
+    solved = []
+    loaded.solve_subclasses(progress=solved.append)
+    assert set(loaded.subtables) == set(kpk4.subtables)
+    for key, table in kpk4.subtables.items():
+        assert np.array_equal(loaded.subtables[key].wdl, table.wdl)
+        assert np.array_equal(loaded.subtables[key].dtm, table.dtm)
+    names = {table.material.name for table in kpk4.subtables.values()}
+    assert {line.split()[1].rstrip(":") for line in solved if line.startswith("solving")} == names
+
+    pos = sg.parse_fen(PROMOTING_FEN, SPEC4)
+    assert sg.generate_playout(pos, loaded) == sg.generate_playout(pos, kpk4)
+    assert any(
+        sg.material_key_of(step.position) != kpk4.material.key
+        for step in sg.generate_playout(pos, loaded).steps
+    )
+
+
+def test_solve_subclasses_on_a_solved_table_solves_nothing(kpk4):
+    before = dict(kpk4.subtables)
+    messages = []
+    kpk4.solve_subclasses(progress=messages.append)
+    assert messages == []
+    assert all(kpk4.subtables[key] is table for key, table in before.items())
+
+
+def test_solve_subclasses_refuses_zero_workers(kpk4_file):
+    with pytest.raises(sg.ValidationError, match="workers"):
+        sg.Tablebase.load(kpk4_file).solve_subclasses(workers=0)
+
+
+def test_cli_path_and_experiment_name_each_solved_subclass(kpk4, kpk4_file, tmp_path, capsys):
+    names = sorted(table.material.name for table in kpk4.subtables.values())
+    runs = {
+        "path": ["path", "--tb", str(kpk4_file), "--fen", PROMOTING_FEN,
+                 "--out", str(tmp_path / "path.csv")],
+        "experiment": ["experiment", "--tb", str(kpk4_file), "--sample", "20", "--seed", "3",
+                       "--out", str(tmp_path / "exp")],
+    }
+    for label, argv in runs.items():
+        capsys.readouterr()
+        assert main(argv) == 0, label
+        err = capsys.readouterr().err
+        for name in names:
+            assert f"solving {name}:" in err, (label, name)
+
+
+def test_experiment_workers_do_not_change_the_output(kpk4_file, tmp_path):
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        code = main(["experiment", "--tb", str(kpk4_file), "--sample", "30", "--seed", "5",
+                     "--workers", workers, "--out", str(out)])
+        assert code == 0
+        outputs.append(((out / "report.json").read_bytes(), (out / "records.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+class TestProbeRefusals:
+    def test_wrong_board_size(self, kpk4):
+        pos = sg.parse_fen("5/5/1P1k1/5/K4 w - -", sg.BoardSpec(5, 5))
+        with pytest.raises(sg.MaterialMismatchError, match="5x5"):
+            kpk4.probe(pos)
+
+    def test_castle_rights(self, krk8):
+        pos = sg.parse_fen("4k3/8/8/8/8/8/8/4K2R w K -", sg.BoardSpec.standard())
+        with pytest.raises(sg.ValidationError, match="castle"):
+            krk8.probe(pos)
