@@ -238,10 +238,16 @@ class AtypicalityResult:
     material_gap: int
 
 
-def material_gap(pos: Position) -> int:
+def material_points(pieces) -> dict:
+    """Standard-value points per color of an iterable of pieces."""
     points = {Color.WHITE: 0, Color.BLACK: 0}
-    for _, piece in pos.pieces():
+    for piece in pieces:
         points[piece.color] += STANDARD_VALUES[piece.kind]
+    return points
+
+
+def material_gap(pos: Position) -> int:
+    points = material_points(piece for _, piece in pos.pieces())
     return abs(points[Color.WHITE] - points[Color.BLACK])
 
 

@@ -7,6 +7,13 @@ the chain the model may use. Regression targets are signed distances
 to mate (positive when the side to move wins, negative when it loses),
 so the sign of a prediction doubles as a win/loss call. Fitting and
 evaluation are deterministic given dataset order and seed.
+
+Features are computed in one numpy batch, not one position at a time:
+a dataset's table indices are decoded into one square column per piece
+slot with the solver's decode, and mobility counts moves with the
+solver's move tables (``tablebase._MoveTables``), so the rules keep one
+vectorized form. ``extract_features`` feeds one position's pieces
+through the same column code.
 """
 
 from __future__ import annotations
@@ -18,126 +25,18 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .board import Color, PieceKind, Position, geometry
+from .board import BoardSpec, Color, Piece, PieceKind, Position
+from .dynamics import material_points
 from .errors import UnknownFeatureError, ValidationError
-from .tablebase import Tablebase, Wdl, position_at
+from .tablebase import Tablebase, Wdl, _decode_columns, _move_tables
 
 
-def _material_count(kind: PieceKind, color: Color):
-    cell = kind.value * color.sign
-
-    def count(pos: Position) -> float:
-        return float(sum(1 for c in pos.placement if c == cell))
-
-    return count
-
-
-def _king_square(pos: Position, color: Color) -> int:
-    cell = PieceKind.KING.value * color.sign
-    return pos.placement.index(cell)
-
-
-def _chebyshev(a: int, b: int, width: int) -> int:
-    return max(abs(a % width - b % width), abs(a // width - b // width))
-
-
-def _king_distance(pos: Position) -> float:
-    wk = _king_square(pos, Color.WHITE)
-    bk = _king_square(pos, Color.BLACK)
-    return float(_chebyshev(wk, bk, pos.spec.width))
-
-
-def _defender_color(pos: Position) -> Color:
-    """The materially weaker side (Black on ties)."""
-    from .dynamics import STANDARD_VALUES
-
-    points = {Color.WHITE: 0, Color.BLACK: 0}
-    for _, piece in pos.pieces():
-        points[piece.color] += STANDARD_VALUES[piece.kind]
-    return Color.WHITE if points[Color.WHITE] < points[Color.BLACK] else Color.BLACK
-
-
-def _defender_edge_distance(pos: Position) -> float:
-    sq = _king_square(pos, _defender_color(pos))
-    w, h = pos.spec.width, pos.spec.height
-    f, r = sq % w, sq // w
-    return float(min(f, w - 1 - f, r, h - 1 - r))
-
-
-def _defender_corner_distance(pos: Position) -> float:
-    sq = _king_square(pos, _defender_color(pos))
-    w, h = pos.spec.width, pos.spec.height
-    corners = (0, w - 1, (h - 1) * w, (h - 1) * w + w - 1)
-    return float(min(_chebyshev(sq, c, w) for c in corners))
-
-
-def _side_to_move(pos: Position) -> float:
-    return 1.0 if pos.side_to_move is Color.WHITE else -1.0
-
-
-def _pseudo_mobility(pos: Position, color: Color) -> float:
-    """Pseudo-legal move count for one side: a cheap static activity measure.
-
-    Counts destination squares ignoring king safety; moves onto a king
-    square are excluded. Promotion choices count once per target square.
-    """
-    geo = geometry(pos.spec.width, pos.spec.height)
-    board = pos.placement
-    sign = color.sign
-    total = 0
-    for sq, cell in enumerate(board):
-        if cell == 0 or (cell > 0) != (color is Color.WHITE):
-            continue
-        kind = abs(cell)
-        if kind == 1:
-            fwd = geo.pawn_push[color.value][sq]
-            if fwd >= 0 and board[fwd] == 0:
-                total += 1
-                dbl = geo.pawn_double[color.value][sq]
-                if dbl >= 0 and board[dbl] == 0:
-                    total += 1
-            for cap in geo.pawn_caps[color.value][sq]:
-                if board[cap] * sign < 0 and abs(board[cap]) != 6:
-                    total += 1
-        elif kind == 2 or kind == 6:
-            steps = geo.knight_steps[sq] if kind == 2 else geo.king_steps[sq]
-            for to_sq in steps:
-                cell_to = board[to_sq]
-                if cell_to == 0 or (cell_to * sign < 0 and abs(cell_to) != 6):
-                    total += 1
-        else:
-            rays = geo.ortho_rays[sq] if kind == 4 else geo.diag_rays[sq]
-            if kind == 5:
-                rays = geo.ortho_rays[sq] + geo.diag_rays[sq]
-            for ray in rays:
-                for to_sq in ray:
-                    cell_to = board[to_sq]
-                    if cell_to == 0:
-                        total += 1
-                        continue
-                    if cell_to * sign < 0 and abs(cell_to) != 6:
-                        total += 1
-                    break
-    return float(total)
-
-
-FEATURE_EXTRACTORS = {
-    "side_to_move": _side_to_move,
-    "king_distance": _king_distance,
-    "defender_edge_distance": _defender_edge_distance,
-    "defender_corner_distance": _defender_corner_distance,
-    "mobility_white": lambda pos: _pseudo_mobility(pos, Color.WHITE),
-    "mobility_black": lambda pos: _pseudo_mobility(pos, Color.BLACK),
-    "material_wp": _material_count(PieceKind.PAWN, Color.WHITE),
-    "material_wn": _material_count(PieceKind.KNIGHT, Color.WHITE),
-    "material_wb": _material_count(PieceKind.BISHOP, Color.WHITE),
-    "material_wr": _material_count(PieceKind.ROOK, Color.WHITE),
-    "material_wq": _material_count(PieceKind.QUEEN, Color.WHITE),
-    "material_bp": _material_count(PieceKind.PAWN, Color.BLACK),
-    "material_bn": _material_count(PieceKind.KNIGHT, Color.BLACK),
-    "material_bb": _material_count(PieceKind.BISHOP, Color.BLACK),
-    "material_br": _material_count(PieceKind.ROOK, Color.BLACK),
-    "material_bq": _material_count(PieceKind.QUEEN, Color.BLACK),
+_MATERIAL_FEATURES = {
+    f"material_{c}{k}": Piece(kind, color)
+    for color, c in ((Color.WHITE, "w"), (Color.BLACK, "b"))
+    for kind, k in zip(
+        (PieceKind.PAWN, PieceKind.KNIGHT, PieceKind.BISHOP, PieceKind.ROOK, PieceKind.QUEEN), "pnbrq"
+    )
 }
 
 # The nested capacity sweep walks this chain front to back; 16 features.
@@ -161,20 +60,75 @@ DEFAULT_FEATURE_CHAIN = (
 )
 
 
+def _feature_matrix(spec: BoardSpec, pieces, squares, side, names) -> np.ndarray:
+    """Feature rows over slot columns, one column per name.
+
+    `squares[i]` holds the square of `pieces[i]` in every row and `side`
+    the side to move (0 White, 1 Black). The defender is the side with
+    fewer standard-value points (Black on ties); mobility counts a
+    side's pseudo-legal moves with the solver's move masks, ignoring
+    king safety, never landing on a king, counting a promotion once and
+    omitting en passant and castling.
+    """
+    width, height = spec.width, spec.height
+    tables = _move_tables(width, height)
+    rows = side.size
+    kings = {p.color: sq for p, sq in zip(pieces, squares) if p.kind is PieceKind.KING}
+    points = material_points(pieces)
+    defender = kings[Color.WHITE if points[Color.WHITE] < points[Color.BLACK] else Color.BLACK]
+    file, rank = defender % width, defender // width
+    edge_file = np.minimum(file, width - 1 - file)
+    edge_rank = np.minimum(rank, height - 1 - rank)
+    occ = tables.occupancy(squares, rows)
+
+    def mobility(color: Color) -> np.ndarray:
+        own = [(p.kind, sq) for p, sq in zip(pieces, squares) if p.color is color]
+        victims = [
+            sq for p, sq in zip(pieces, squares)
+            if p.color is not color and p.kind is not PieceKind.KING
+        ]
+        enemy_occ = tables.occupancy(victims, rows)
+        blocked = tables.occupancy([sq for _, sq in own], rows) | tables.bit[kings[color.other()]]
+        total = np.zeros(rows, dtype=np.int64)
+        for kind, src in own:
+            if kind is PieceKind.PAWN:
+                _, ok, _ = tables.pawn_moves(color, src, occ, enemy_occ, (PieceKind.QUEEN,))
+            else:
+                _, ok = tables.piece_moves(kind, src, occ, blocked)
+            total += ok.sum(axis=1)
+        return total
+
+    white_king, black_king = kings[Color.WHITE], kings[Color.BLACK]
+    columns = {
+        "side_to_move": lambda: 1 - 2 * side,
+        "king_distance": lambda: np.maximum(
+            abs(white_king % width - black_king % width),
+            abs(white_king // width - black_king // width),
+        ),
+        "defender_edge_distance": lambda: np.minimum(edge_file, edge_rank),
+        # Chebyshev distance to the nearest corner: the nearest corner
+        # lies on the nearest file edge and the nearest rank edge.
+        "defender_corner_distance": lambda: np.maximum(edge_file, edge_rank),
+        "mobility_white": lambda: mobility(Color.WHITE),
+        "mobility_black": lambda: mobility(Color.BLACK),
+    }
+    X = np.empty((rows, len(names)), dtype=np.float64)
+    for j, name in enumerate(names):
+        if name in columns:
+            X[:, j] = columns[name]()
+        elif name in _MATERIAL_FEATURES:
+            X[:, j] = pieces.count(_MATERIAL_FEATURES[name])
+        else:
+            raise UnknownFeatureError(f"unknown feature {name!r}")
+    return X
+
+
 def extract_features(pos: Position, names: Sequence[str] = DEFAULT_FEATURE_CHAIN) -> np.ndarray:
     """Feature vector for one position, in the order of `names`."""
-    values = np.empty(len(names), dtype=np.float64)
-    for i, name in enumerate(names):
-        extractor = FEATURE_EXTRACTORS.get(name)
-        if extractor is None:
-            raise UnknownFeatureError(f"unknown feature {name!r}")
-        values[i] = extractor(pos)
-    return values
-
-
-def signed_dtm(wdl: Wdl, dtm: int) -> float:
-    """Regression target: +dtm for wins, -dtm for losses (side to move view)."""
-    return float(dtm) if wdl is Wdl.WIN else -float(dtm)
+    placed = list(pos.pieces())
+    squares = [np.array([sq], dtype=np.int64) for sq, _ in placed]
+    side = np.array([pos.side_to_move.value], dtype=np.int64)
+    return _feature_matrix(pos.spec, [p for _, p in placed], squares, side, names)[0]
 
 
 def build_dtm_dataset(
@@ -186,21 +140,22 @@ def build_dtm_dataset(
     """(X, y, indices) over decisive entries, optionally a seeded subsample.
 
     Rows are ordered by table index, so the dataset is a pure function
-    of (table, names, sample_size, seed).
+    of (table, names, sample_size, seed). The targets are signed dtm:
+    +dtm for wins, -dtm for losses, from the side to move's view.
     """
-    decisive = tb.decisive_indices().tolist()
-    if not decisive:
+    if sample_size is not None and sample_size < 1:
+        raise ValidationError(f"sample size must be at least 1, got {sample_size}")
+    decisive = tb.decisive_indices()
+    if not decisive.size:
         raise ValidationError("table has no decisive entries")
-    if sample_size is not None and sample_size < len(decisive):
+    if sample_size is not None and sample_size < decisive.size:
         rng = random.Random(seed)
-        decisive = sorted(rng.sample(decisive, sample_size))
-    X = np.empty((len(decisive), len(names)), dtype=np.float64)
-    y = np.empty(len(decisive), dtype=np.float64)
-    for row, idx in enumerate(decisive):
-        pos = position_at(idx, tb.material)
-        X[row] = extract_features(pos, names)
-        y[row] = signed_dtm(Wdl(int(tb.wdl[idx])), int(tb.dtm[idx]))
-    return X, y, np.asarray(decisive, dtype=np.int64)
+        decisive = decisive[sorted(rng.sample(range(decisive.size), sample_size))]
+    side, squares = _decode_columns(tb.material, decisive)
+    X = _feature_matrix(tb.material.spec, list(tb.material.pieces), squares, side, names)
+    dtm = tb.dtm[decisive].astype(np.float64)
+    y = np.where(tb.wdl[decisive] == Wdl.WIN.value, dtm, -dtm)
+    return X, y, decisive
 
 
 class LinearEvaluator:

@@ -138,12 +138,10 @@ def generate_playout(
     steps = []
     current = pos
     expected_dtm = value.dtm
-    for _ in range(expected_dtm):
+    for ply in range(expected_dtm):
+        # policy_step raises unless the successor is decisive at dtm - 1.
         move, succ = policy_step(current, tb)
-        succ_value = tb.resolve(succ)
-        steps.append(
-            PlayoutStep(move, succ, encode(succ, mode), succ_value.dtm if succ_value.is_decisive else -1)
-        )
+        steps.append(PlayoutStep(move, succ, encode(succ, mode), expected_dtm - 1 - ply))
         current = succ
     if legal_transitions(current):  # pragma: no cover - dtm bookkeeping violation
         raise RuntimeError("playout did not terminate at the probed distance to mate")

@@ -191,12 +191,6 @@ def material_key_of(pos: Position) -> tuple:
     )
 
 
-def _class_from_key(key: tuple, spec: BoardSpec) -> MaterialClass:
-    _, _, codes = key
-    pieces = tuple(Piece(PieceKind(kind), Color(color)) for kind, color in codes)
-    return MaterialClass(spec, pieces)
-
-
 class _Ctx:
     """Cached per-class indexing context."""
 
@@ -394,8 +388,8 @@ class Tablebase:
         solves nothing. Each solve reports through `progress`.
         """
         tables = dict(self.subtables)
-        for key in _successor_keys(self.material):
-            _solve_closure(_class_from_key(key, self.material.spec), tables, workers, None, progress)
+        for sub in _successor_classes(self.material):
+            _solve_closure(sub, tables, workers, None, progress)
         self.subtables = tables
 
     def decisive_indices(self) -> np.ndarray:
@@ -518,27 +512,22 @@ def _max_move_bound(material: MaterialClass) -> int:
     return max(per_color.values())
 
 
-def _successor_keys(material: MaterialClass) -> list:
-    """Material keys reachable in one ply (captures, promotions, both)."""
-    keys = set()
+def _successor_classes(material: MaterialClass) -> list:
+    """Classes reachable in one ply (captures, promotions, both), in key order."""
+    classes = set()
     pieces = list(material.pieces)
     nonkings = [p for p in pieces if p.kind is not PieceKind.KING]
-
-    def key_of(piece_list) -> tuple:
-        ordered = tuple(sorted(piece_list, key=_canonical_sort_key))
-        return (
-            material.spec.width,
-            material.spec.height,
-            tuple((p.kind.value, p.color.value) for p in ordered),
-        )
 
     def without(piece_list, victim):
         out = list(piece_list)
         out.remove(victim)
         return out
 
+    def add(piece_list):
+        classes.add(MaterialClass(material.spec, tuple(piece_list)))
+
     for victim in set(nonkings):
-        keys.add(key_of(without(pieces, victim)))
+        add(without(pieces, victim))
     for color in (Color.WHITE, Color.BLACK):
         pawn = Piece(PieceKind.PAWN, color)
         if pawn not in pieces:
@@ -546,10 +535,10 @@ def _successor_keys(material: MaterialClass) -> list:
         for promo in sorted(material.spec.promotion_kinds):
             promoted = without(pieces, pawn)
             promoted.append(Piece(promo, color))
-            keys.add(key_of(promoted))
+            add(promoted)
             for victim in set(p for p in nonkings if p.color is not color):
-                keys.add(key_of(without(promoted, victim)))
-    return sorted(keys)
+                add(without(promoted, victim))
+    return sorted(classes, key=lambda mc: mc.key)
 
 
 def _static_code(wdl, dtm):
@@ -645,6 +634,25 @@ class _MoveTables:
             return self.step[kind][src, target]
         return self.line[kind][src, target] & ((self.between[src, target] & occ) == 0)
 
+    def occupancy(self, columns, rows: int) -> np.ndarray:
+        """One bitboard per row with the squares of every column set."""
+        occ = np.zeros(rows, dtype=np.uint64)
+        for squares in columns:
+            occ |= self.bit[squares]
+        return occ
+
+    def piece_moves(self, kind: int, src, occ, blocked):
+        """(dest, pseudo-legal mask) for non-pawn pieces of `kind` on `src`.
+
+        `blocked` holds the squares no move may land on: the mover's own
+        pieces and the enemy king. Sliders also stop at any piece in `occ`.
+        """
+        dest = self.dest[kind][src]
+        ok = (dest >= 0) & ((blocked[:, None] & self.bit[dest]) == 0)
+        if kind in self.line:
+            ok &= (self.between[src[:, None], dest] & occ[:, None]) == 0
+        return dest, ok
+
     def pawn_moves(self, color: int, src, occ, enemy_occ, promotion_kinds):
         """(dest, pseudo-legal mask, promotion kind per column) for pawns on `src`.
 
@@ -673,6 +681,12 @@ class _MoveTables:
 @functools.lru_cache(maxsize=None)
 def _move_tables(width: int, height: int) -> _MoveTables:
     return _MoveTables(width, height)
+
+
+def _decode_columns(material: MaterialClass, idx: np.ndarray) -> tuple:
+    """(side to move, one square column per piece slot) of the indices `idx`."""
+    ctx = _context(material)
+    return idx // ctx.half, [(idx // power) % ctx.S for power in ctx.powers]
 
 
 @functools.lru_cache(maxsize=None)
@@ -711,8 +725,7 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     ctx = _context(material)
     tables = _move_tables(ctx.spec.width, ctx.spec.height)
     idx = np.arange(lo, hi, dtype=np.int64)
-    rem = idx - side * ctx.half
-    digits = [(rem // power) % ctx.S for power in ctx.powers]
+    _, digits = _decode_columns(material, idx)
 
     ok = np.ones(idx.size, dtype=bool)
     for a in range(ctx.k):
@@ -724,7 +737,7 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     for slot, _color in ctx.pawn_slots:
         rank = digits[slot] // ctx.spec.width
         ok &= (rank != 0) & (rank != ctx.spec.height - 1)
-    occ = np.bitwise_or.reduce([tables.bit[d] for d in digits])
+    occ = tables.occupancy(digits, idx.size)
     if side == Color.WHITE:
         movers, enemies = ctx.white_slots, ctx.black_slots
         my_king, their_king = ctx.white_king_slot, ctx.black_king_slot
@@ -739,9 +752,9 @@ def _build_side(material, registry, side, lo, hi, max_moves):
 
     them = 1 - side
     victims = [slot for slot, kind in enemies if kind != PieceKind.KING]
-    enemy_occ = np.zeros(idx.size, dtype=np.uint64)
-    for slot in victims:
-        enemy_occ |= tables.bit[digits[slot]]
+    enemy_occ = tables.occupancy([digits[slot] for slot in victims], idx.size)
+    blocked = tables.occupancy([digits[slot] for slot, _ in movers], idx.size)
+    blocked |= tables.bit[digits[their_king]]
     base = them * ctx.half + sum(d * p for d, p in zip(digits, ctx.powers))
     legal_parts, value_parts = [], []
     for slot, kind in movers:
@@ -751,14 +764,7 @@ def _build_side(material, registry, side, lo, hi, max_moves):
                 side, src, occ, enemy_occ, ctx.spec.promotion_kinds
             )
         else:
-            dest = tables.dest[kind][src]
-            legal = dest >= 0
-            for other, _ in movers:
-                if other != slot:
-                    legal &= dest != digits[other][:, None]
-            legal &= dest != digits[their_king][:, None]
-            if kind in tables.line:
-                legal &= (tables.between[src[:, None], dest] & occ[:, None]) == 0
+            dest, legal = tables.piece_moves(kind, src, occ, blocked)
             col_kind = np.zeros(dest.shape[1], dtype=np.int64)
 
         # Drop moves that leave the mover's king attacked.
@@ -899,10 +905,8 @@ def _solve_closure(material, tables, workers, mem_budget_mb, progress) -> Tableb
     table = tables.get(material.key)
     if table is None:
         _check_budget(material, mem_budget_mb)
-        for sub_key in _successor_keys(material):
-            _solve_closure(
-                _class_from_key(sub_key, material.spec), tables, workers, mem_budget_mb, progress
-            )
+        for sub in _successor_classes(material):
+            _solve_closure(sub, tables, workers, mem_budget_mb, progress)
         table = _solve_single(material, tables, workers, progress)
         table.subtables = dict(tables)
         tables[material.key] = table

@@ -72,38 +72,27 @@ class OracleRules:
     def king_square(self, board, white):
         return board.index(KING if white else -KING)
 
-    def legal_successors(self, board, white_to_move):
-        """Successor (board, side) states; pure, no ep or castling."""
+    def pseudo_moves(self, board, white):
+        """(from, to, placed cell, captured square or None) of every move of one
+        side, king safety ignored; a promotion yields once per kind."""
         w, h = self.width, self.height
-        sign = 1 if white_to_move else -1
-        out = []
-
-        def emit(from_sq, to_sq, placed, extra_clear=None):
-            nb = list(board)
-            nb[from_sq] = 0
-            if extra_clear is not None:
-                nb[extra_clear] = 0
-            nb[to_sq] = placed
-            king_sq = nb.index(KING * sign)
-            if not self.attacked(nb, king_sq, not white_to_move):
-                out.append(tuple(nb))
-
+        sign = 1 if white else -1
         for sq, cell in enumerate(board):
-            if cell == 0 or (cell > 0) != white_to_move:
+            if cell == 0 or (cell > 0) != white:
                 continue
             kind = abs(cell)
             f, r = sq % w, sq // w
             if kind == PAWN:
-                step = 1 if white_to_move else -1
-                promo_rank = h - 1 if white_to_move else 0
-                home_rank = 1 if white_to_move else h - 2
+                step = 1 if white else -1
+                promo_rank = h - 1 if white else 0
+                home_rank = 1 if white else h - 2
                 nf, nr = f, r + step
                 if self.inside(nf, nr) and board[nr * w + nf] == 0:
                     if nr == promo_rank:
                         for promo in self.promotions:
-                            emit(sq, nr * w + nf, promo * sign)
+                            yield sq, nr * w + nf, promo * sign, None
                     else:
-                        emit(sq, nr * w + nf, cell)
+                        yield sq, nr * w + nf, cell, None
                         dr = r + 2 * step
                         if (
                             r == home_rank
@@ -111,7 +100,7 @@ class OracleRules:
                             and dr != promo_rank
                             and board[dr * w + f] == 0
                         ):
-                            emit(sq, dr * w + f, cell)
+                            yield sq, dr * w + f, cell, None
                 for df in (-1, 1):
                     cf, cr = f + df, r + step
                     if self.inside(cf, cr):
@@ -119,9 +108,9 @@ class OracleRules:
                         if victim * sign < 0 and abs(victim) != KING:
                             if cr == promo_rank:
                                 for promo in self.promotions:
-                                    emit(sq, cr * w + cf, promo * sign, extra_clear=cr * w + cf)
+                                    yield sq, cr * w + cf, promo * sign, cr * w + cf
                             else:
-                                emit(sq, cr * w + cf, cell, extra_clear=cr * w + cf)
+                                yield sq, cr * w + cf, cell, cr * w + cf
             elif kind == KNIGHT or kind == KING:
                 jumps = KNIGHT_JUMPS if kind == KNIGHT else ORTHO + DIAG
                 for df, dr in jumps:
@@ -130,7 +119,7 @@ class OracleRules:
                         continue
                     victim = board[nr * w + nf]
                     if victim == 0 or (victim * sign < 0 and abs(victim) != KING):
-                        emit(sq, nr * w + nf, cell)
+                        yield sq, nr * w + nf, cell, None
             else:
                 dirsets = []
                 if kind in (ROOK, QUEEN):
@@ -143,13 +132,32 @@ class OracleRules:
                         while self.inside(nf, nr):
                             victim = board[nr * w + nf]
                             if victim == 0:
-                                emit(sq, nr * w + nf, cell)
+                                yield sq, nr * w + nf, cell, None
                             else:
                                 if victim * sign < 0 and abs(victim) != KING:
-                                    emit(sq, nr * w + nf, cell)
+                                    yield sq, nr * w + nf, cell, None
                                 break
                             nf, nr = nf + df, nr + dr
+
+    def legal_successors(self, board, white_to_move):
+        """Successor (board, side) states; pure, no ep or castling."""
+        sign = 1 if white_to_move else -1
+        out = []
+        for from_sq, to_sq, placed, extra_clear in self.pseudo_moves(board, white_to_move):
+            nb = list(board)
+            nb[from_sq] = 0
+            if extra_clear is not None:
+                nb[extra_clear] = 0
+            nb[to_sq] = placed
+            king_sq = nb.index(KING * sign)
+            if not self.attacked(nb, king_sq, not white_to_move):
+                out.append(tuple(nb))
         return out
+
+    def pseudo_mobility(self, board, white):
+        """Destination squares summed over one side's pieces: king safety
+        ignored, a promotion counted once, no en passant or castling."""
+        return len({(src, dest) for src, dest, _, _ in self.pseudo_moves(board, white)})
 
     def state_is_legal(self, board, white_to_move):
         """Kings present, not adjacent, pawns off back ranks, mover cannot take the king."""

@@ -184,6 +184,24 @@ class TestEvalprobeCommand:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 3
 
+    def test_negative_train_sample_exits_3(self, kqk4_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["evalprobe", "--tb", str(kqk4_file), "--features", "default",
+                     "--capacity-sweep", "0..4", "--seed", "3",
+                     "--train-sample", "-1", "--out", str(out)])
+        assert code == 3
+        assert "sample size must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_eval_sample_exits_3(self, kqk4_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main(["evalprobe", "--tb", str(kqk4_file), "--features", "default",
+                     "--capacity-sweep", "0..4", "--seed", "3",
+                     "--eval-sample", "0", "--out", str(out)])
+        assert code == 3
+        assert "sample size must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMiscCommands:
     def test_atypical(self, kqk4_file, capsys):

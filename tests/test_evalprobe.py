@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import strategia as sg
 from strategia.evalprobe import (
     DEFAULT_FEATURE_CHAIN,
@@ -59,6 +60,16 @@ class TestFeatures:
         # Rook d4: 14 ray squares; Ka1: 3 steps. Black kh8: 3 steps.
         assert values[0] == 17.0
         assert values[1] == 3.0
+
+    def test_mobility_with_pawns_on_both_sides(self):
+        pos = fen("k7/8/8/3pP3/8/8/8/4K3 w - d6")
+        values = sg.extract_features(
+            pos, ("mobility_white", "mobility_black", "material_wp", "material_bp",
+                  "defender_corner_distance")
+        )
+        # Pe5: e6 only (no en passant); Ke1: 5. Pd5: d4; Ka8: 3.
+        # Equal points: Black defends, and Ka8 sits in a corner.
+        assert list(values) == [6.0, 4.0, 1.0, 1.0, 0.0]
 
     def test_unknown_feature_rejected(self):
         pos = fen("8/8/4k3/8/4K3/8/8/8 w - -")
@@ -173,3 +184,63 @@ class TestCapacitySweep:
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "capacity,train_mae,eval_mae,wdl_misclassification,train_size,eval_size"
         assert len(lines) == 6
+
+
+POINTS = {1: 1, 2: 3, 3: 3, 4: 5, 5: 9, 6: 0}
+
+
+def reference_row(rules, board, white_to_move):
+    """The default chain for one board, computed square by square."""
+    width, height = rules.width, rules.height
+
+    def chebyshev(a, b):
+        return max(abs(a % width - b % width), abs(a // width - b // width))
+
+    wk, bk = board.index(6), board.index(-6)
+    white_points = sum(POINTS[c] for c in board if c > 0)
+    black_points = sum(POINTS[-c] for c in board if c < 0)
+    defender = wk if white_points < black_points else bk
+    f, r = defender % width, defender // width
+    corners = (0, width - 1, (height - 1) * width, height * width - 1)
+    expected = {
+        "side_to_move": 1 if white_to_move else -1,
+        "king_distance": chebyshev(wk, bk),
+        "defender_edge_distance": min(f, width - 1 - f, r, height - 1 - r),
+        "defender_corner_distance": min(chebyshev(defender, c) for c in corners),
+        "mobility_white": rules.pseudo_mobility(board, True),
+        "mobility_black": rules.pseudo_mobility(board, False),
+    }
+    for color, sign in (("w", 1), ("b", -1)):
+        for letter, code in zip("pnbrq", (1, 2, 3, 4, 5)):
+            expected[f"material_{color}{letter}"] = board.count(sign * code)
+    return [float(expected[name]) for name in DEFAULT_FEATURE_CHAIN]
+
+
+def assert_rows_match_oracle(tb, X, indices):
+    """Each row equals the square-by-square reference, with the oracle's
+    mobility, and extract_features of its position."""
+    spec = tb.material.spec
+    rules = oracles.OracleRules(
+        spec.width, spec.height, [k.value for k in sorted(spec.promotion_kinds)]
+    )
+    for row, idx in zip(X, indices):
+        pos = sg.position_at(int(idx), tb.material)
+        white_to_move = pos.side_to_move is sg.Color.WHITE
+        assert row.tolist() == reference_row(rules, list(pos.placement), white_to_move), f"index {idx}"
+        assert np.array_equal(row, sg.extract_features(pos)), f"index {idx}"
+
+
+@pytest.mark.parametrize(
+    "name,width,height",
+    [("KQvK", 4, 4), ("KRvK", 5, 5), ("KPvK", 4, 4), ("KPvKN", 4, 4), ("KQvKR", 3, 4), ("KBNvK", 4, 4)],
+)
+def test_dataset_rows_match_oracle_on_every_decisive_index(name, width, height):
+    tb = sg.solve(sg.MaterialClass.from_string(name, sg.BoardSpec(width, height)))
+    X, _, indices = build_dtm_dataset(tb)
+    assert np.array_equal(indices, tb.decisive_indices())
+    assert_rows_match_oracle(tb, X, indices)
+
+
+def test_dataset_rows_match_oracle_on_sampled_kpk6_indices(kpk6):
+    X, _, indices = build_dtm_dataset(kpk6, sample_size=2000, seed=17)
+    assert_rows_match_oracle(kpk6, X, indices)
