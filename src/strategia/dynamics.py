@@ -384,13 +384,13 @@ def _draw_involved_record(
 
 def _pairs_for_base(tb: Tablebase, base_idx: int, mode: Mode) -> list:
     base = position_at(base_idx, tb.material)
-    base_value = tb.probe(base)
+    base_value = tb.value_at(base_idx)
     base_path = generate_playout(base, tb, mode)
     out = []
     for perturbation in perturbations(base):
         perturbed = perturbation.perturbed
         pert_idx = index_of(perturbed, tb.material)
-        pert_value = tb.probe(perturbed)
+        pert_value = tb.value_at(pert_idx)
         if not pert_value.is_decisive or not base_value.is_decisive:
             record = _draw_involved_record(base, perturbed, base_value, pert_value, mode)
         else:
@@ -425,12 +425,13 @@ def sample_experiment(
     if sample_size <= 0:
         raise ValidationError("sample_size must be positive")
     rng = random.Random(seed)
-    population = decisive.tolist()
-    if sample_size >= len(population):
-        chosen = population
+    if sample_size >= decisive.size:
+        chosen = decisive
     else:
-        chosen = rng.sample(population, sample_size)
-    base_indices = sorted(chosen)
+        # random.sample picks by (n, k, RNG state) alone, so drawing
+        # positions into the array picks the same bases as the list did.
+        chosen = decisive[rng.sample(range(decisive.size), sample_size)]
+    base_indices = sorted(chosen.tolist())
 
     per_base = fork_map(lambda idx: _pairs_for_base(tb, idx, mode), base_indices, workers)
     pairs = [pair for records in per_base for pair in records]

@@ -8,6 +8,13 @@ from any decisive position yields a playout whose length in plies is
 exactly the probed distance to mate, together with the encoded vector
 at every ply. Drawn positions are refused: there is no canonical
 drawing policy here.
+
+The policy locates its position once (``Tablebase.locate``: one class
+key and one ``index_of``) and values each successor from that index:
+``Tablebase.locate_successor`` maps (table, index, move) to the
+successor's (table, index) by digit arithmetic, and ``value_at`` reads
+it. A playout passes the chosen successor's (table, index) on to the
+next ply, so it computes one class key and one index in total.
 """
 
 from __future__ import annotations
@@ -77,7 +84,14 @@ def policy_step(pos: Position, tb: Tablebase) -> tuple:
     reachable from it (playouts cross material boundaries at captures
     and promotions).
     """
-    value = tb.resolve(pos)
+    move, succ, _ = _policy_move(pos, tb, tb.locate(pos))
+    return move, succ
+
+
+def _policy_move(pos: Position, tb: Tablebase, at: tuple) -> tuple:
+    """policy_step from the position's (table, index); also returns the successor's."""
+    table, idx = at
+    value = table.value_at(idx)
     if not value.is_decisive:
         raise UnsupportedCaseError(
             "drawn positions have no defined policy; only decisive positions are supported"
@@ -90,24 +104,26 @@ def policy_step(pos: Position, tb: Tablebase) -> tuple:
     if value.wdl is Wdl.WIN:
         # Pick the first successor lost for the opponent with minimal dtm.
         for move, succ in transitions:
-            sv = tb.resolve(succ)
-            if sv.wdl is Wdl.LOSS and (best is None or sv.dtm < best[2]):
-                best = (move, succ, sv.dtm)
+            succ_at = tb.locate_successor(table, idx, move)
+            sv = succ_at[0].value_at(succ_at[1])
+            if sv.wdl is Wdl.LOSS and (best is None or sv.dtm < best[3]):
+                best = (move, succ, succ_at, sv.dtm)
     else:
         for move, succ in transitions:
-            sv = tb.resolve(succ)
+            succ_at = tb.locate_successor(table, idx, move)
+            sv = succ_at[0].value_at(succ_at[1])
             if sv.wdl is not Wdl.WIN:  # pragma: no cover - contradicts a loss label
                 raise RuntimeError("loss position has a non-winning successor")
-            if best is None or sv.dtm > best[2]:
-                best = (move, succ, sv.dtm)
+            if best is None or sv.dtm > best[3]:
+                best = (move, succ, succ_at, sv.dtm)
     if best is None:  # pragma: no cover - contradicts a win label
         raise RuntimeError("win position has no losing successor")
-    move, succ, succ_dtm = best
+    move, succ, succ_at, succ_dtm = best
     if succ_dtm != value.dtm - 1:  # pragma: no cover - dtm recurrence violation
         raise RuntimeError(
             f"policy successor dtm {succ_dtm} is not dtm-1 of {value.dtm}"
         )
-    return move, succ
+    return move, succ, succ_at
 
 
 def policy_delta(
@@ -132,15 +148,16 @@ def generate_playout(
     the probed dtm falls by exactly one per ply; a failure of either is
     reported as an internal error rather than silently repaired.
     """
-    value = tb.resolve(pos)
+    at = tb.locate(pos)
+    value = at[0].value_at(at[1])
     if not value.is_decisive:
         raise UnsupportedCaseError("cannot generate a playout from a drawn position")
     steps = []
     current = pos
     expected_dtm = value.dtm
     for ply in range(expected_dtm):
-        # policy_step raises unless the successor is decisive at dtm - 1.
-        move, succ = policy_step(current, tb)
+        # _policy_move raises unless the successor is decisive at dtm - 1.
+        move, succ, at = _policy_move(current, tb, at)
         steps.append(PlayoutStep(move, succ, encode(succ, mode), expected_dtm - 1 - ply))
         current = succ
     if legal_transitions(current):  # pragma: no cover - dtm bookkeeping violation

@@ -14,11 +14,14 @@ Distance to mate therefore counts plies across material transitions,
 exactly as play does. ``solve`` returns the class's table with every
 subclass table in ``subtables``.
 
-Lookups never solve. ``probe`` reads the value of a position of the
-table's own class; ``resolve`` picks this table or the subtable of the
-position's class and probes it, and raises MaterialMismatchError naming
-a class it has no table for. A table file holds one class, so a loaded
-table has no subtables until ``solve_subclasses`` solves them.
+Lookups never solve, and each is an index, then one read
+(``value_at``). ``probe`` indexes a position of the table's own class;
+``locate`` picks this table or the subtable of the position's class and
+indexes the position there, and ``resolve`` reads what it locates.
+``locate_successor`` finds a move's successor from the parent's index
+alone. A class with no table raises MaterialMismatchError naming it. A
+table file holds one class, so a loaded table has no subtables until
+``solve_subclasses`` solves them.
 
 Successor rows are built with numpy over whole index chunks, not one
 position at a time. A chunk is decoded into digit columns (one square
@@ -53,6 +56,7 @@ import numpy as np
 from .board import (
     BoardSpec,
     Color,
+    Move,
     Piece,
     PieceKind,
     Position,
@@ -166,6 +170,11 @@ class MaterialClass:
             self.spec.height,
             tuple((p.kind.value, p.color.value) for p in self.pieces),
         )
+
+    def __hash__(self) -> int:
+        # Hashes on every table-context lookup; the cached key avoids
+        # rehashing the spec and each piece's enums.
+        return hash(self.key)
 
     @property
     def num_pieces(self) -> int:
@@ -352,7 +361,10 @@ class Tablebase:
         material (MaterialMismatchError) or with castle rights
         (ValidationError).
         """
-        idx = index_of(pos, self.material)
+        return self.value_at(index_of(pos, self.material))
+
+    def value_at(self, idx: int) -> WdlDtm:
+        """The value stored at index `idx`; an illegal entry raises ValidationError."""
         raw = int(self.wdl[idx])
         if raw == 0 or raw == _UNDECIDED:
             raise ValidationError("position decodes to an illegal table entry")
@@ -360,12 +372,53 @@ class Tablebase:
         dtm = None if wdl is Wdl.DRAW else int(self.dtm[idx])
         return WdlDtm(wdl, dtm)
 
-    def resolve(self, pos: Position) -> WdlDtm:
-        """Probe this table or the subtable of the position's class; never solves.
+    def locate(self, pos: Position) -> tuple:
+        """(table, index) of a position of this class or of a subtable's; never solves.
 
         A class with no table here raises MaterialMismatchError naming it.
         """
-        key = material_key_of(pos)
+        table = self._table_for(material_key_of(pos))
+        return table, index_of(pos, table.material)
+
+    def resolve(self, pos: Position) -> WdlDtm:
+        """Probe this table or the subtable of the position's class; never solves."""
+        table, idx = self.locate(pos)
+        return table.value_at(idx)
+
+    def locate_successor(self, table: "Tablebase", idx: int, move: Move) -> tuple:
+        """(table, index) of the position `move` reaches from index `idx` of `table`.
+
+        `table` is this table or one of its subtables. The moved slot
+        takes the target square. A capture drops the victim's slot and
+        a promotion changes the mover's kind; ``_sub_layout`` maps the
+        remaining slots into the successor class. Duplicate pieces are
+        then re-sorted, as the solver's build does. A successor class
+        with no table here raises MaterialMismatchError naming it, as
+        ``locate`` does. Indexable positions have no castle rights and
+        no en passant capture, so a move shifts one piece and removes
+        at most the one on its target square.
+        """
+        material = table.material
+        side, digits = _decode_columns(material, idx)
+        slot = digits.index(move.from_sq)
+        victim = digits.index(move.to_sq) if move.to_sq in digits else None
+        digits[slot] = move.to_sq
+        if victim is None and move.promotion is None:
+            target, sctx = table, _context(material)
+        else:
+            promo_kind = 0 if move.promotion is None else move.promotion.value
+            sub, order = _sub_layout(material, victim, slot, promo_kind)
+            target, sctx = self._table_for(sub.key), _context(sub)
+            digits = [digits[s] for s in order]
+        for lo, hi in sctx.dup_groups:
+            digits[lo:hi] = sorted(digits[lo:hi])
+        total = (1 - side) * sctx.half
+        for digit, power in zip(digits, sctx.powers):
+            total += digit * power
+        return target, total
+
+    def _table_for(self, key: tuple) -> "Tablebase":
+        """This table or the subtable of class `key`; MaterialMismatchError names a missing one."""
         table = self if key == self.material.key else self.subtables.get(key)
         if table is None:
             width, height, codes = key
@@ -373,7 +426,7 @@ class Tablebase:
             raise MaterialMismatchError(
                 f"no table loaded for {_class_name(pieces)} on {width}x{height}"
             )
-        return table.probe(pos)
+        return table
 
     def solve_subclasses(
         self,
@@ -684,14 +737,17 @@ def _move_tables(width: int, height: int) -> _MoveTables:
 
 
 def _decode_columns(material: MaterialClass, idx: np.ndarray) -> tuple:
-    """(side to move, one square column per piece slot) of the indices `idx`."""
+    """(side to move, one square column per piece slot) of the indices `idx`.
+
+    Works on an int64 array and on one int alike.
+    """
     ctx = _context(material)
     return idx // ctx.half, [(idx // power) % ctx.S for power in ctx.powers]
 
 
 @functools.lru_cache(maxsize=None)
 def _sub_layout(material: MaterialClass, victim: Optional[int], promo_slot: int, promo_kind: int):
-    """Class key after a capture and/or promotion, and the slot each subclass slot takes its square from."""
+    """Class after a capture and/or promotion, and the slot each subclass slot takes its square from."""
     pieces = []
     for slot, piece in enumerate(material.pieces):
         if slot == victim:
@@ -700,15 +756,15 @@ def _sub_layout(material: MaterialClass, victim: Optional[int], promo_slot: int,
             piece = Piece(PieceKind(promo_kind), piece.color)
         pieces.append((slot, piece))
     pieces.sort(key=lambda item: _canonical_sort_key(item[1]))
-    key = MaterialClass(material.spec, tuple(p for _, p in pieces)).key
-    return key, tuple(slot for slot, _ in pieces)
+    sub = MaterialClass(material.spec, tuple(p for _, p in pieces))
+    return sub, tuple(slot for slot, _ in pieces)
 
 
 def _subclass_codes(material, registry, side, columns, victim, promo_slot, promo_kind):
     """Static codes of out-of-class successors, one per entry of the digit columns."""
-    key, order = _sub_layout(material, victim, promo_slot, promo_kind)
-    sub = registry[key]
-    sctx = _context(sub.material)
+    sub_class, order = _sub_layout(material, victim, promo_slot, promo_kind)
+    sub = registry[sub_class.key]
+    sctx = _context(sub_class)
     digits = [columns[slot] for slot in order]
     for lo, hi in sctx.dup_groups:
         digits[lo:hi] = np.sort(np.stack(digits[lo:hi]), axis=0)
