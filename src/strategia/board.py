@@ -143,18 +143,6 @@ NO_RIGHTS = CastleRights()
 ALL_RIGHTS = CastleRights(True, True, True, True)
 
 
-def square_index(file: int, rank: int, width: int) -> int:
-    return rank * width + file
-
-
-def square_file(sq: int, width: int) -> int:
-    return sq % width
-
-
-def square_rank(sq: int, width: int) -> int:
-    return sq // width
-
-
 def square_name(sq: int, width: int) -> str:
     return "abcdefgh"[sq % width] + str(sq // width + 1)
 
@@ -365,10 +353,6 @@ class Position:
             raise ValidationError("ply_index must be nonnegative")
         if self.ply_index % 2 != self.side_to_move.value:
             raise ValidationError("ply_index parity must match side to move")
-
-    def piece_at(self, sq: int) -> Optional[Piece]:
-        cell = self.placement[sq]
-        return Piece.from_cell(cell) if cell else None
 
     def pieces(self) -> Iterable[tuple[int, Piece]]:
         for sq, cell in enumerate(self.placement):

@@ -81,9 +81,6 @@ class SparseDelta:
     entries: tuple
     side_delta: Optional[int] = None
 
-    def board_entry_count(self) -> int:
-        return len(self.entries)
-
 
 def piece_code(pos: Position, sq: int) -> int:
     """The encoding code for the piece on `sq` of `pos` (0 if empty)."""

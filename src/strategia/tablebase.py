@@ -7,6 +7,14 @@ by iterated generational passes: generation d is built only from
 generations below d, so the labeled set grows monotonically and the
 result is independent of pass scheduling.
 
+The passes run on a retrograde frontier. The successor rows are turned
+once into a reverse adjacency (each position's predecessors), and pass
+d reads only the predecessors of the positions labeled at d - 1: those
+of a loss become wins, and those of a win count down their successors
+not yet won, becoming losses at 0. Each edge is read once over the
+whole solve. ``_solve_bytes`` bounds the memory a solve holds, and
+``solve`` refuses a class whose bound exceeds the budget.
+
 Captures and promotions leave the class, so a class is solved on top
 of its one-move-reachable subclasses (solved first, recursively); the
 value of an out-of-class successor is folded in as a fixed constant.
@@ -76,9 +84,6 @@ FORMAT_VERSION = 1
 DTM_ABSENT = 0xFFFF
 DEFAULT_BUDGET_MB = 2048
 BUDGET_ENV_VAR = "STRATEGIA_MEM_BUDGET_MB"
-
-_UNDECIDED = 4  # in-memory only; never written to disk
-_PAD_WDL = 255
 
 _KIND_ORDER = {
     PieceKind.KING: 0,
@@ -366,7 +371,7 @@ class Tablebase:
     def value_at(self, idx: int) -> WdlDtm:
         """The value stored at index `idx`; an illegal entry raises ValidationError."""
         raw = int(self.wdl[idx])
-        if raw == 0 or raw == _UNDECIDED:
+        if raw == 0:
             raise ValidationError("position decodes to an illegal table entry")
         wdl = Wdl(raw)
         dtm = None if wdl is Wdl.DRAW else int(self.dtm[idx])
@@ -602,17 +607,12 @@ def _static_code(wdl, dtm):
     return -(2 + (wdl << 17) + dtm)
 
 
-def _static_decode(code: int) -> tuple:
-    raw = -code - 2
-    return raw >> 17, raw & 0x1FFFF
-
-
 # Vectorized successor build. Each block of indices is decoded into
 # digit columns (one square per piece slot) and expanded into candidate
 # moves per mover slot; occupancy is one uint64 bitboard per row.
 # Larger blocks run no faster and raise the solve's peak RSS: an
-# in-process KRvK 8x8 solve peaks at 190 MiB with 4096-index blocks and
-# at 196 MiB with 65536-index ones.
+# in-process KRvK 8x8 solve peaks at 119 MiB with 4096-index blocks and
+# at 126 MiB with 65536-index ones.
 _BUILD_BLOCK = 4096
 
 
@@ -925,8 +925,35 @@ def _resolve_budget(mem_budget_mb: Optional[int]) -> int:
     return mem_budget_mb * (1 << 20)
 
 
+def _subclass_closure(material: MaterialClass) -> set:
+    """Every class that captures and promotions reach from `material`, at any depth."""
+    found = set()
+    for sub in _successor_classes(material):
+        found |= {sub} | _subclass_closure(sub)
+    return found
+
+
+def _solve_bytes(material: MaterialClass) -> int:
+    """Upper bound on the bytes that solving `material` holds at once.
+
+    The bound lets every index be an open row with `max_moves`
+    successors. The build then holds the chunks' padded successor
+    matrices and their concatenation: 8 bytes per successor. Building
+    the reverse adjacency holds at most 12 bytes per edge (the int64
+    sort key beside one int32 array), and a fixpoint pass holds the
+    int32 predecessors and the edges into one generation. Each index
+    adds 24 bytes: int64 open indices or offsets (two arrays at most),
+    the count of successors not yet won, the open flag, and the wdl and
+    dtm entries. Every subclass table of the closure stays loaded, at
+    3 bytes per index.
+    """
+    n = material.index_size
+    tables = sum(sub.index_size for sub in _subclass_closure(material))
+    return n * (12 * _max_move_bound(material) + 24) + 3 * tables
+
+
 def _check_budget(material: MaterialClass, mem_budget_mb: Optional[int]) -> None:
-    estimate = material.index_size * (8 + 4 * _max_move_bound(material))
+    estimate = _solve_bytes(material)
     budget = _resolve_budget(mem_budget_mb)
     if estimate > budget:
         raise BudgetExceededError(
@@ -991,96 +1018,110 @@ def _solve_single(material, registry, workers, progress) -> Tablebase:
     matrix = np.concatenate([r[4] for r in results]) if results else np.empty((0, max_moves), np.int32)
     del results
 
+    # One edge per real successor, in row order; pads (-1) are not edges.
+    real = matrix != -1
+    remaining = np.count_nonzero(real, axis=1).astype(np.int32)
+    targets = matrix[real]
+    del matrix, real
+
     # Intern out-of-class successor values as virtual slots after the
-    # real index space, one per distinct (wdl, dtm) value, plus one pad
-    # slot that behaves like a successor nothing can come from.
-    static_codes = np.unique(matrix[matrix < -1]) if matrix.size else np.empty(0, np.int32)
-    virt_values = [
-        _static_decode(int(code)) for code in sorted(static_codes.tolist(), reverse=True)
-    ]
-    slot_of = {}
-    for i, code in enumerate(sorted(static_codes.tolist(), reverse=True)):
-        slot_of[code] = n + i
-    pad_slot = n + len(virt_values)
-    for code, slot in slot_of.items():
-        matrix[matrix == code] = slot
-    matrix[matrix == -1] = pad_slot
+    # real index space, one per distinct (wdl, dtm), in ascending order
+    # of (wdl, dtm).
+    static = targets < 0
+    codes, inverse = np.unique(targets[static], return_inverse=True)
+    targets[static] = n + codes.size - 1 - inverse
+    del static, inverse
+    raw = -codes[::-1] - 2
+    virt_wdl, virt_dtm = raw >> 17, raw & 0x1FFFF
 
-    wdl_full = np.zeros(pad_slot + 1, dtype=np.uint8)
-    dtm_full = np.full(pad_slot + 1, DTM_ABSENT, dtype=np.uint16)
-    for i, (w, d) in enumerate(virt_values):
-        wdl_full[n + i] = w
-        dtm_full[n + i] = d
-    wdl_full[pad_slot] = _PAD_WDL
-    dtm_full[pad_slot] = 0
-    dtm_full[n:pad_slot][wdl_full[n:pad_slot] == Wdl.DRAW.value] = DTM_ABSENT
+    # Reverse adjacency: the rows with an edge into target t are
+    # preds[offsets[t]:offsets[t + 1]]. One sorted int64 (target, row)
+    # key is the only edge array wider than int32.
+    m = open_idx.size
+    offsets = np.zeros(n + codes.size + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.bincount(targets, minlength=n + codes.size))
+    key = targets.astype(np.int64)
+    del targets
+    key *= m
+    key += np.repeat(np.arange(m, dtype=np.int32), remaining)
+    key.sort()
+    np.remainder(key, m, out=key)
+    preds = key.astype(np.int32)
+    del key
 
-    wdl = wdl_full[:n]
-    dtm = dtm_full[:n]
+    wdl = np.zeros(n, dtype=np.uint8)
+    dtm = np.full(n, DTM_ABSENT, dtype=np.uint16)
     wdl[term_loss] = Wdl.LOSS.value
     dtm[term_loss] = 0
     wdl[term_draw] = Wdl.DRAW.value
-    wdl[open_idx] = _UNDECIDED
 
     # Static values can trigger labels up to their dtm + 1 even across
     # otherwise quiet passes, so termination waits for that horizon.
-    static_trigger = 0
-    for w, d in virt_values:
-        if w in (Wdl.WIN.value, Wdl.LOSS.value) and d != DTM_ABSENT:
-            static_trigger = max(static_trigger, d + 1)
+    timed = (virt_wdl != Wdl.DRAW.value) & (virt_dtm != DTM_ABSENT)
+    static_trigger = int(virt_dtm[timed].max()) + 1 if timed.any() else 0
 
+    # Pass d reads only the positions labeled at d - 1. Their open
+    # predecessors win if they lost; if they won, each predecessor's
+    # count of successors not yet won drops, and one that reaches 0 is
+    # lost. Virtual slots join the frontier at their dtm + 1.
+    is_open = np.ones(m, dtype=bool)
+    n_open = m
+    lost, won = term_loss, np.empty(0, np.int64)
     passes = []
     depth = 0
-    loss_code = Wdl.LOSS.value
-    win_code = Wdl.WIN.value
-    while open_idx.size:
+    while n_open:
         depth += 1
         if depth > n + static_trigger + 2:
             raise RuntimeError("fixpoint failed to terminate")  # pragma: no cover
-        succ_wdl = wdl_full[matrix]
-        succ_dtm = dtm_full[matrix]
-        win_mask = ((succ_wdl == loss_code) & (succ_dtm == depth - 1)).any(axis=1)
-        is_win = succ_wdl == win_code
-        all_win = (is_win | (succ_wdl == _PAD_WDL)).all(axis=1)
-        loss_mask = all_win & (
-            np.where(is_win, succ_dtm, 0).max(axis=1, initial=0) == depth - 1
-        )
-        n_win = int(win_mask.sum())
-        n_loss = int(loss_mask.sum())
-        if n_win:
-            chosen = open_idx[win_mask]
-            wdl[chosen] = win_code
-            dtm[chosen] = depth
-        if n_loss:
-            chosen = open_idx[loss_mask]
-            wdl[chosen] = loss_code
-            dtm[chosen] = depth
+        now = np.flatnonzero(virt_dtm == depth - 1)
+        lost = np.concatenate([lost, n + now[virt_wdl[now] == Wdl.LOSS.value]])
+        won = np.concatenate([won, n + now[virt_wdl[now] == Wdl.WIN.value]])
+        rows = _predecessors(preds, offsets, lost)
+        win_rows = np.unique(rows[is_open[rows]])
+        # A row can reach one virtual slot by several moves: count each.
+        rows, times = np.unique(_predecessors(preds, offsets, won), return_counts=True)
+        remaining[rows] -= times
+        loss_rows = rows[(remaining[rows] == 0) & is_open[rows]]
+
+        n_win, n_loss = int(win_rows.size), int(loss_rows.size)
+        won, lost = open_idx[win_rows], open_idx[loss_rows]
+        wdl[won] = Wdl.WIN.value
+        wdl[lost] = Wdl.LOSS.value
+        dtm[won] = depth
+        dtm[lost] = depth
+        is_open[win_rows] = False
+        is_open[loss_rows] = False
         passes.append((n_win, n_loss))
         if n_win or n_loss:
-            keep = ~(win_mask | loss_mask)
-            open_idx = open_idx[keep]
-            matrix = matrix[keep]
+            n_open -= n_win + n_loss
             if progress and depth % 8 == 0:
                 progress(
-                    f"  pass {depth}: {n_win} wins, {n_loss} losses, {open_idx.size} open"
+                    f"  pass {depth}: {n_win} wins, {n_loss} losses, {n_open} open"
                 )
         elif depth >= static_trigger:
             break
 
-    draws_at_fixpoint = int(open_idx.size)
-    wdl[open_idx] = Wdl.DRAW.value
+    wdl[open_idx[is_open]] = Wdl.DRAW.value
     legal = n - invalid
-    decisive = (wdl == win_code) | (wdl == loss_code)
+    decisive = (wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value)
     max_dtm = int(dtm[decisive].max()) if decisive.any() else 0
     stats = SolveStats(
         legal=legal,
         invalid=invalid,
         terminal_losses=int(term_loss.size),
-        terminal_draws=int(term_draw.size) + draws_at_fixpoint,
+        terminal_draws=int(term_draw.size) + n_open,
         passes=tuple(passes),
         max_dtm=max_dtm,
     )
     if progress:
         progress(f"  {material.name}: {legal} legal, max dtm {max_dtm}, {depth} passes")
-    table = Tablebase(material, wdl.copy(), dtm.copy(), stats=stats)
-    return table
+    return Tablebase(material, wdl, dtm, stats=stats)
+
+
+def _predecessors(preds, offsets, targets) -> np.ndarray:
+    """The rows with an edge into any of `targets`, one per edge."""
+    starts = offsets[targets]
+    sizes = offsets[targets + 1] - starts
+    edges = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    edges += np.arange(edges.size)
+    return preds[edges]

@@ -14,6 +14,28 @@ from strategia.tablebase import DTM_ABSENT, _build_chunk, _max_move_bound, _stat
 
 ROOK_KNIGHT = frozenset({sg.PieceKind.ROOK, sg.PieceKind.KNIGHT})
 
+# (wins, losses) labeled per fixpoint pass, as the generational pass
+# loop counted them before the retrograde frontier replaced it.
+KRK8_PASSES = (
+    (1512, 0), (0, 624), (4676, 0), (0, 1948), (3852, 0), (0, 648), (1900, 0),
+    (0, 1584), (4848, 0), (0, 3768), (8708, 0), (0, 4728), (11320, 0), (0, 5444),
+    (17172, 0), (0, 11448), (20088, 0), (0, 13672), (19016, 0), (0, 15872), (20476, 0),
+    (0, 22788), (21480, 0), (0, 28732), (17824, 0), (0, 33516), (16136, 0), (0, 36372),
+    (5244, 0), (0, 17284), (916, 0), (0, 3056), (0, 0),
+)
+KQK8_PASSES = (
+    (2448, 0), (0, 1352), (5012, 0), (0, 2956), (9064, 0), (0, 7480), (19964, 0),
+    (0, 14144), (26164, 0), (0, 25484), (32064, 0), (0, 39908), (32104, 0), (0, 54052),
+    (15000, 0), (0, 43800), (2680, 0), (0, 11300), (8, 0), (0, 56), (0, 0),
+)
+KPK6_PASSES = (
+    (46, 0), (0, 14), (146, 0), (0, 42), (308, 0), (0, 98), (618, 0), (0, 316),
+    (1464, 0), (0, 734), (2458, 0), (0, 1656), (3590, 0), (0, 3410), (4014, 0),
+    (0, 2906), (3530, 0), (0, 2270), (586, 0), (0, 676), (334, 0), (0, 260), (178, 0),
+    (0, 140), (172, 0), (0, 112), (174, 0), (0, 144), (28, 0), (0, 32), (10, 0), (0, 6),
+    (0, 0),
+)
+
 EXHAUSTIVE = (
     ("KvK", sg.BoardSpec(2, 2)),
     ("KQvK", sg.BoardSpec(4, 4)),
@@ -118,3 +140,12 @@ def test_row_over_the_move_bound_raises_instead_of_truncating(kqk4):
 ])
 def test_table_checksums_are_pinned(request, fixture, crc):
     assert request.getfixturevalue(fixture).checksum == crc
+
+
+@pytest.mark.parametrize("fixture,passes", [
+    ("krk8", KRK8_PASSES),
+    ("kqk8", KQK8_PASSES),
+    ("kpk6", KPK6_PASSES),
+])
+def test_fixpoint_passes_are_pinned(request, fixture, passes):
+    assert request.getfixturevalue(fixture).stats.passes == passes

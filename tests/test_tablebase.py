@@ -1,10 +1,13 @@
+import os
 import random
+import sys
 
 import numpy as np
 import pytest
 
 import strategia as sg
 import oracles
+from strategia.tablebase import _solve_bytes
 
 STANDARD = sg.BoardSpec.standard()
 
@@ -25,6 +28,15 @@ def oracle_values_by_index(material):
                           ply_index=side.value)
         by_index[sg.index_of(pos, material)] = values[(board, white)]
     return by_index
+
+
+def child_peak_rss(code):
+    """Peak resident bytes of a fresh interpreter that runs `code`."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)))
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", code], env)
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss * 1024  # KiB on Linux
 
 
 def assert_table_matches_oracle(tb):
@@ -139,6 +151,15 @@ class TestSolveProperties:
         mc = sg.MaterialClass.from_string("KQvK", STANDARD)
         with pytest.raises(sg.BudgetExceededError):
             sg.solve(mc, mem_budget_mb=1)
+
+    @pytest.mark.parametrize("text", ["KRvK", "KQvK"])
+    def test_budget_estimate_bounds_the_measured_peak(self, text):
+        baseline = child_peak_rss("import numpy, strategia")
+        peak = child_peak_rss(
+            "import strategia as sg; "
+            f"sg.solve(sg.MaterialClass.from_string({text!r}, sg.BoardSpec.standard()))"
+        )
+        assert peak <= baseline + _solve_bytes(sg.MaterialClass.from_string(text, STANDARD))
 
     def test_probe_material_mismatch(self, kqk4):
         pos = sg.parse_fen("k3/4/4/K3 w - -", sg.BoardSpec(4, 4))
