@@ -55,10 +55,6 @@ def _parse_board(text: str) -> BoardSpec:
     return BoardSpec(int(match.group(1)), int(match.group(2)))
 
 
-def _load_table(path: str) -> Tablebase:
-    return Tablebase.load(path)
-
-
 def _parse_thresholds(path) -> AtypicalityThresholds:
     if path is None:
         return DEFAULT_THRESHOLDS
@@ -175,7 +171,7 @@ def _cmd_solve(args, argv) -> int:
 
 
 def _cmd_probe(args, argv) -> int:
-    table = _load_table(args.tb)
+    table = Tablebase.load(args.tb)
     pos = parse_fen(args.fen, table.material.spec)
     value = table.probe(pos)
     dtm = "-" if value.dtm is None else value.dtm
@@ -187,7 +183,7 @@ def _cmd_probe(args, argv) -> int:
 
 
 def _cmd_path(args, argv) -> int:
-    table = _load_table(args.tb)
+    table = Tablebase.load(args.tb)
     table.solve_subclasses(progress=_stderr)
     pos = parse_fen(args.fen, table.material.spec)
     playout = generate_playout(pos, table, Mode(args.mode))
@@ -206,7 +202,7 @@ def _cmd_path(args, argv) -> int:
 
 
 def _cmd_perturb(args, argv) -> int:
-    table = _load_table(args.tb)
+    table = Tablebase.load(args.tb)
     pos = parse_fen(args.fen, table.material.spec)
     base_value = table.probe(pos)
     width = pos.spec.width
@@ -243,7 +239,7 @@ def _cmd_perturb(args, argv) -> int:
 
 
 def _cmd_experiment(args, argv) -> int:
-    table = _load_table(args.tb)
+    table = Tablebase.load(args.tb)
     table.solve_subclasses(workers=args.workers, progress=_stderr)
     thresholds = _parse_thresholds(args.thresholds)
     report = sample_experiment(
@@ -285,7 +281,7 @@ def _cmd_experiment(args, argv) -> int:
 
 
 def _cmd_evalprobe(args, argv) -> int:
-    table = _load_table(args.tb)
+    table = Tablebase.load(args.tb)
     if args.features == "default":
         features = DEFAULT_FEATURE_CHAIN
     else:
@@ -325,7 +321,7 @@ def _cmd_evalprobe(args, argv) -> int:
 
 
 def _cmd_atypical(args, argv) -> int:
-    table = _load_table(args.tb)
+    table = Tablebase.load(args.tb)
     pos = parse_fen(args.fen, table.material.spec)
     thresholds = _parse_thresholds(args.thresholds)
     result = is_atypical(pos, table, thresholds)
@@ -340,7 +336,7 @@ def _cmd_atypical(args, argv) -> int:
 
 
 def _cmd_info(args, argv) -> int:
-    table = _load_table(args.tb)
+    table = Tablebase.load(args.tb)
     counts = table.counts()
     mc = table.material
     print(f"material={mc.name} board={mc.spec.width}x{mc.spec.height}")

@@ -57,15 +57,7 @@ def fork_map(fn: Callable, items, workers: int) -> list:
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    _write_staged([(path, blob)])
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -73,20 +65,25 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def atomic_write_group(files) -> None:
-    """Write several (path, text) artifacts together.
+    """Write several (path, text) artifacts together, as UTF-8."""
+    _write_staged([(path, text.encode("utf-8")) for path, text in files])
+
+
+def _write_staged(files) -> None:
+    """Write (path, bytes) artifacts through temp files renamed into place.
 
     All temp files are written in full before the first rename, so any
     write failure leaves no new artifacts; the renames themselves are
-    then the only remaining steps.
+    then the only remaining steps. Temp files never outlive the call.
     """
     staged = []
     try:
-        for path, text in files:
+        for path, blob in files:
             path = Path(path)
             tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as handle:
-                handle.write(text.encode("utf-8"))
             staged.append((tmp, path))
+            with open(tmp, "wb") as handle:
+                handle.write(blob)
         for tmp, path in staged:
             os.replace(tmp, path)
     finally:

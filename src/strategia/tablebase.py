@@ -7,13 +7,13 @@ by iterated generational passes: generation d is built only from
 generations below d, so the labeled set grows monotonically and the
 result is independent of pass scheduling.
 
-The passes run on a retrograde frontier. The successor rows are turned
-once into a reverse adjacency (each position's predecessors), and pass
-d reads only the predecessors of the positions labeled at d - 1: those
-of a loss become wins, and those of a win count down their successors
-not yet won, becoming losses at 0. Each edge is read once over the
-whole solve. ``_solve_bytes`` bounds the memory a solve holds, and
-``solve`` refuses a class whose bound exceeds the budget.
+The passes run on a retrograde frontier. The successor edge lists are
+turned once into a reverse adjacency (each position's predecessors),
+and pass d reads only the predecessors of the positions labeled at
+d - 1: those of a loss become wins, and those of a win count down
+their successors not yet won, becoming losses at 0. Each edge is read
+once over the whole solve. ``_solve_bytes`` bounds the memory a solve
+holds, and ``solve`` refuses a class whose bound exceeds the budget.
 
 Captures and promotions leave the class, so a class is solved on top
 of its one-move-reachable subclasses (solved first, recursively); the
@@ -31,16 +31,17 @@ alone. A class with no table raises MaterialMismatchError naming it. A
 table file holds one class, so a loaded table has no subtables until
 ``solve_subclasses`` solves them.
 
-Successor rows are built with numpy over whole index chunks, not one
-position at a time. A chunk is decoded into digit columns (one square
-per piece slot); overlapping squares, unsorted duplicate pieces, pawns
-on a back rank and a side not to move in check are masked out. Each
-mover slot reads its candidate destinations from step, ray and
-between-square tables derived from ``board.geometry()``, against one
-uint64 occupancy bitboard per row, and a move survives only if no
-remaining enemy piece attacks the mover's king afterwards. In-class
-successors are re-indexed directly; captures and promotions read the
-subclass table's value in one gather. The scalar ``legal_transitions``
+Successor edge lists are built with numpy over blocks of at most
+``_BUILD_BLOCK`` indices with one side to move, not one position at a
+time. A block is decoded into digit columns (one square per piece
+slot); overlapping squares, unsorted duplicate pieces, pawns on a back
+rank and a side not to move in check are masked out. Each mover slot
+reads its candidate destinations from step, ray and between-square
+tables derived from ``board.geometry()``, against one uint64
+occupancy bitboard per row, and a move survives only if no remaining
+enemy piece attacks the mover's king afterwards. In-class successors
+are re-indexed directly; captures and promotions read the subclass
+table's value in one gather. The scalar ``legal_transitions``
 stays the rules reference, and the tests hold this build to it.
 
 The index encodes only piece squares and the side to move. Castle
@@ -77,7 +78,7 @@ from .errors import (
     TablebaseFormatError,
     ValidationError,
 )
-from .runio import check_workers, fork_map
+from .runio import fork_map
 
 MAGIC = b"CTB1"
 FORMAT_VERSION = 1
@@ -170,11 +171,7 @@ class MaterialClass:
 
     @functools.cached_property
     def key(self) -> tuple:
-        return (
-            self.spec.width,
-            self.spec.height,
-            tuple((p.kind.value, p.color.value) for p in self.pieces),
-        )
+        return _material_key(self.spec, self.pieces)
 
     def __hash__(self) -> int:
         # Hashes on every table-context lookup; the cached key avoids
@@ -196,13 +193,14 @@ def _class_name(pieces) -> str:
     return f"{white}v{black}"
 
 
+def _material_key(spec: BoardSpec, pieces) -> tuple:
+    """Class key of canonically sorted `pieces`: (width, height, (kind, color) codes)."""
+    return (spec.width, spec.height, tuple((p.kind.value, p.color.value) for p in pieces))
+
+
 def material_key_of(pos: Position) -> tuple:
     pieces = sorted((piece for _, piece in pos.pieces()), key=_canonical_sort_key)
-    return (
-        pos.spec.width,
-        pos.spec.height,
-        tuple((p.kind.value, p.color.value) for p in pieces),
-    )
+    return _material_key(pos.spec, pieces)
 
 
 class _Ctx:
@@ -600,7 +598,7 @@ def _successor_classes(material: MaterialClass) -> list:
 
 
 def _static_code(wdl, dtm):
-    """Matrix code of an out-of-class successor value; dtm is DTM_ABSENT for draws.
+    """Edge code of an out-of-class successor value; dtm is DTM_ABSENT for draws.
 
     Works on ints and on int64 arrays alike.
     """
@@ -610,9 +608,12 @@ def _static_code(wdl, dtm):
 # Vectorized successor build. Each block of indices is decoded into
 # digit columns (one square per piece slot) and expanded into candidate
 # moves per mover slot; occupancy is one uint64 bitboard per row.
-# Larger blocks run no faster and raise the solve's peak RSS: an
-# in-process KRvK 8x8 solve peaks at 119 MiB with 4096-index blocks and
-# at 126 MiB with 65536-index ones.
+# A block's temporaries grow with its size, and larger blocks run no
+# faster. Traced in process (tracemalloc), a KQvK 8x8 solve peaks at
+# 68.4 MiB with 4096-index blocks, where the reverse adjacency sets the
+# peak, and at 74.0 MiB with 65536-index ones, where the build does
+# (best of 3: 0.61 and 0.63 s). Peak RSS moves more between runs than
+# with the block size: 107-136 MiB for KRvK 8x8 at 1024 to 65536.
 _BUILD_BLOCK = 4096
 
 
@@ -777,7 +778,14 @@ def _subclass_codes(material, registry, side, columns, victim, promo_slot, promo
 
 
 def _build_side(material, registry, side, lo, hi, max_moves):
-    """_build_chunk for an index block whose positions all have `side` to move."""
+    """Classify the indices in [lo, hi), which all have `side` to move.
+
+    Returns (invalid count, terminal losses, terminal draws, open
+    indices, int32 successor count per open index, int32 edges). The
+    edges list each open index's successors in turn: in-class ones as
+    indices, out-of-class ones as static codes. A position with more
+    than `max_moves` moves raises RuntimeError.
+    """
     ctx = _context(material)
     tables = _move_tables(ctx.spec.width, ctx.spec.height)
     idx = np.arange(lo, hi, dtype=np.int64)
@@ -883,32 +891,27 @@ def _build_side(material, registry, side, lo, hi, max_moves):
             other_kind, them, digits[other][stuck], digits[my_king][stuck], occ[stuck]
         )
     live = ~stuck
-    legal, values = legal[live], values[live]
-    rows, cols = np.nonzero(legal)
-    matrix = np.full((legal.shape[0], max_moves), -1, dtype=np.int32)
-    matrix[rows, np.cumsum(legal, axis=1)[rows, cols] - 1] = values[rows, cols]
-    return invalid, idx[stuck][mated], idx[stuck][~mated], idx[live], matrix
+    return (
+        invalid, idx[stuck][mated], idx[stuck][~mated], idx[live],
+        counts[live].astype(np.int32), values[live][legal[live]].astype(np.int32),
+    )
 
 
-def _build_chunk(material: MaterialClass, registry: dict, lo: int, hi: int, max_moves: int):
-    """Classify indices in [lo, hi): invalid, terminal, or open with successor rows.
+def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
+    """(side, start, stop) blocks that cover [lo, hi) in order.
 
-    Returns (invalid count, terminal losses, terminal draws, open
-    indices, successor matrix); matrix rows list in-class successor
-    indices and out-of-class static codes, padded with -1.
+    A block holds at most ``_BUILD_BLOCK`` indices, all with the same
+    side to move.
     """
     half = _context(material).half
-    parts = []
+    blocks = []
     start = lo
     while start < hi:
         side = Color.BLACK if start >= half else Color.WHITE
         stop = min(hi, start + _BUILD_BLOCK, (side + 1) * half)
-        parts.append(_build_side(material, registry, side, start, stop, max_moves))
+        blocks.append((side, start, stop))
         start = stop
-    return (
-        sum(p[0] for p in parts),
-        *(np.concatenate([p[i] for p in parts]) for i in range(1, 5)),
-    )
+    return blocks
 
 
 def _resolve_budget(mem_budget_mb: Optional[int]) -> int:
@@ -937,8 +940,8 @@ def _solve_bytes(material: MaterialClass) -> int:
     """Upper bound on the bytes that solving `material` holds at once.
 
     The bound lets every index be an open row with `max_moves`
-    successors. The build then holds the chunks' padded successor
-    matrices and their concatenation: 8 bytes per successor. Building
+    successors. The build holds each block's int32 edge list and then
+    their concatenation, 8 bytes per successor. Building
     the reverse adjacency holds at most 12 bytes per edge (the int64
     sort key beside one int32 array), and a fixpoint pass holds the
     int32 predecessors and the edges into one generation. Each index
@@ -997,32 +1000,21 @@ def _solve_closure(material, tables, workers, mem_budget_mb, progress) -> Tableb
 
 
 def _solve_single(material, registry, workers, progress) -> Tablebase:
-    check_workers(workers)
     n = material.index_size
     max_moves = _max_move_bound(material)
     if progress:
         progress(f"solving {material.name}: {n} indices")
 
-    chunk = max(4096, n // (workers * 8))
-    ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     results = fork_map(
-        lambda bounds: _build_chunk(material, registry, bounds[0], bounds[1], max_moves),
-        ranges,
+        lambda block: _build_side(material, registry, *block, max_moves),
+        _build_blocks(material, 0, n),
         workers,
     )
-
     invalid = sum(r[0] for r in results)
-    term_loss = np.concatenate([r[1] for r in results]) if results else np.empty(0, np.int64)
-    term_draw = np.concatenate([r[2] for r in results]) if results else np.empty(0, np.int64)
-    open_idx = np.concatenate([r[3] for r in results]) if results else np.empty(0, np.int64)
-    matrix = np.concatenate([r[4] for r in results]) if results else np.empty((0, max_moves), np.int32)
+    term_loss, term_draw, open_idx, remaining, targets = (
+        np.concatenate([r[i] for r in results]) for i in range(1, 6)
+    )
     del results
-
-    # One edge per real successor, in row order; pads (-1) are not edges.
-    real = matrix != -1
-    remaining = np.count_nonzero(real, axis=1).astype(np.int32)
-    targets = matrix[real]
-    del matrix, real
 
     # Intern out-of-class successor values as virtual slots after the
     # real index space, one per distinct (wdl, dtm), in ascending order

@@ -6,11 +6,19 @@ or the subtable's `probe` (captures and promotions). Rows are compared
 as multisets, since the fixpoint reads them without regard to order.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import strategia as sg
-from strategia.tablebase import DTM_ABSENT, _build_chunk, _max_move_bound, _static_code
+from strategia.tablebase import (
+    _BUILD_BLOCK,
+    DTM_ABSENT,
+    _build_blocks,
+    _build_side,
+    _max_move_bound,
+    _static_code,
+)
 
 ROOK_KNIGHT = frozenset({sg.PieceKind.ROOK, sg.PieceKind.KNIGHT})
 
@@ -69,15 +77,27 @@ def reference_class(material, registry, idx):
     return sorted(row)
 
 
+def build_range(material, registry, lo, hi, max_moves=None):
+    """(invalid, losses, draws, open indices, counts, edges) of [lo, hi), built block by block."""
+    if max_moves is None:
+        max_moves = _max_move_bound(material)
+    parts = [
+        _build_side(material, registry, *block, max_moves)
+        for block in _build_blocks(material, lo, hi)
+    ]
+    return (sum(p[0] for p in parts), *(np.concatenate([p[i] for p in parts]) for i in range(1, 6)))
+
+
 def built_classes(material, registry, lo, hi):
     """Index -> class as the vectorized build labels [lo, hi)."""
-    invalid, losses, draws, open_idx, matrix = _build_chunk(
-        material, registry, lo, hi, _max_move_bound(material)
-    )
+    invalid, losses, draws, open_idx, counts, edges = build_range(material, registry, lo, hi)
+    assert counts.dtype == edges.dtype == np.int32
+    assert int(counts.sum()) == edges.size
     out = {int(i): "loss" for i in losses}
     out.update((int(i), "draw") for i in draws)
-    for idx, row in zip(open_idx.tolist(), matrix.tolist()):
-        out[idx] = sorted(code for code in row if code != -1)
+    rows = np.split(edges, np.cumsum(counts)[:-1])
+    for idx, row in zip(open_idx.tolist(), rows):
+        out[idx] = sorted(row.tolist())
     assert invalid == (hi - lo) - len(out)
     return out
 
@@ -118,10 +138,20 @@ def test_build_matches_scalar_rules_on_sampled_kpk6_indices(kpk6, data):
     assert built.get(idx, "invalid") == reference_class(material, registry, idx)
 
 
-def test_chunk_straddling_the_side_bit(kqk4):
-    material = kqk4.material
-    half = material.index_size // 2
-    registry = registry_of(kqk4)
+@pytest.mark.parametrize("fixture", ["kqk4", "kpk6"])
+def test_build_blocks_split_at_the_side_bit(request, fixture):
+    # KPvK 6x6 has 46,656 indices per side, not a multiple of the block.
+    table = request.getfixturevalue(fixture)
+    material = table.material
+    n, half = material.index_size, material.index_size // 2
+    for lo, hi in ((0, n), (half - 300, half + 300)):
+        blocks = _build_blocks(material, lo, hi)
+        covered = np.concatenate([np.arange(start, stop) for _, start, stop in blocks])
+        assert np.array_equal(covered, np.arange(lo, hi))
+        for side, start, stop in blocks:
+            assert 0 < stop - start <= _BUILD_BLOCK
+            assert side == start // half == (stop - 1) // half
+    registry = registry_of(table)
     built = built_classes(material, registry, half - 300, half + 300)
     for idx in range(half - 300, half + 300):
         assert built.get(idx, "invalid") == reference_class(material, registry, idx), idx
@@ -130,7 +160,7 @@ def test_chunk_straddling_the_side_bit(kqk4):
 def test_row_over_the_move_bound_raises_instead_of_truncating(kqk4):
     material = kqk4.material
     with pytest.raises(RuntimeError, match="bound"):
-        _build_chunk(material, registry_of(kqk4), 0, material.index_size, 2)
+        build_range(material, registry_of(kqk4), 0, material.index_size, max_moves=2)
 
 
 @pytest.mark.parametrize("fixture,crc", [

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import strategia as sg
-from strategia.tablebase import DTM_ABSENT, SolveStats, _build_chunk, _max_move_bound
+from strategia.tablebase import DTM_ABSENT, SolveStats, _max_move_bound
+from test_build import build_range
 
 ROOK_KNIGHT = frozenset({sg.PieceKind.ROOK, sg.PieceKind.KNIGHT})
 PAD = 255
@@ -33,12 +34,11 @@ CLOSURES = (
 def reference_solve(material, registry):
     """(wdl, dtm, SolveStats) of `material` by the generational pass loop."""
     n = material.index_size
-    invalid, term_loss, term_draw, open_idx, matrix = _build_chunk(
-        material, registry, 0, n, _max_move_bound(material)
-    )
+    invalid, term_loss, term_draw, open_idx, counts, edges = build_range(material, registry, 0, n)
     # Out-of-class values become slots after the index space, in
     # descending code order; one more slot pads the rows.
-    codes = sorted(set(matrix[matrix < -1].tolist()), reverse=True)
+    codes = sorted(set(edges[edges < 0].tolist()), reverse=True)
+    edges = edges.astype(np.int64)
     pad_slot = n + len(codes)
     wdl_full = np.zeros(pad_slot + 1, dtype=np.uint8)
     dtm_full = np.full(pad_slot + 1, DTM_ABSENT, dtype=np.uint16)
@@ -47,10 +47,13 @@ def reference_solve(material, registry):
         raw = -code - 2
         w, d = raw >> 17, raw & 0x1FFFF
         wdl_full[slot], dtm_full[slot] = w, d
-        matrix[matrix == code] = slot
+        edges[edges == code] = slot
         if w != sg.Wdl.DRAW.value:
             static_trigger = max(static_trigger, d + 1)
-    matrix[matrix == -1] = pad_slot
+    # Row r holds its counts[r] successors, then pad slots up to the move bound.
+    matrix = np.full((open_idx.size, _max_move_bound(material)), pad_slot, dtype=np.int64)
+    rows = np.repeat(np.arange(open_idx.size), counts)
+    matrix[rows, np.arange(edges.size) - np.repeat(np.cumsum(counts) - counts, counts)] = edges
     wdl_full[pad_slot], dtm_full[pad_slot] = PAD, 0
 
     wdl, dtm = wdl_full[:n], dtm_full[:n]

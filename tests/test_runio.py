@@ -1,0 +1,30 @@
+"""Atomic artifact writes: all or nothing, and no temp file left behind."""
+
+import os
+
+import pytest
+
+from strategia import runio
+
+
+def test_writes_land_whole_and_leave_no_temp_files(tmp_path):
+    runio.atomic_write_bytes(tmp_path / "a.bin", b"\x00\x01")
+    runio.atomic_write_group([(tmp_path / "b.txt", "b"), (tmp_path / "c.txt", "cé")])
+    assert (tmp_path / "a.bin").read_bytes() == b"\x00\x01"
+    assert (tmp_path / "c.txt").read_bytes() == "cé".encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.txt", "c.txt"]
+
+
+@pytest.mark.parametrize("write", [
+    lambda d: runio.atomic_write_bytes(d / "a.bin", b"blob"),
+    lambda d: runio.atomic_write_group([(d / "a.txt", "one"), (d / "b.txt", "two")]),
+], ids=["single", "group"])
+def test_a_failed_rename_leaves_neither_target_nor_temp_file(tmp_path, monkeypatch, write):
+    def refuse(src, dst):
+        assert os.path.exists(src)
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(runio.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write(tmp_path)
+    assert list(tmp_path.iterdir()) == []
