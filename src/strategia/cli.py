@@ -59,7 +59,12 @@ def _parse_thresholds(path) -> AtypicalityThresholds:
     if path is None:
         return DEFAULT_THRESHOLDS
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"thresholds file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValidationError("thresholds file must hold a JSON object")
     known = {"depletion_max_pieces", "forced_mate_max_dtm", "material_gap_min"}
     unknown = set(raw) - known
     if unknown:

@@ -215,7 +215,10 @@ class AtypicalityThresholds:
     material_gap_min: int = 5
 
     def __post_init__(self):
-        if min(self.depletion_max_pieces, self.forced_mate_max_dtm, self.material_gap_min) <= 0:
+        values = self.as_dict().values()
+        if any(isinstance(value, bool) or not isinstance(value, int) for value in values):
+            raise ValidationError("atypicality thresholds must be integers")
+        if min(values) <= 0:
             raise ValidationError("atypicality thresholds must be positive")
 
     def as_dict(self) -> dict:

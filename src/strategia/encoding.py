@@ -42,11 +42,15 @@ CASTLE_KING = 7
 KING = 8
 
 _KIND_CODES = {
+    PieceKind.PAWN: PAWN,
     PieceKind.KNIGHT: KNIGHT,
     PieceKind.BISHOP: BISHOP,
     PieceKind.ROOK: ROOK,
     PieceKind.QUEEN: QUEEN,
+    PieceKind.KING: KING,
 }
+# The code of each placement cell, before the en passant and castle marks.
+_CELL_CODES = {0: 0, **{k.value * s: c * s for k, c in _KIND_CODES.items() for s in (1, -1)}}
 
 
 @dataclass(frozen=True)
@@ -82,28 +86,19 @@ class SparseDelta:
     side_delta: Optional[int] = None
 
 
-def piece_code(pos: Position, sq: int) -> int:
-    """The encoding code for the piece on `sq` of `pos` (0 if empty)."""
-    cell = pos.placement[sq]
-    if cell == 0:
-        return 0
-    kind = PieceKind(abs(cell))
-    color = Color.WHITE if cell > 0 else Color.BLACK
-    if kind is PieceKind.PAWN:
-        code = PAWN
-        if pos.ep_square is not None and color is not pos.side_to_move:
-            if sq - color.sign * pos.spec.width == pos.ep_square:
-                code = EP_PAWN
-    elif kind is PieceKind.KING:
-        code = CASTLE_KING if pos.castle_rights.for_color(color) else KING
-    else:
-        code = _KIND_CODES[kind]
-    return code * color.sign
-
-
 def encode(pos: Position, mode: Mode = Mode.AUGMENTED) -> ConfigVector:
     """Encode a position as an integer vector in square-index order."""
-    components = [piece_code(pos, sq) for sq in range(pos.spec.num_squares)]
+    components = [_CELL_CODES[cell] for cell in pos.placement]
+    if pos.ep_square is not None:
+        # The pawn that just double-stepped stands one rank past ep_square.
+        sign = pos.side_to_move.other().sign
+        sq = pos.ep_square + sign * pos.spec.width
+        if 0 <= sq < len(components) and components[sq] == PAWN * sign:
+            components[sq] = EP_PAWN * sign
+    for color in (Color.WHITE, Color.BLACK):
+        if pos.castle_rights.for_color(color):
+            king = KING * color.sign
+            components = [CASTLE_KING * color.sign if c == king else c for c in components]
     if mode is Mode.AUGMENTED:
         components.append(1 if pos.side_to_move is Color.WHITE else -1)
     return ConfigVector(mode, tuple(components))

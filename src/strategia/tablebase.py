@@ -31,16 +31,23 @@ alone. A class with no table raises MaterialMismatchError naming it. A
 table file holds one class, so a loaded table has no subtables until
 ``solve_subclasses`` solves them.
 
+One codec holds the index layout: ``_decode_columns`` splits indices
+into the side to move and one square (digit) per piece slot,
+``_encode_columns`` is its inverse and sorts duplicate pieces, and
+``_canonical`` checks for distinct squares and ascending duplicates.
+Every encode and decode goes through them. ``position_at`` takes
+legality from ``board.validate_position``.
+
 Successor edge lists are built with numpy over blocks of at most
 ``_BUILD_BLOCK`` indices with one side to move, not one position at a
-time. A block is decoded into digit columns (one square per piece
-slot); overlapping squares, unsorted duplicate pieces, pawns on a back
-rank and a side not to move in check are masked out. Each mover slot
-reads its candidate destinations from step, ray and between-square
-tables derived from ``board.geometry()``, against one uint64
-occupancy bitboard per row, and a move survives only if no remaining
-enemy piece attacks the mover's king afterwards. In-class successors
-are re-indexed directly; captures and promotions read the subclass
+time. A block is decoded into digit columns; indices that are not
+``_canonical``, pawns on a back rank and a side not to move in check
+are masked out. Each mover slot reads its candidate destinations from
+step, ray and between-square tables derived from ``board.geometry()``,
+against one uint64 occupancy bitboard per row, and a move survives
+only if no remaining enemy piece attacks the mover's king afterwards.
+In-class successors are the digit columns with the moved slot set to
+its destination, encoded; captures and promotions read the subclass
 table's value in one gather. The scalar ``legal_transitions``
 stays the rules reference, and the tests hold this build to it.
 
@@ -69,8 +76,8 @@ from .board import (
     Piece,
     PieceKind,
     Position,
-    _attacked,
     geometry,
+    validate_position,
 )
 from .errors import (
     BudgetExceededError,
@@ -207,7 +214,7 @@ class _Ctx:
     """Cached per-class indexing context."""
 
     __slots__ = (
-        "material", "spec", "geo", "S", "k", "half", "powers", "cells",
+        "material", "spec", "S", "k", "half", "powers", "cells",
         "slot_layout", "dup_groups", "pawn_slots", "white_slots", "black_slots",
         "white_king_slot", "black_king_slot",
     )
@@ -215,7 +222,6 @@ class _Ctx:
     def __init__(self, material: MaterialClass):
         self.material = material
         self.spec = material.spec
-        self.geo = geometry(self.spec.width, self.spec.height)
         self.S = self.spec.num_squares
         self.k = len(material.pieces)
         self.half = self.S ** self.k
@@ -236,7 +242,7 @@ class _Ctx:
         self.slot_layout = tuple(layout)
         self.dup_groups = tuple(groups)
         self.pawn_slots = tuple(
-            (i, p.color) for i, p in enumerate(material.pieces) if p.kind is PieceKind.PAWN
+            i for i, p in enumerate(material.pieces) if p.kind is PieceKind.PAWN
         )
         self.white_slots = tuple(
             (i, p.kind.value) for i, p in enumerate(material.pieces) if p.color is Color.WHITE
@@ -290,50 +296,35 @@ def index_of(pos: Position, material: MaterialClass) -> int:
         raise MaterialMismatchError(
             f"position material does not match class {material.name}"
         )
-    total = pos.side_to_move.value * ctx.half
-    for digit, power in zip(digits, ctx.powers):
-        total += digit * power
-    return total
+    return _encode_columns(material, pos.side_to_move.value, digits)
 
 
 def position_at(idx: int, material: MaterialClass) -> Optional[Position]:
-    """Inverse of index_of; None marks indices that are not legal positions."""
-    ctx = _context(material)
+    """Inverse of index_of; None marks indices that are not legal positions.
+
+    The index decodes through ``_decode_columns``. Digits that are not
+    ``_canonical`` give None, and so does a placement that
+    ``board.validate_position`` rejects.
+    """
     if not 0 <= idx < material.index_size:
         raise ValidationError(f"index {idx} outside [0, {material.index_size})")
-    side = Color.BLACK if idx >= ctx.half else Color.WHITE
-    rem = idx - side.value * ctx.half
-    digits = []
-    for _ in range(ctx.k):
-        digits.append(rem % ctx.S)
-        rem //= ctx.S
-    if len(set(digits)) != ctx.k:
+    side, digits = _decode_columns(material, idx)
+    if not _canonical(material, digits):
         return None
-    for lo, hi in ctx.dup_groups:
-        for j in range(lo, hi - 1):
-            if digits[j] >= digits[j + 1]:
-                return None
-    width, height = ctx.spec.width, ctx.spec.height
-    for slot, _color in ctx.pawn_slots:
-        rank = digits[slot] // width
-        if rank == 0 or rank == height - 1:
-            return None
-    board = [0] * ctx.S
-    for slot, cell in enumerate(ctx.cells):
-        board[digits[slot]] = cell
-    movers = ctx.white_slots if side is Color.WHITE else ctx.black_slots
-    mover_list = [(digits[slot], kind) for slot, kind in movers]
-    their_king = digits[
-        ctx.black_king_slot if side is Color.WHITE else ctx.white_king_slot
-    ]
-    if _attacked(board, their_king, mover_list, side.value, ctx.geo):
-        return None
-    return Position(
+    board = [0] * material.spec.num_squares
+    for square, cell in zip(digits, _context(material).cells):
+        board[square] = cell
+    pos = Position(
         spec=material.spec,
         placement=tuple(board),
-        side_to_move=side,
-        ply_index=side.value,
+        side_to_move=Color(side),
+        ply_index=side,
     )
+    try:
+        validate_position(pos)
+    except ValidationError:
+        return None
+    return pos
 
 
 @dataclass(frozen=True)
@@ -391,12 +382,13 @@ class Tablebase:
     def locate_successor(self, table: "Tablebase", idx: int, move: Move) -> tuple:
         """(table, index) of the position `move` reaches from index `idx` of `table`.
 
-        `table` is this table or one of its subtables. The moved slot
-        takes the target square. A capture drops the victim's slot and
-        a promotion changes the mover's kind; ``_sub_layout`` maps the
-        remaining slots into the successor class. Duplicate pieces are
-        then re-sorted, as the solver's build does. A successor class
-        with no table here raises MaterialMismatchError naming it, as
+        `table` is this table or one of its subtables. The index decodes
+        through ``_decode_columns`` and the moved slot takes the target
+        square. A capture drops the victim's slot and a promotion
+        changes the mover's kind; ``_sub_layout`` maps the remaining
+        slots into the successor class. ``_encode_columns`` then indexes
+        the digits, as the solver's build does. A successor class with
+        no table here raises MaterialMismatchError naming it, as
         ``locate`` does. Indexable positions have no castle rights and
         no en passant capture, so a move shifts one piece and removes
         at most the one on its target square.
@@ -407,18 +399,10 @@ class Tablebase:
         victim = digits.index(move.to_sq) if move.to_sq in digits else None
         digits[slot] = move.to_sq
         if victim is None and move.promotion is None:
-            target, sctx = table, _context(material)
-        else:
-            promo_kind = 0 if move.promotion is None else move.promotion.value
-            sub, order = _sub_layout(material, victim, slot, promo_kind)
-            target, sctx = self._table_for(sub.key), _context(sub)
-            digits = [digits[s] for s in order]
-        for lo, hi in sctx.dup_groups:
-            digits[lo:hi] = sorted(digits[lo:hi])
-        total = (1 - side) * sctx.half
-        for digit, power in zip(digits, sctx.powers):
-            total += digit * power
-        return target, total
+            return table, _encode_columns(material, 1 - side, digits)
+        promo_kind = 0 if move.promotion is None else move.promotion.value
+        sub, order = _sub_layout(material, victim, slot, promo_kind)
+        return self._table_for(sub.key), _encode_columns(sub, 1 - side, [digits[s] for s in order])
 
     def _table_for(self, key: tuple) -> "Tablebase":
         """This table or the subtable of class `key`; MaterialMismatchError names a missing one."""
@@ -445,7 +429,7 @@ class Tablebase:
         """
         tables = dict(self.subtables)
         for sub in _successor_classes(self.material):
-            _solve_closure(sub, tables, workers, None, progress)
+            _solve_closure(sub, tables, workers, progress)
         self.subtables = tables
 
     def decisive_indices(self) -> np.ndarray:
@@ -737,13 +721,46 @@ def _move_tables(width: int, height: int) -> _MoveTables:
     return _MoveTables(width, height)
 
 
-def _decode_columns(material: MaterialClass, idx: np.ndarray) -> tuple:
-    """(side to move, one square column per piece slot) of the indices `idx`.
+# The index codec. Only these three functions know the digit layout:
+# side * S**k + sum(square of slot i * S**i), with each duplicate-piece
+# group in ascending square order. Each works on ints and on int64
+# arrays alike.
 
-    Works on an int64 array and on one int alike.
-    """
+
+def _decode_columns(material: MaterialClass, idx) -> tuple:
+    """(side to move, one square column per piece slot) of the indices `idx`."""
     ctx = _context(material)
     return idx // ctx.half, [(idx // power) % ctx.S for power in ctx.powers]
+
+
+def _encode_columns(material: MaterialClass, side, digits: list):
+    """Index of the squares `digits` (one per piece slot) with `side` to move.
+
+    The inverse of ``_decode_columns``. Each duplicate-piece group of
+    `digits` is first sorted ascending in place; array digits may be of
+    any shapes that broadcast together.
+    """
+    ctx = _context(material)
+    for lo, hi in ctx.dup_groups:
+        group = digits[lo:hi]
+        if isinstance(group[0], np.ndarray):
+            digits[lo:hi] = np.sort(np.broadcast_arrays(*group), axis=0)
+        else:
+            digits[lo:hi] = sorted(group)
+    return side * ctx.half + sum(digit * power for digit, power in zip(digits, ctx.powers))
+
+
+def _canonical(material: MaterialClass, digits: list):
+    """Whether `digits` hold distinct squares with each duplicate group ascending."""
+    ctx = _context(material)
+    ok = True
+    for a in range(ctx.k):
+        for b in range(a + 1, ctx.k):
+            ok = ok & (digits[a] != digits[b])
+    for lo, hi in ctx.dup_groups:
+        for j in range(lo, hi - 1):
+            ok = ok & (digits[j] < digits[j + 1])
+    return ok
 
 
 @functools.lru_cache(maxsize=None)
@@ -765,11 +782,7 @@ def _subclass_codes(material, registry, side, columns, victim, promo_slot, promo
     """Static codes of out-of-class successors, one per entry of the digit columns."""
     sub_class, order = _sub_layout(material, victim, promo_slot, promo_kind)
     sub = registry[sub_class.key]
-    sctx = _context(sub_class)
-    digits = [columns[slot] for slot in order]
-    for lo, hi in sctx.dup_groups:
-        digits[lo:hi] = np.sort(np.stack(digits[lo:hi]), axis=0)
-    idx = (1 - side) * sctx.half + sum(d * p for d, p in zip(digits, sctx.powers))
+    idx = _encode_columns(sub_class, 1 - side, [columns[slot] for slot in order])
     wdl = sub.wdl[idx].astype(np.int64)
     if not np.isin(wdl, (Wdl.WIN.value, Wdl.DRAW.value, Wdl.LOSS.value)).all():
         raise ValidationError(f"a successor decodes to an illegal entry of {sub.material.name}")
@@ -791,14 +804,8 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     idx = np.arange(lo, hi, dtype=np.int64)
     _, digits = _decode_columns(material, idx)
 
-    ok = np.ones(idx.size, dtype=bool)
-    for a in range(ctx.k):
-        for b in range(a + 1, ctx.k):
-            ok &= digits[a] != digits[b]
-    for glo, ghi in ctx.dup_groups:
-        for j in range(glo, ghi - 1):
-            ok &= digits[j] < digits[j + 1]
-    for slot, _color in ctx.pawn_slots:
+    ok = _canonical(material, digits)
+    for slot in ctx.pawn_slots:
         rank = digits[slot] // ctx.spec.width
         ok &= (rank != 0) & (rank != ctx.spec.height - 1)
     occ = tables.occupancy(digits, idx.size)
@@ -819,7 +826,7 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     enemy_occ = tables.occupancy([digits[slot] for slot in victims], idx.size)
     blocked = tables.occupancy([digits[slot] for slot, _ in movers], idx.size)
     blocked |= tables.bit[digits[their_king]]
-    base = them * ctx.half + sum(d * p for d, p in zip(digits, ctx.powers))
+    stay = [d[:, None] for d in digits]
     legal_parts, value_parts = [], []
     for slot, kind in movers:
         src = digits[slot]
@@ -840,19 +847,10 @@ def _build_side(material, registry, side, lo, hi, max_moves):
                 attacked = attacked & (dest != digits[other][:, None])
             legal &= ~attacked
 
-        # In-class successors: swap the moved square into the index and
-        # keep duplicate pieces in ascending square order.
-        values = base[:, None] + (dest - src[:, None]) * ctx.powers[slot]
-        for glo, ghi in ctx.dup_groups:
-            if glo <= slot < ghi:
-                members = [
-                    dest if j == slot else np.broadcast_to(digits[j][:, None], dest.shape)
-                    for j in range(glo, ghi)
-                ]
-                ordered = np.sort(np.stack(members, axis=-1), axis=-1)
-                old = sum(digits[j] * ctx.powers[j] for j in range(glo, ghi))
-                new = sum(ordered[..., j - glo] * ctx.powers[j] for j in range(glo, ghi))
-                values = (base - old)[:, None] + new
+        # In-class successors: the moved slot takes its destination.
+        moved = list(stay)
+        moved[slot] = dest
+        values = _encode_columns(material, them, moved)
 
         # Captures and promotions leave the class: read their values
         # from the subtables in one gather per (victim, promotion kind).
@@ -914,18 +912,14 @@ def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
     return blocks
 
 
-def _resolve_budget(mem_budget_mb: Optional[int]) -> int:
-    if mem_budget_mb is None:
-        raw = os.environ.get(BUDGET_ENV_VAR, "").strip()
-        if not raw:
-            mem_budget_mb = DEFAULT_BUDGET_MB
-        elif raw.isdigit() and int(raw) > 0:
-            mem_budget_mb = int(raw)
-        else:
-            raise ValidationError(
-                f"{BUDGET_ENV_VAR} must be a positive number of MiB, got {raw!r}"
-            )
-    return mem_budget_mb * (1 << 20)
+def _resolve_budget() -> int:
+    """The memory budget in bytes, from STRATEGIA_MEM_BUDGET_MB (MiB, default 2048)."""
+    raw = os.environ.get(BUDGET_ENV_VAR, "").strip()
+    if not raw:
+        return DEFAULT_BUDGET_MB << 20
+    if raw.isdigit() and int(raw) > 0:
+        return int(raw) << 20
+    raise ValidationError(f"{BUDGET_ENV_VAR} must be a positive number of MiB, got {raw!r}")
 
 
 def _subclass_closure(material: MaterialClass) -> set:
@@ -955,9 +949,9 @@ def _solve_bytes(material: MaterialClass) -> int:
     return n * (12 * _max_move_bound(material) + 24) + 3 * tables
 
 
-def _check_budget(material: MaterialClass, mem_budget_mb: Optional[int]) -> None:
+def _check_budget(material: MaterialClass) -> None:
     estimate = _solve_bytes(material)
-    budget = _resolve_budget(mem_budget_mb)
+    budget = _resolve_budget()
     if estimate > budget:
         raise BudgetExceededError(
             f"solving {material.name} needs about {estimate >> 20} MiB, "
@@ -969,7 +963,6 @@ def solve(
     material: MaterialClass,
     *,
     workers: int = 1,
-    mem_budget_mb: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Tablebase:
     """Solve a material class exactly, subclasses first.
@@ -979,10 +972,10 @@ def solve(
     The result is a pure function of the class; worker count only
     affects wall time. Its ``subtables`` hold every subclass solved.
     """
-    return _solve_closure(material, {}, workers, mem_budget_mb, progress)
+    return _solve_closure(material, {}, workers, progress)
 
 
-def _solve_closure(material, tables, workers, mem_budget_mb, progress) -> Tablebase:
+def _solve_closure(material, tables, workers, progress) -> Tablebase:
     """The table of `material`, solved after its subclasses into `tables` (class key -> table).
 
     Classes already in `tables` are reused, not solved again. A solved
@@ -990,9 +983,9 @@ def _solve_closure(material, tables, workers, mem_budget_mb, progress) -> Tableb
     """
     table = tables.get(material.key)
     if table is None:
-        _check_budget(material, mem_budget_mb)
+        _check_budget(material)
         for sub in _successor_classes(material):
-            _solve_closure(sub, tables, workers, mem_budget_mb, progress)
+            _solve_closure(sub, tables, workers, progress)
         table = _solve_single(material, tables, workers, progress)
         table.subtables = dict(tables)
         tables[material.key] = table

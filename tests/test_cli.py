@@ -153,9 +153,16 @@ class TestExperimentCommand:
         assert code == 2
         assert not out.exists()
 
-    def test_unknown_threshold_key_exits_3(self, kqk4_file, tmp_path):
+    @pytest.mark.parametrize("text", [
+        '{"zorp": 1}',
+        "not json",
+        "[1, 2]",
+        '{"forced_mate_max_dtm": "3"}',
+        '{"forced_mate_max_dtm": true}',
+    ], ids=["unknown-key", "not-json", "not-object", "string-value", "bool-value"])
+    def test_unknown_threshold_key_exits_3(self, kqk4_file, tmp_path, text):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"zorp": 1}))
+        cfg.write_text(text)
         code = main(["experiment", "--tb", str(kqk4_file), "--sample", "6",
                      "--seed", "1", "--thresholds", str(cfg),
                      "--out", str(tmp_path / "x")])

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 import strategia as sg
+from strategia.tablebase import _canonical, _context, _decode_columns, _encode_columns
 
 STANDARD = sg.BoardSpec.standard()
 
@@ -112,6 +114,51 @@ class TestIndexRoundTrip:
         # digits: WK a1 (0), WP b1 (1) on the back rank, BK h8 (63)
         idx = 0 + 1 * 64 + 63 * 64 ** 2
         assert sg.position_at(idx, mc) is None
+
+
+# Classes with duplicate pieces: KRRvK, and KRPvK beside KRRvK 3x4, the
+# class its rook promotions reach.
+CODEC_CLASSES = (
+    ("KRRvK", sg.BoardSpec(3, 3)),
+    ("KRPvK", sg.BoardSpec(3, 4)),
+    ("KRRvK", sg.BoardSpec(3, 4)),
+)
+
+
+@pytest.fixture(params=CODEC_CLASSES, ids=lambda c: f"{c[0]}-{c[1].width}x{c[1].height}")
+def codec_class(request):
+    return sg.MaterialClass.from_string(*request.param)
+
+
+class TestIndexCodec:
+    """The digit codec's contract, on every index of each class."""
+
+    def test_encode_inverts_decode_on_every_canonical_index(self, codec_class):
+        idx = np.arange(codec_class.index_size, dtype=np.int64)
+        side, digits = _decode_columns(codec_class, idx)
+        canonical = _canonical(codec_class, digits)
+        assert 0 < np.count_nonzero(canonical) < idx.size
+        again = _encode_columns(codec_class, side, digits)
+        assert np.array_equal(again[canonical], idx[canonical])
+
+    def test_duplicate_order_does_not_change_the_index(self, codec_class):
+        idx = np.arange(codec_class.index_size, dtype=np.int64)
+        side, digits = _decode_columns(codec_class, idx)
+        idx = idx[_canonical(codec_class, digits)]
+        side, digits = _decode_columns(codec_class, idx)
+        for lo, hi in _context(codec_class).dup_groups:
+            digits[lo:hi] = digits[lo:hi][::-1]
+        assert np.array_equal(_encode_columns(codec_class, side, digits), idx)
+
+    def test_int_and_array_digits_give_the_same_indices(self, codec_class):
+        idx = np.arange(codec_class.index_size, dtype=np.int64)
+        side, digits = _decode_columns(codec_class, idx)
+        canonical = _canonical(codec_class, digits).tolist()
+        encoded = _encode_columns(codec_class, side, digits).tolist()
+        for i in range(codec_class.index_size):
+            side, digits = _decode_columns(codec_class, i)
+            assert _canonical(codec_class, digits) == canonical[i]
+            assert _encode_columns(codec_class, side, digits) == encoded[i]
 
 
 def _random_class_position(rng, mc):

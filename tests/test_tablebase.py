@@ -154,10 +154,11 @@ class TestSolveProperties:
         with pytest.raises(sg.ValidationError, match="STRATEGIA_MEM_BUDGET_MB"):
             sg.solve(mc)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", "1")
         mc = sg.MaterialClass.from_string("KQvK", STANDARD)
         with pytest.raises(sg.BudgetExceededError):
-            sg.solve(mc, mem_budget_mb=1)
+            sg.solve(mc)
 
     @pytest.mark.parametrize("text", ["KRvK", "KQvK"])
     def test_budget_estimate_bounds_the_measured_peak(self, text):
