@@ -436,16 +436,15 @@ def _update_rights(rights: CastleRights, from_sq: int, to_sq: int, moved_king: b
             wk = wq = False
         else:
             bk = bq = False
-    for sq in (from_sq, to_sq):
-        if sq == 7:
-            wk = False
-        elif sq == 0:
-            wq = False
-        elif sq == 63:
-            bk = False
-        elif sq == 56:
-            bq = False
-    return CastleRights(wk, wq, bk, bq)
+    # A move from or onto a rook's home corner ends that rook's right.
+    touched = (from_sq, to_sq)
+    white, black = _CASTLE[Color.WHITE], _CASTLE[Color.BLACK]
+    return CastleRights(
+        wk and white["k_rook"] not in touched,
+        wq and white["q_rook"] not in touched,
+        bk and black["k_rook"] not in touched,
+        bq and black["q_rook"] not in touched,
+    )
 
 
 def legal_transitions(pos: Position) -> list[tuple[Move, Position]]:
@@ -607,23 +606,24 @@ def perft(pos: Position, depth: int) -> int:
 def validate_position(pos: Position) -> None:
     """Check every Position invariant; raise ValidationError naming the first violated one."""
     spec = pos.spec
+    board = pos.placement
     n = spec.num_squares
-    if len(pos.placement) != n:
+    if len(board) != n:
         raise ValidationError("placement length does not match board size")
-    for sq, cell in enumerate(pos.placement):
-        if not -6 <= cell <= 6:
-            raise ValidationError(f"invalid placement cell {cell} at {spec.square_name(sq)}")
+    # `_scan` is the one walk over the board; the range and back-rank
+    # tests run in C (min/max, and membership in the two back ranks).
+    if min(board) < -6 or max(board) > 6:
+        sq = next(sq for sq, cell in enumerate(board) if not -6 <= cell <= 6)
+        raise ValidationError(f"invalid placement cell {board[sq]} at {spec.square_name(sq)}")
     geo = geometry(spec.width, spec.height)
-    mine, theirs, my_king, their_king = _scan(pos.placement, pos.side_to_move)
+    mine, theirs, my_king, their_king = _scan(board, pos.side_to_move)
     if their_king in geo.king_sets[my_king]:
         raise ValidationError("kings are adjacent")
-    if _attacked(pos.placement, their_king, mine, pos.side_to_move.value, geo):
+    if _attacked(board, their_king, mine, pos.side_to_move.value, geo):
         raise ValidationError("side not to move is in check")
-    for sq, cell in enumerate(pos.placement):
-        if abs(cell) == 1:
-            rank = sq // spec.width
-            if rank == 0 or rank == spec.height - 1:
-                raise ValidationError("pawn on a back rank")
+    back_ranks = board[: spec.width] + board[n - spec.width:]
+    if 1 in back_ranks or -1 in back_ranks:
+        raise ValidationError("pawn on a back rank")
     if pos.ep_square is not None:
         _validate_ep(pos, geo)
     if pos.castle_rights.any():
@@ -656,11 +656,11 @@ def _validate_rights(pos: Position) -> None:
         raise ValidationError("castle rights set but castling is disabled")
     r = pos.castle_rights
     board = pos.placement
-    for flag, king, rook, king_cell, rook_cell in (
-        (r.white_kingside, 4, 7, 6, 4),
-        (r.white_queenside, 4, 0, 6, 4),
-        (r.black_kingside, 60, 63, -6, -4),
-        (r.black_queenside, 60, 56, -6, -4),
+    for color, kingside, queenside in (
+        (Color.WHITE, r.white_kingside, r.white_queenside),
+        (Color.BLACK, r.black_kingside, r.black_queenside),
     ):
-        if flag and (board[king] != king_cell or board[rook] != rook_cell):
-            raise ValidationError("castle rights inconsistent with placement")
+        cc, sign = _CASTLE[color], color.sign
+        for flag, rook in ((kingside, cc["k_rook"]), (queenside, cc["q_rook"])):
+            if flag and (board[cc["king"]] != 6 * sign or board[rook] != 4 * sign):
+                raise ValidationError("castle rights inconsistent with placement")

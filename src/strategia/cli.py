@@ -31,7 +31,6 @@ from .fen import format_fen, parse_fen
 from .playout import generate_playout, write_playout_csv
 from .runio import (
     append_manifest,
-    atomic_write_bytes,
     atomic_write_group,
     atomic_write_text,
     manifest_entry,
@@ -108,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--board", required=True, help="board size, e.g. 8x8")
     p.add_argument("--material", required=True, help="material class, e.g. KRvK")
     p.add_argument("--out", required=True, help="output tablebase file")
-    p.add_argument("--workers", type=_worker_count, default=1)
 
     p = sub.add_parser("probe", help="look up one position in a table")
     p.add_argument("--tb", required=True)
@@ -158,11 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args, argv) -> int:
     spec = _parse_board(args.board)
     material = MaterialClass.from_string(args.material, spec)
-    table = solve(material, workers=args.workers, progress=_stderr)
-    atomic_write_bytes(args.out, table.file_bytes())
+    table = solve(material, progress=_stderr)
+    table.save(args.out)
     entry = manifest_entry(
         argv,
-        {"board": args.board, "material": args.material, "workers": args.workers},
+        {"board": args.board, "material": args.material},
         tablebase_checksum=table.checksum,
         version=__version__,
     )
@@ -245,7 +243,7 @@ def _cmd_perturb(args, argv) -> int:
 
 def _cmd_experiment(args, argv) -> int:
     table = Tablebase.load(args.tb)
-    table.solve_subclasses(workers=args.workers, progress=_stderr)
+    table.solve_subclasses(progress=_stderr)
     thresholds = _parse_thresholds(args.thresholds)
     report = sample_experiment(
         table,

@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Optional
 
 from .board import (
+    _CASTLE,
     BoardSpec,
     CastleRights,
     Color,
@@ -51,6 +52,14 @@ _KIND_CODES = {
 }
 # The code of each placement cell, before the en passant and castle marks.
 _CELL_CODES = {0: 0, **{k.value * s: c * s for k, c in _KIND_CODES.items() for s in (1, -1)}}
+# Its inverse, the placement cell of each code; the marked pawn and
+# king codes decode to a plain pawn and king.
+_CODE_CELLS = {
+    **{code: cell for cell, code in _CELL_CODES.items()},
+    **{mark * s: kind.value * s
+       for mark, kind in ((EP_PAWN, PieceKind.PAWN), (CASTLE_KING, PieceKind.KING))
+       for s in (1, -1)},
+}
 
 
 @dataclass(frozen=True)
@@ -133,33 +142,23 @@ def decode(vec: ConfigVector, spec: BoardSpec, side: Optional[Color] = None) -> 
             raise ValidationError(f"augmented side component must be +1/-1, got {trailing}")
         side = Color.WHITE if trailing == 1 else Color.BLACK
 
-    board = [0] * spec.num_squares
+    board = []
     ep_pawns = []  # (square, color)
     castle_kings = []  # color
-    kings = {Color.WHITE: 0, Color.BLACK: 0}
     for sq, code in enumerate(vec.board_components):
-        if code == 0:
-            continue
-        mag, color = abs(code), Color.WHITE if code > 0 else Color.BLACK
-        if mag > KING:
+        cell = _CODE_CELLS.get(code)
+        if cell is None:
             raise ValidationError(f"component {code} at square {sq} outside the code set")
-        if mag in (EP_PAWN, PAWN):
-            board[sq] = PieceKind.PAWN.value * color.sign
-            if mag == EP_PAWN:
-                ep_pawns.append((sq, color))
-        elif mag in (CASTLE_KING, KING):
-            board[sq] = PieceKind.KING.value * color.sign
-            kings[color] += 1
-            if mag == CASTLE_KING:
-                castle_kings.append(color)
-        else:
-            kind = {KNIGHT: PieceKind.KNIGHT, BISHOP: PieceKind.BISHOP,
-                    ROOK: PieceKind.ROOK, QUEEN: PieceKind.QUEEN}[mag]
-            board[sq] = kind.value * color.sign
+        board.append(cell)
+        if code in (EP_PAWN, -EP_PAWN):
+            ep_pawns.append((sq, Color.WHITE if code > 0 else Color.BLACK))
+        elif code in (CASTLE_KING, -CASTLE_KING):
+            castle_kings.append(Color.WHITE if code > 0 else Color.BLACK)
     for color in (Color.WHITE, Color.BLACK):
-        if kings[color] != 1:
+        kings = board.count(PieceKind.KING.value * color.sign)
+        if kings != 1:
             raise ValidationError(
-                f"vector has {kings[color]} {color.name.title()} kings, expected exactly one"
+                f"vector has {kings} {color.name.title()} kings, expected exactly one"
             )
 
     ep_square = None
@@ -192,7 +191,7 @@ def _restore_rights(board, spec: BoardSpec, castle_kings) -> CastleRights:
         raise ValidationError("castle-entitled king code on a board without castling")
     flags = {Color.WHITE: (False, False), Color.BLACK: (False, False)}
     for color in castle_kings:
-        corners = (0, 7) if color is Color.WHITE else (56, 63)
+        corners = (_CASTLE[color]["q_rook"], _CASTLE[color]["k_rook"])
         rook_cell = PieceKind.ROOK.value * color.sign
         if not all(board[c] == rook_cell for c in corners):
             raise ValidationError(

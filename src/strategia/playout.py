@@ -28,8 +28,8 @@ from .board import (
     Move,
     Outcome,
     Position,
-    in_check,
     legal_transitions,
+    outcome,
     square_name,
 )
 from .encoding import ConfigVector, Mode, SparseDelta, decode, delta, encode
@@ -160,9 +160,9 @@ def generate_playout(
         move, succ, at = _policy_move(current, tb, at)
         steps.append(PlayoutStep(move, succ, encode(succ, mode), expected_dtm - 1 - ply))
         current = succ
-    if legal_transitions(current):  # pragma: no cover - dtm bookkeeping violation
+    terminal = outcome(current)
+    if terminal is Outcome.ONGOING:  # pragma: no cover - dtm bookkeeping violation
         raise RuntimeError("playout did not terminate at the probed distance to mate")
-    terminal = Outcome.CHECKMATE if in_check(current) else Outcome.STALEMATE
     return Playout(
         initial=pos,
         initial_vector=encode(pos, mode),

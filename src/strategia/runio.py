@@ -8,9 +8,10 @@ sidecar. Manifests are append-only JSON lines; they carry the
 timestamp, so reruns keep data files byte-identical while the manifest
 accumulates one entry per run.
 
-Work that fans out over processes goes through ``fork_map``, the one
-worker-pool helper: it maps in process for one worker and over a fork
-pool otherwise, returning results in input order either way.
+``fork_map`` is the one worker-pool helper, and only experiments fan
+out over processes (``sample_experiment``'s bases); solves run in
+process. It maps in process for one worker and over a fork pool
+otherwise, returning results in input order either way.
 """
 
 from __future__ import annotations

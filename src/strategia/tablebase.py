@@ -85,7 +85,7 @@ from .errors import (
     TablebaseFormatError,
     ValidationError,
 )
-from .runio import fork_map
+from .runio import atomic_write_bytes
 
 MAGIC = b"CTB1"
 FORMAT_VERSION = 1
@@ -415,12 +415,7 @@ class Tablebase:
             )
         return table
 
-    def solve_subclasses(
-        self,
-        *,
-        workers: int = 1,
-        progress: Optional[Callable[[str], None]] = None,
-    ) -> None:
+    def solve_subclasses(self, *, progress: Optional[Callable[[str], None]] = None) -> None:
         """Solve the subclasses that captures and promotions reach and ``subtables`` lacks.
 
         A table file holds one class, so a loaded table starts with no
@@ -429,7 +424,7 @@ class Tablebase:
         """
         tables = dict(self.subtables)
         for sub in _successor_classes(self.material):
-            _solve_closure(sub, tables, workers, progress)
+            _solve_closure(sub, tables, progress)
         self.subtables = tables
 
     def decisive_indices(self) -> np.ndarray:
@@ -473,8 +468,8 @@ class Tablebase:
         return bytes(header) + body + struct.pack("<I", zlib.crc32(body))
 
     def save(self, path) -> None:
-        with open(path, "wb") as handle:
-            handle.write(self.file_bytes())
+        """Write the table file through a temp file renamed into place."""
+        atomic_write_bytes(path, self.file_bytes())
 
     @classmethod
     def load(cls, path) -> "Tablebase":
@@ -962,20 +957,19 @@ def _check_budget(material: MaterialClass) -> None:
 def solve(
     material: MaterialClass,
     *,
-    workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Tablebase:
     """Solve a material class exactly, subclasses first.
 
     Refuses up front (no partial output) if the estimated working set
     exceeds the memory budget (STRATEGIA_MEM_BUDGET_MB, default 2048).
-    The result is a pure function of the class; worker count only
-    affects wall time. Its ``subtables`` hold every subclass solved.
+    The result is a pure function of the class. Its ``subtables`` hold
+    every subclass solved.
     """
-    return _solve_closure(material, {}, workers, progress)
+    return _solve_closure(material, {}, progress)
 
 
-def _solve_closure(material, tables, workers, progress) -> Tablebase:
+def _solve_closure(material, tables, progress) -> Tablebase:
     """The table of `material`, solved after its subclasses into `tables` (class key -> table).
 
     Classes already in `tables` are reused, not solved again. A solved
@@ -985,24 +979,23 @@ def _solve_closure(material, tables, workers, progress) -> Tablebase:
     if table is None:
         _check_budget(material)
         for sub in _successor_classes(material):
-            _solve_closure(sub, tables, workers, progress)
-        table = _solve_single(material, tables, workers, progress)
+            _solve_closure(sub, tables, progress)
+        table = _solve_single(material, tables, progress)
         table.subtables = dict(tables)
         tables[material.key] = table
     return table
 
 
-def _solve_single(material, registry, workers, progress) -> Tablebase:
+def _solve_single(material, registry, progress) -> Tablebase:
     n = material.index_size
     max_moves = _max_move_bound(material)
     if progress:
         progress(f"solving {material.name}: {n} indices")
 
-    results = fork_map(
-        lambda block: _build_side(material, registry, *block, max_moves),
-        _build_blocks(material, 0, n),
-        workers,
-    )
+    results = [
+        _build_side(material, registry, *block, max_moves)
+        for block in _build_blocks(material, 0, n)
+    ]
     invalid = sum(r[0] for r in results)
     term_loss, term_draw, open_idx, remaining, targets = (
         np.concatenate([r[i] for r in results]) for i in range(1, 6)

@@ -188,6 +188,20 @@ class TestValidatePosition:
         with pytest.raises(sg.ValidationError, match="back rank"):
             sg.validate_position(pos)
 
+    @pytest.mark.parametrize("cells,message", [
+        ({4: 6, 20: 9}, "invalid placement cell 9 at e3"),
+        ({0: 6, 2: 6, 63: -7}, "invalid placement cell -7 at h8"),
+        ({0: 6, 1: -6, 7: 1}, "kings are adjacent"),
+    ], ids=["range-and-missing-king", "two-kings-then-range", "back-rank-pawn-and-adjacent-kings"])
+    def test_first_violated_invariant_is_named(self, cells, message):
+        board = [0] * 64
+        for sq, cell in cells.items():
+            board[sq] = cell
+        pos = sg.Position(spec=sg.BoardSpec.standard(), placement=tuple(board),
+                          side_to_move=sg.Color.WHITE)
+        with pytest.raises(sg.ValidationError, match=f"^{message}$"):
+            sg.validate_position(pos)
+
     def test_ply_parity_enforced_at_construction(self):
         board = [0] * 64
         board[4] = 6

@@ -60,11 +60,6 @@ def test_solve_subclasses_on_a_solved_table_solves_nothing(kpk4):
     assert all(kpk4.subtables[key] is table for key, table in before.items())
 
 
-def test_solve_subclasses_refuses_zero_workers(kpk4_file):
-    with pytest.raises(sg.ValidationError, match="workers"):
-        sg.Tablebase.load(kpk4_file).solve_subclasses(workers=0)
-
-
 def test_cli_path_and_experiment_name_each_solved_subclass(kpk4, kpk4_file, tmp_path, capsys):
     names = sorted(table.material.name for table in kpk4.subtables.values())
     runs = {

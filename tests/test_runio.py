@@ -4,7 +4,10 @@ import os
 
 import pytest
 
+import strategia as sg
 from strategia import runio
+
+KVK_2X2 = sg.MaterialClass.from_string("KvK", sg.BoardSpec(2, 2))
 
 
 def test_writes_land_whole_and_leave_no_temp_files(tmp_path):
@@ -18,7 +21,8 @@ def test_writes_land_whole_and_leave_no_temp_files(tmp_path):
 @pytest.mark.parametrize("write", [
     lambda d: runio.atomic_write_bytes(d / "a.bin", b"blob"),
     lambda d: runio.atomic_write_group([(d / "a.txt", "one"), (d / "b.txt", "two")]),
-], ids=["single", "group"])
+    lambda d: sg.solve(KVK_2X2).save(d / "t.ctb"),
+], ids=["single", "group", "table"])
 def test_a_failed_rename_leaves_neither_target_nor_temp_file(tmp_path, monkeypatch, write):
     def refuse(src, dst):
         assert os.path.exists(src)

@@ -127,26 +127,6 @@ class TestSolveProperties:
         value = kqk4.probe(pos)
         assert value.wdl is sg.Wdl.DRAW and value.dtm is None
 
-    @pytest.mark.parametrize(
-        "text,size", [("KQvK", 4), ("KRvK", 5), ("KPvK", 6)], ids=["KQvK-4x4", "KRvK-5x5", "KPvK-6x6"]
-    )
-    def test_workers_do_not_change_the_result(self, text, size):
-        # KRvK 5x5 and KPvK 6x6 build several blocks per side.
-        mc = sg.MaterialClass.from_string(text, sg.BoardSpec(size, size))
-        one = sg.solve(mc, workers=1)
-        two = sg.solve(mc, workers=2)
-        assert one.subtables.keys() == two.subtables.keys()
-        for a, b in [(one, two), *zip(one.subtables.values(), two.subtables.values())]:
-            assert np.array_equal(a.wdl, b.wdl), a.material.name
-            assert np.array_equal(a.dtm, b.dtm), a.material.name
-            assert a.stats == b.stats, a.material.name
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, workers):
-        mc = sg.MaterialClass.from_string("KvK", sg.BoardSpec(4, 4))
-        with pytest.raises(sg.ValidationError, match="workers"):
-            sg.solve(mc, workers=workers)
-
     @pytest.mark.parametrize("raw", ["abc", "-5"])
     def test_malformed_budget_variable_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", raw)
