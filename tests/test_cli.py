@@ -51,12 +51,14 @@ class TestSolveCommand:
         assert "STRATEGIA_MEM_BUDGET_MB" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_solve_has_no_workers_option(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        # solve runs in process and has no --workers option, so argparse refuses it
         out = tmp_path / "x.ctb"
         code = main(["solve", "--board", "4x4", "--material", "KvK", "--out", str(out),
-                     "--workers", "1"])
+                     "--workers", workers])
         assert code == 2
-        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+        assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_board_flag_exits_3(self, tmp_path):
