@@ -95,6 +95,14 @@ def _stderr(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _log_run(manifest_path, argv, config: dict, table: Tablebase, seed=None) -> None:
+    """Append the manifest entry of a run that read or wrote `table`."""
+    entry = manifest_entry(
+        argv, config, seed=seed, tablebase_checksum=table.checksum, version=__version__
+    )
+    append_manifest(manifest_path, entry)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strategia",
@@ -158,13 +166,8 @@ def _cmd_solve(args, argv) -> int:
     material = MaterialClass.from_string(args.material, spec)
     table = solve(material, progress=_stderr)
     table.save(args.out)
-    entry = manifest_entry(
-        argv,
-        {"board": args.board, "material": args.material},
-        tablebase_checksum=table.checksum,
-        version=__version__,
-    )
-    append_manifest(sidecar_manifest_path(args.out), entry)
+    config = {"board": args.board, "material": args.material}
+    _log_run(sidecar_manifest_path(args.out), argv, config, table)
     counts = table.counts()
     print(
         f"solved {material.name} on {args.board}: {counts['win']} wins, "
@@ -193,13 +196,7 @@ def _cmd_path(args, argv) -> int:
     buffer = io.StringIO()
     write_playout_csv(playout, buffer)
     atomic_write_text(args.out, buffer.getvalue())
-    entry = manifest_entry(
-        argv,
-        {"fen": args.fen, "mode": args.mode},
-        tablebase_checksum=table.checksum,
-        version=__version__,
-    )
-    append_manifest(sidecar_manifest_path(args.out), entry)
+    _log_run(sidecar_manifest_path(args.out), argv, {"fen": args.fen, "mode": args.mode}, table)
     print(f"playout: {playout.plies} plies to {playout.terminal.name.lower()}")
     return EXIT_OK
 
@@ -232,10 +229,7 @@ def _cmd_perturb(args, argv) -> int:
     text = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
-        entry = manifest_entry(
-            argv, {"fen": args.fen}, tablebase_checksum=table.checksum, version=__version__
-        )
-        append_manifest(sidecar_manifest_path(args.out), entry)
+        _log_run(sidecar_manifest_path(args.out), argv, {"fen": args.fen}, table)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -263,19 +257,13 @@ def _cmd_experiment(args, argv) -> int:
             (out_dir / "records.csv", records.getvalue()),
         ]
     )
-    entry = manifest_entry(
-        argv,
-        {
-            "sample": args.sample,
-            "seed": args.seed,
-            "mode": args.mode,
-            "thresholds": thresholds.as_dict(),
-        },
-        seed=args.seed,
-        tablebase_checksum=table.checksum,
-        version=__version__,
-    )
-    append_manifest(out_dir / "manifest.jsonl", entry)
+    config = {
+        "sample": args.sample,
+        "seed": args.seed,
+        "mode": args.mode,
+        "thresholds": thresholds.as_dict(),
+    }
+    _log_run(out_dir / "manifest.jsonl", argv, config, table, seed=args.seed)
     print(
         f"experiment: {report.counts['pairs_total']} pairs from "
         f"{report.counts['bases']} bases -> {out_dir}"
@@ -305,20 +293,14 @@ def _cmd_evalprobe(args, argv) -> int:
     buffer = io.StringIO()
     write_sweep_csv(rows, buffer)
     atomic_write_text(args.out, buffer.getvalue())
-    entry = manifest_entry(
-        argv,
-        {
-            "features": list(features),
-            "capacities": capacities,
-            "seed": args.seed,
-            "train_sample": args.train_sample,
-            "eval_sample": args.eval_sample,
-        },
-        seed=args.seed,
-        tablebase_checksum=table.checksum,
-        version=__version__,
-    )
-    append_manifest(sidecar_manifest_path(args.out), entry)
+    config = {
+        "features": list(features),
+        "capacities": capacities,
+        "seed": args.seed,
+        "train_sample": args.train_sample,
+        "eval_sample": args.eval_sample,
+    }
+    _log_run(sidecar_manifest_path(args.out), argv, config, table, seed=args.seed)
     print(f"evalprobe: {len(rows)} capacities -> {args.out}")
     return EXIT_OK
 

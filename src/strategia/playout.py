@@ -63,9 +63,6 @@ class Playout:
     def vectors(self) -> list:
         return [self.initial_vector] + [step.vector for step in self.steps]
 
-    def moves(self) -> list:
-        return [step.move for step in self.steps]
-
     @property
     def final_position(self) -> Position:
         return self.steps[-1].position if self.steps else self.initial

@@ -13,14 +13,16 @@ and pass d reads only the predecessors of the positions labeled at
 d - 1: those of a loss become wins, and those of a win count down
 their successors not yet won, becoming losses at 0. Each edge is read
 once over the whole solve. ``_solve_bytes`` bounds the memory a solve
-holds, and ``solve`` refuses a class whose bound exceeds the budget.
+holds.
 
 Captures and promotions leave the class, so a class is solved on top
-of its one-move-reachable subclasses (solved first, recursively); the
-value of an out-of-class successor is folded in as a fixed constant.
-Distance to mate therefore counts plies across material transitions,
-exactly as play does. ``solve`` returns the class's table with every
-subclass table in ``subtables``.
+of the subclasses they reach, listed with it in solve order by
+``_closure``; the value of an out-of-class successor is folded in as a
+fixed constant. Distance to mate therefore counts plies across material
+transitions, exactly as play does. One loop solves the missing classes
+of a closure list, and it checks every bound against the budget before
+it solves any. ``solve`` returns the class's table with every subclass
+table in ``subtables``.
 
 Lookups never solve, and each is an index, then one read
 (``value_at``). ``probe`` indexes a position of the table's own class;
@@ -92,6 +94,8 @@ FORMAT_VERSION = 1
 DTM_ABSENT = 0xFFFF
 DEFAULT_BUDGET_MB = 2048
 BUDGET_ENV_VAR = "STRATEGIA_MEM_BUDGET_MB"
+# One CTB1 body record per index: the wdl code, then the dtm.
+_RECORD = np.dtype([("wdl", "u1"), ("dtm", "<u2")])
 
 _KIND_ORDER = {
     PieceKind.KING: 0,
@@ -420,12 +424,11 @@ class Tablebase:
 
         A table file holds one class, so a loaded table starts with no
         subtables; a table from ``solve`` already has them all, and this
-        solves nothing. Each solve reports through `progress`.
+        solves nothing. Every subclass to solve is checked against the
+        budget before any is solved, so a refusal leaves ``subtables``
+        as it was. Each solve reports through `progress`.
         """
-        tables = dict(self.subtables)
-        for sub in _successor_classes(self.material):
-            _solve_closure(sub, tables, progress)
-        self.subtables = tables
+        self.subtables = _solve_missing(_closure(self.material)[:-1], dict(self.subtables), progress)
 
     def decisive_indices(self) -> np.ndarray:
         return np.flatnonzero((self.wdl == Wdl.WIN.value) | (self.wdl == Wdl.LOSS.value))
@@ -444,7 +447,7 @@ class Tablebase:
         }
 
     def _body_bytes(self) -> bytes:
-        rec = np.empty(self.wdl.size, dtype=np.dtype([("wdl", "u1"), ("dtm", "<u2")]))
+        rec = np.empty(self.wdl.size, dtype=_RECORD)
         rec["wdl"] = self.wdl
         rec["dtm"] = self.dtm
         return rec.tobytes()
@@ -465,7 +468,8 @@ class Tablebase:
             header += struct.pack("<BB", piece.kind.value, piece.color.value)
         header += struct.pack("<Q", self.wdl.size)
         body = self._body_bytes()
-        return bytes(header) + body + struct.pack("<I", zlib.crc32(body))
+        self._checksum = zlib.crc32(body)
+        return bytes(header) + body + struct.pack("<I", self._checksum)
 
     def save(self, path) -> None:
         """Write the table file through a temp file renamed into place."""
@@ -508,7 +512,7 @@ class Tablebase:
             raise TablebaseFormatError(
                 f"entry count {entries} does not match index space {material.index_size}"
             )
-        body_len = entries * 3
+        body_len = entries * _RECORD.itemsize
         if len(blob) != offset + body_len + 4:
             raise TablebaseFormatError("truncated or oversized file body")
         body = blob[offset:offset + body_len]
@@ -518,7 +522,7 @@ class Tablebase:
             raise TablebaseFormatError(
                 f"checksum failure: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
             )
-        rec = np.frombuffer(body, dtype=np.dtype([("wdl", "u1"), ("dtm", "<u2")]))
+        rec = np.frombuffer(body, dtype=_RECORD)
         wdl = rec["wdl"].copy()
         if not np.isin(wdl, (0, 1, 2, 3)).all():
             raise TablebaseFormatError("body contains out-of-range wdl codes")
@@ -548,32 +552,36 @@ def _max_move_bound(material: MaterialClass) -> int:
 
 
 def _successor_classes(material: MaterialClass) -> list:
-    """Classes reachable in one ply (captures, promotions, both), in key order."""
-    classes = set()
-    pieces = list(material.pieces)
-    nonkings = [p for p in pieces if p.kind is not PieceKind.KING]
+    """Classes reachable in one ply (captures, promotions, both), in key order.
 
-    def without(piece_list, victim):
-        out = list(piece_list)
-        out.remove(victim)
-        return out
+    Each is the ``_sub_layout`` of a (victim, promotion slot, promotion
+    kind) step: a capture of any piece but a king, or a pawn's
+    promotion with or without a capture of an enemy piece.
+    """
+    pieces = material.pieces
+    nonkings = [slot for slot, piece in enumerate(pieces) if piece.kind is not PieceKind.KING]
+    steps = [(victim, 0, 0) for victim in nonkings]
+    for slot, pawn in enumerate(pieces):
+        if pawn.kind is PieceKind.PAWN:
+            victims = [None] + [v for v in nonkings if pieces[v].color is not pawn.color]
+            kinds = [kind.value for kind in material.spec.promotion_kinds]
+            steps += [(victim, slot, kind) for victim in victims for kind in kinds]
+    return sorted({_sub_layout(material, *step)[0] for step in steps}, key=lambda mc: mc.key)
 
-    def add(piece_list):
-        classes.add(MaterialClass(material.spec, tuple(piece_list)))
 
-    for victim in set(nonkings):
-        add(without(pieces, victim))
-    for color in (Color.WHITE, Color.BLACK):
-        pawn = Piece(PieceKind.PAWN, color)
-        if pawn not in pieces:
-            continue
-        for promo in sorted(material.spec.promotion_kinds):
-            promoted = without(pieces, pawn)
-            promoted.append(Piece(promo, color))
-            add(promoted)
-            for victim in set(p for p in nonkings if p.color is not color):
-                add(without(promoted, victim))
-    return sorted(classes, key=lambda mc: mc.key)
+@functools.lru_cache(maxsize=None)
+def _closure(material: MaterialClass) -> tuple:
+    """`material` and every class its captures and promotions reach, in solve order.
+
+    The order is depth-first post-order over ``_successor_classes``,
+    first occurrence kept: each class comes after every class it
+    reaches, and `material` comes last.
+    """
+    order = {}
+    for sub in _successor_classes(material):
+        order.update(dict.fromkeys(_closure(sub)))
+    order[material] = None
+    return tuple(order)
 
 
 def _static_code(wdl, dtm):
@@ -917,14 +925,6 @@ def _resolve_budget() -> int:
     raise ValidationError(f"{BUDGET_ENV_VAR} must be a positive number of MiB, got {raw!r}")
 
 
-def _subclass_closure(material: MaterialClass) -> set:
-    """Every class that captures and promotions reach from `material`, at any depth."""
-    found = set()
-    for sub in _successor_classes(material):
-        found |= {sub} | _subclass_closure(sub)
-    return found
-
-
 def _solve_bytes(material: MaterialClass) -> int:
     """Upper bound on the bytes that solving `material` holds at once.
 
@@ -940,18 +940,8 @@ def _solve_bytes(material: MaterialClass) -> int:
     3 bytes per index.
     """
     n = material.index_size
-    tables = sum(sub.index_size for sub in _subclass_closure(material))
+    tables = sum(sub.index_size for sub in _closure(material)[:-1])
     return n * (12 * _max_move_bound(material) + 24) + 3 * tables
-
-
-def _check_budget(material: MaterialClass) -> None:
-    estimate = _solve_bytes(material)
-    budget = _resolve_budget()
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"solving {material.name} needs about {estimate >> 20} MiB, "
-            f"budget is {budget >> 20} MiB"
-        )
 
 
 def solve(
@@ -959,31 +949,38 @@ def solve(
     *,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Tablebase:
-    """Solve a material class exactly, subclasses first.
+    """Solve a material class exactly, subclasses first, in ``_closure`` order.
 
     Refuses up front (no partial output) if the estimated working set
-    exceeds the memory budget (STRATEGIA_MEM_BUDGET_MB, default 2048).
-    The result is a pure function of the class. Its ``subtables`` hold
-    every subclass solved.
+    of the class or of any subclass exceeds the memory budget
+    (STRATEGIA_MEM_BUDGET_MB, default 2048); every class is checked
+    before any is solved, the class itself first. The result is a pure
+    function of the class. Its ``subtables`` hold every subclass solved.
     """
-    return _solve_closure(material, {}, progress)
+    return _solve_missing(_closure(material), {}, progress)[material.key]
 
 
-def _solve_closure(material, tables, progress) -> Tablebase:
-    """The table of `material`, solved after its subclasses into `tables` (class key -> table).
+def _solve_missing(closure, tables: dict, progress) -> dict:
+    """`tables` (class key -> table) after solving, in order, each class of `closure` it lacks.
 
-    Classes already in `tables` are reused, not solved again. A solved
-    table's ``subtables`` are the tables solved before it.
+    The budget is read once, and every class to solve is checked
+    against it before any is solved, the last class of `closure` first.
+    A solved table's ``subtables`` are the tables solved before it.
     """
-    table = tables.get(material.key)
-    if table is None:
-        _check_budget(material)
-        for sub in _successor_classes(material):
-            _solve_closure(sub, tables, progress)
+    missing = [material for material in closure if material.key not in tables]
+    budget = _resolve_budget()
+    for material in reversed(missing):
+        estimate = _solve_bytes(material)
+        if estimate > budget:
+            raise BudgetExceededError(
+                f"solving {material.name} needs about {-(-estimate >> 20)} MiB, "
+                f"budget is {budget >> 20} MiB"
+            )
+    for material in missing:
         table = _solve_single(material, tables, progress)
         table.subtables = dict(tables)
         tables[material.key] = table
-    return table
+    return tables
 
 
 def _solve_single(material, registry, progress) -> Tablebase:

@@ -60,6 +60,28 @@ def test_solve_subclasses_on_a_solved_table_solves_nothing(kpk4):
     assert all(kpk4.subtables[key] is table for key, table in before.items())
 
 
+def test_solve_subclasses_refuses_before_solving_any(kpk4_file, monkeypatch):
+    # KQvK 4x4 needs more than 2 MiB; the smaller subclasses come first in solve order.
+    monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", "2")
+    loaded = sg.Tablebase.load(kpk4_file)
+    messages = []
+    with pytest.raises(sg.BudgetExceededError, match="KQvK"):
+        loaded.solve_subclasses(progress=messages.append)
+    assert messages == []
+    assert loaded.subtables == {}
+
+
+def test_cli_path_refuses_before_solving_any(kpk4_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", "2")
+    out = tmp_path / "path.csv"
+    code = main(["path", "--tb", str(kpk4_file), "--fen", PROMOTING_FEN, "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("solving")] == []
+    assert err == ["error: budget: solving KQvK needs about 3 MiB, budget is 2 MiB"]
+    assert not out.exists()
+
+
 def test_cli_path_and_experiment_name_each_solved_subclass(kpk4, kpk4_file, tmp_path, capsys):
     names = sorted(table.material.name for table in kpk4.subtables.values())
     runs = {

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import sys
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import strategia as sg
 import oracles
-from strategia.tablebase import _solve_bytes
+from strategia.tablebase import _solve_bytes, _successor_classes
 
 STANDARD = sg.BoardSpec.standard()
 
@@ -140,6 +141,18 @@ class TestSolveProperties:
         with pytest.raises(sg.BudgetExceededError):
             sg.solve(mc)
 
+    def test_budget_refusal_rounds_the_estimate_up(self, monkeypatch):
+        # KQvK 4x4 needs 2,262,528 bytes: over a 2 MiB budget, so the
+        # message must not read "needs about 2 MiB, budget is 2 MiB".
+        monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", "2")
+        mc = sg.MaterialClass.from_string("KQvK", sg.BoardSpec(4, 4))
+        with pytest.raises(sg.BudgetExceededError) as refusal:
+            sg.solve(mc)
+        match = re.search(r"needs about (\d+) MiB, budget is (\d+) MiB", str(refusal.value))
+        estimate, budget = int(match.group(1)), int(match.group(2))
+        assert (estimate, budget) == (3, 2)
+        assert estimate > budget
+
     @pytest.mark.parametrize("text", ["KRvK", "KQvK"])
     def test_budget_estimate_bounds_the_measured_peak(self, text):
         baseline = child_peak_rss("import numpy, strategia")
@@ -153,6 +166,41 @@ class TestSolveProperties:
         pos = sg.parse_fen("k3/4/4/K3 w - -", sg.BoardSpec(4, 4))
         with pytest.raises(sg.MaterialMismatchError):
             kqk4.probe(pos)
+
+
+def solved_names(messages):
+    """Class names in the order a solve's progress lines report them."""
+    return [line.split()[1].rstrip(":") for line in messages if line.startswith("solving")]
+
+
+class TestClosure:
+    @pytest.mark.parametrize("text, spec, count", [
+        ("KPvKN", sg.BoardSpec(4, 4), 10),
+        ("KQvKR", sg.BoardSpec(3, 4), 2),
+        ("KRPvK", sg.BoardSpec(3, 4), 6),
+        ("KPvK", sg.BoardSpec(4, 4, promotion_kinds={sg.PieceKind.ROOK, sg.PieceKind.KNIGHT}), 3),
+        ("KRRvK", sg.BoardSpec(3, 3), 1),
+    ])
+    def test_successor_classes_are_the_classes_legal_moves_reach(self, text, spec, count):
+        material = sg.MaterialClass.from_string(text, spec)
+        reached = set()
+        for idx in range(material.index_size):
+            pos = sg.position_at(idx, material)
+            if pos is not None:
+                reached |= {sg.material_key_of(succ) for _, succ in sg.legal_transitions(pos)}
+        reached.discard(material.key)
+        assert {sub.key for sub in _successor_classes(material)} == reached
+        assert len(reached) == count
+
+    @pytest.mark.parametrize("text, order", [
+        ("KQvKR", ["KvK", "KQvK", "KvKR", "KQvKR"]),
+        ("KRPvK", ["KvK", "KNvK", "KBvK", "KRvK", "KQvK", "KPvK",
+                   "KRNvK", "KRBvK", "KRRvK", "KQRvK", "KRPvK"]),
+    ])
+    def test_solve_order(self, text, order):
+        messages = []
+        sg.solve(sg.MaterialClass.from_string(text, sg.BoardSpec(3, 4)), progress=messages.append)
+        assert solved_names(messages) == order
 
 
 class TestPersistence:
