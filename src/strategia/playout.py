@@ -9,12 +9,12 @@ exactly the probed distance to mate, together with the encoded vector
 at every ply. Drawn positions are refused: there is no canonical
 drawing policy here.
 
-The policy locates its position once (``Tablebase.locate``: one class
-key and one ``index_of``) and values each successor from that index:
-``Tablebase.locate_successor`` maps (table, index, move) to the
-successor's (table, index) by digit arithmetic, and ``value_at`` reads
-it. A playout passes the chosen successor's (table, index) on to the
-next ply, so it computes one class key and one index in total.
+The policy is an array (``Tablebase.policy``): one sweep over each
+class of the table's closure picks the move of every decisive,
+non-terminal index and the (class slot, index) it reaches. A playout
+locates its start once (one class key and one ``index_of``) and then
+walks indices, one array read per ply; only the chosen successor is
+built as a ``Position`` and encoded.
 """
 
 from __future__ import annotations
@@ -23,18 +23,10 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Optional
 
-from .board import (
-    Color,
-    Move,
-    Outcome,
-    Position,
-    legal_transitions,
-    outcome,
-    square_name,
-)
+from .board import Color, Move, Outcome, PieceKind, Position, square_name
 from .encoding import ConfigVector, Mode, SparseDelta, decode, delta, encode
 from .errors import UnsupportedCaseError
-from .tablebase import Tablebase, Wdl
+from .tablebase import Tablebase
 
 
 @dataclass(frozen=True)
@@ -81,46 +73,44 @@ def policy_step(pos: Position, tb: Tablebase) -> tuple:
     reachable from it (playouts cross material boundaries at captures
     and promotions).
     """
-    move, succ, _ = _policy_move(pos, tb, tb.locate(pos))
-    return move, succ
-
-
-def _policy_move(pos: Position, tb: Tablebase, at: tuple) -> tuple:
-    """policy_step from the position's (table, index); also returns the successor's."""
-    table, idx = at
+    table, idx = tb.locate(pos)
     value = table.value_at(idx)
     if not value.is_decisive:
         raise UnsupportedCaseError(
             "drawn positions have no defined policy; only decisive positions are supported"
         )
-    transitions = legal_transitions(pos)
-    if not transitions:
+    if value.dtm == 0:
         raise UnsupportedCaseError("terminal position: no move to choose")
+    policy = tb.policy()
+    move, _, _ = policy.choice(policy.slots[table.material.key], idx)
+    return move, _play(pos, move)
 
-    best: Optional[tuple] = None
-    if value.wdl is Wdl.WIN:
-        # Pick the first successor lost for the opponent with minimal dtm.
-        for move, succ in transitions:
-            succ_at = tb.locate_successor(table, idx, move)
-            sv = succ_at[0].value_at(succ_at[1])
-            if sv.wdl is Wdl.LOSS and (best is None or sv.dtm < best[3]):
-                best = (move, succ, succ_at, sv.dtm)
-    else:
-        for move, succ in transitions:
-            succ_at = tb.locate_successor(table, idx, move)
-            sv = succ_at[0].value_at(succ_at[1])
-            if sv.wdl is not Wdl.WIN:  # pragma: no cover - contradicts a loss label
-                raise RuntimeError("loss position has a non-winning successor")
-            if best is None or sv.dtm > best[3]:
-                best = (move, succ, succ_at, sv.dtm)
-    if best is None:  # pragma: no cover - contradicts a win label
-        raise RuntimeError("win position has no losing successor")
-    move, succ, succ_at, succ_dtm = best
-    if succ_dtm != value.dtm - 1:  # pragma: no cover - dtm recurrence violation
-        raise RuntimeError(
-            f"policy successor dtm {succ_dtm} is not dtm-1 of {value.dtm}"
-        )
-    return move, succ, succ_at
+
+def _play(pos: Position, move: Move) -> Position:
+    """The position after `move`, a legal move of an indexable position.
+
+    Indexable positions have no castle rights, and with pawns on one
+    side only there is no en passant capture: the move shifts one
+    piece, removes at most the one on its target square and sets
+    ep_square only after a double push, as ``legal_transitions`` does.
+    """
+    spec = pos.spec
+    board = list(pos.placement)
+    cell = board[move.from_sq]
+    board[move.from_sq] = 0
+    if move.promotion is not None:
+        cell = move.promotion.value * pos.side_to_move.sign
+    board[move.to_sq] = cell
+    ep = None
+    if (
+        abs(cell) == PieceKind.PAWN
+        and abs(move.to_sq - move.from_sq) == 2 * spec.width
+        and spec.en_passant_enabled
+    ):
+        ep = (move.from_sq + move.to_sq) // 2
+    return Position(
+        spec, tuple(board), pos.side_to_move.other(), ep, pos.castle_rights, pos.ply_index + 1
+    )
 
 
 def policy_delta(
@@ -142,31 +132,30 @@ def generate_playout(
     """Iterate the policy from a decisive position until checkmate.
 
     The number of steps equals the probed distance to mate exactly, and
-    the probed dtm falls by exactly one per ply; a failure of either is
-    reported as an internal error rather than silently repaired.
+    the probed dtm falls by exactly one per ply: the policy build checks
+    that every choice is at dtm - 1 and raises RuntimeError otherwise.
+    So the line ends on a (LOSS, 0) entry, which the solver gives only
+    to checkmates.
     """
-    at = tb.locate(pos)
-    value = at[0].value_at(at[1])
+    table, idx = tb.locate(pos)
+    value = table.value_at(idx)
     if not value.is_decisive:
         raise UnsupportedCaseError("cannot generate a playout from a drawn position")
+    policy = tb.policy()
+    slot = policy.slots[table.material.key]
     steps = []
     current = pos
-    expected_dtm = value.dtm
-    for ply in range(expected_dtm):
-        # _policy_move raises unless the successor is decisive at dtm - 1.
-        move, succ, at = _policy_move(current, tb, at)
-        steps.append(PlayoutStep(move, succ, encode(succ, mode), expected_dtm - 1 - ply))
-        current = succ
-    terminal = outcome(current)
-    if terminal is Outcome.ONGOING:  # pragma: no cover - dtm bookkeeping violation
-        raise RuntimeError("playout did not terminate at the probed distance to mate")
+    for dtm in range(value.dtm - 1, -1, -1):
+        move, slot, idx = policy.choice(slot, idx)
+        current = _play(current, move)
+        steps.append(PlayoutStep(move, current, encode(current, mode), dtm))
     return Playout(
         initial=pos,
         initial_vector=encode(pos, mode),
-        initial_dtm=expected_dtm,
+        initial_dtm=value.dtm,
         mode=mode,
         steps=tuple(steps),
-        terminal=terminal,
+        terminal=Outcome.CHECKMATE,
     )
 
 

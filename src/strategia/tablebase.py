@@ -27,11 +27,17 @@ table in ``subtables``.
 Lookups never solve, and each is an index, then one read
 (``value_at``). ``probe`` indexes a position of the table's own class;
 ``locate`` picks this table or the subtable of the position's class and
-indexes the position there, and ``resolve`` reads what it locates.
-``locate_successor`` finds a move's successor from the parent's index
-alone. A class with no table raises MaterialMismatchError naming it. A
-table file holds one class, so a loaded table has no subtables until
+indexes the position there, and ``resolve`` reads what it locates. A
+class with no table raises MaterialMismatchError naming it. A table
+file holds one class, so a loaded table has no subtables until
 ``solve_subclasses`` solves them.
+
+The playout policy is an array over the closure, built by an explicit
+call (``Tablebase.policy``) and memoized on the table, never by a
+lookup. One sweep per class reads the value of every move of every
+decisive, non-terminal index (``_successor_values``) and keeps the
+policy's move with the (class slot, index) it reaches
+(``_policy_arrays``).
 
 One codec holds the index layout: ``_decode_columns`` splits indices
 into the side to move and one square (digit) per piece slot,
@@ -49,9 +55,11 @@ step, ray and between-square tables derived from ``board.geometry()``,
 against one uint64 occupancy bitboard per row, and a move survives
 only if no remaining enemy piece attacks the mover's king afterwards.
 In-class successors are the digit columns with the moved slot set to
-its destination, encoded; captures and promotions read the subclass
-table's value in one gather. The scalar ``legal_transitions``
-stays the rules reference, and the tests hold this build to it.
+its destination, encoded; captures and promotions are indexed in their
+subclass (``_successors``). The solve reads a subclass successor's
+value in one gather, and the policy sweep reads every successor's. The
+scalar ``legal_transitions`` stays the rules reference, and the tests
+hold this build to it.
 
 The index encodes only piece squares and the side to move. Castle
 rights are unrepresentable and refused; en passant state is value
@@ -64,6 +72,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
+import time
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -350,7 +359,9 @@ class Tablebase:
     dtm: np.ndarray
     subtables: dict = field(default_factory=dict)
     stats: Optional[SolveStats] = None
-    _checksum: Optional[int] = None
+    # Memos of values computed from the fields; replace() starts them afresh.
+    _checksum: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _policy: Optional["Policy"] = field(default=None, init=False, repr=False, compare=False)
 
     def probe(self, pos: Position) -> WdlDtm:
         """Constant-time value lookup for a position of this class.
@@ -383,31 +394,6 @@ class Tablebase:
         table, idx = self.locate(pos)
         return table.value_at(idx)
 
-    def locate_successor(self, table: "Tablebase", idx: int, move: Move) -> tuple:
-        """(table, index) of the position `move` reaches from index `idx` of `table`.
-
-        `table` is this table or one of its subtables. The index decodes
-        through ``_decode_columns`` and the moved slot takes the target
-        square. A capture drops the victim's slot and a promotion
-        changes the mover's kind; ``_sub_layout`` maps the remaining
-        slots into the successor class. ``_encode_columns`` then indexes
-        the digits, as the solver's build does. A successor class with
-        no table here raises MaterialMismatchError naming it, as
-        ``locate`` does. Indexable positions have no castle rights and
-        no en passant capture, so a move shifts one piece and removes
-        at most the one on its target square.
-        """
-        material = table.material
-        side, digits = _decode_columns(material, idx)
-        slot = digits.index(move.from_sq)
-        victim = digits.index(move.to_sq) if move.to_sq in digits else None
-        digits[slot] = move.to_sq
-        if victim is None and move.promotion is None:
-            return table, _encode_columns(material, 1 - side, digits)
-        promo_kind = 0 if move.promotion is None else move.promotion.value
-        sub, order = _sub_layout(material, victim, slot, promo_kind)
-        return self._table_for(sub.key), _encode_columns(sub, 1 - side, [digits[s] for s in order])
-
     def _table_for(self, key: tuple) -> "Tablebase":
         """This table or the subtable of class `key`; MaterialMismatchError names a missing one."""
         table = self if key == self.material.key else self.subtables.get(key)
@@ -429,6 +415,40 @@ class Tablebase:
         as it was. Each solve reports through `progress`.
         """
         self.subtables = _solve_missing(_closure(self.material)[:-1], dict(self.subtables), progress)
+
+    def policy(self, *, progress: Optional[Callable[[str], None]] = None) -> "Policy":
+        """The policy of this table's closure: built by the first call, then memoized.
+
+        The build sweeps each loaded class of ``_closure`` once (see
+        ``_policy_arrays``) and reports the class, its rows and seconds
+        through `progress`. A class with no table is skipped unless a
+        decisive position's move reaches it, which raises
+        MaterialMismatchError naming it; a failed build memoizes
+        nothing. The memo holds while ``subtables`` holds the same
+        tables. Lookups never build it.
+        """
+        closure = _closure(self.material)
+        tables = tuple(
+            self if mc.key == self.material.key else self.subtables.get(mc.key) for mc in closure
+        )
+        memo = self._policy
+        if memo is not None and all(a is b for a, b in zip(memo.tables, tables)):
+            return memo
+        start = time.perf_counter()
+        slots = {mc.key: slot for slot, mc in enumerate(closure)}
+        arrays = [
+            (None, None, None, 0) if table is None
+            else _policy_arrays(table, self._table_for, slots)
+            for table in tables
+        ]
+        move, succ_slot, succ_index, rows = zip(*arrays)
+        self._policy = Policy(tables, slots, move, succ_slot, succ_index, sum(rows))
+        if progress:
+            progress(
+                f"policy {self.material.name}: {sum(rows)} rows "
+                f"in {time.perf_counter() - start:.2f} s"
+            )
+        return self._policy
 
     def decisive_indices(self) -> np.ndarray:
         return np.flatnonzero((self.wdl == Wdl.WIN.value) | (self.wdl == Wdl.LOSS.value))
@@ -781,56 +801,34 @@ def _sub_layout(material: MaterialClass, victim: Optional[int], promo_slot: int,
     return sub, tuple(slot for slot, _ in pieces)
 
 
-def _subclass_codes(material, registry, side, columns, victim, promo_slot, promo_kind):
-    """Static codes of out-of-class successors, one per entry of the digit columns."""
-    sub_class, order = _sub_layout(material, victim, promo_slot, promo_kind)
-    sub = registry[sub_class.key]
-    idx = _encode_columns(sub_class, 1 - side, [columns[slot] for slot in order])
-    wdl = sub.wdl[idx].astype(np.int64)
-    if not np.isin(wdl, (Wdl.WIN.value, Wdl.DRAW.value, Wdl.LOSS.value)).all():
-        raise ValidationError(f"a successor decodes to an illegal entry of {sub.material.name}")
-    dtm = np.where(wdl == Wdl.DRAW.value, DTM_ABSENT, sub.dtm[idx].astype(np.int64))
-    return _static_code(wdl, dtm)
+def _sides(ctx: _Ctx, side: int) -> tuple:
+    """(mover slots, enemy slots, own king slot, enemy king slot) with `side` to move."""
+    if side == Color.WHITE:
+        return ctx.white_slots, ctx.black_slots, ctx.white_king_slot, ctx.black_king_slot
+    return ctx.black_slots, ctx.white_slots, ctx.black_king_slot, ctx.white_king_slot
 
 
-def _build_side(material, registry, side, lo, hi, max_moves):
-    """Classify the indices in [lo, hi), which all have `side` to move.
+def _successors(material, side, digits, occ):
+    """The legal moves of rows with `side` to move, one mover slot at a time.
 
-    Returns (invalid count, terminal losses, terminal draws, open
-    indices, int32 successor count per open index, int32 edges). The
-    edges list each open index's successors in turn: in-class ones as
-    indices, out-of-class ones as static codes. A position with more
-    than `max_moves` moves raises RuntimeError.
+    `digits` holds one square column per piece slot and `occ` one
+    occupancy bitboard per row; every row must be a legal position.
+    Yields (slot, dest, legal, col_kind, succ, exits) per mover slot:
+    the (rows, candidates) destinations and legal mask, the promotion
+    kind of each candidate column, and each candidate's in-class
+    successor index. `exits` lists the legal moves that leave the class
+    as (subclass, rows, cols, subclass index), one entry per (victim,
+    promotion kind) that occurs.
     """
     ctx = _context(material)
     tables = _move_tables(ctx.spec.width, ctx.spec.height)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    _, digits = _decode_columns(material, idx)
-
-    ok = _canonical(material, digits)
-    for slot in ctx.pawn_slots:
-        rank = digits[slot] // ctx.spec.width
-        ok &= (rank != 0) & (rank != ctx.spec.height - 1)
-    occ = tables.occupancy(digits, idx.size)
-    if side == Color.WHITE:
-        movers, enemies = ctx.white_slots, ctx.black_slots
-        my_king, their_king = ctx.white_king_slot, ctx.black_king_slot
-    else:
-        movers, enemies = ctx.black_slots, ctx.white_slots
-        my_king, their_king = ctx.black_king_slot, ctx.white_king_slot
-    for slot, kind in movers:
-        ok &= ~tables.attacks(kind, side, digits[slot], digits[their_king], occ)
-    invalid = int(idx.size - np.count_nonzero(ok))
-    idx, occ = idx[ok], occ[ok]
-    digits = [d[ok] for d in digits]
-
+    movers, enemies, my_king, their_king = _sides(ctx, side)
     them = 1 - side
     victims = [slot for slot, kind in enemies if kind != PieceKind.KING]
-    enemy_occ = tables.occupancy([digits[slot] for slot in victims], idx.size)
-    blocked = tables.occupancy([digits[slot] for slot, _ in movers], idx.size)
+    enemy_occ = tables.occupancy([digits[slot] for slot in victims], occ.size)
+    blocked = tables.occupancy([digits[slot] for slot, _ in movers], occ.size)
     blocked |= tables.bit[digits[their_king]]
     stay = [d[:, None] for d in digits]
-    legal_parts, value_parts = [], []
     for slot, kind in movers:
         src = digits[slot]
         if kind == PieceKind.PAWN:
@@ -853,16 +851,17 @@ def _build_side(material, registry, side, lo, hi, max_moves):
         # In-class successors: the moved slot takes its destination.
         moved = list(stay)
         moved[slot] = dest
-        values = _encode_columns(material, them, moved)
+        succ = _encode_columns(material, them, moved)
 
-        # Captures and promotions leave the class: read their values
-        # from the subtables in one gather per (victim, promotion kind).
+        # Captures and promotions leave the class: index them in their
+        # subclass, one (victim, promotion kind) at a time.
         quiet = legal.copy()
         captures = []
         for victim in victims:
             hit = legal & (dest == digits[victim][:, None])
             quiet &= ~hit
             captures.append((victim, hit))
+        exits = []
         for victim, hit in [(None, quiet)] + captures:
             for promo_kind in np.unique(col_kind).tolist():
                 if victim is None and promo_kind == 0:
@@ -870,11 +869,62 @@ def _build_side(material, registry, side, lo, hi, max_moves):
                 rows, cols = np.nonzero(hit & (col_kind == promo_kind))
                 if rows.size == 0:
                     continue
+                sub, order = _sub_layout(material, victim, slot, promo_kind)
                 columns = [d[rows] for d in digits]
                 columns[slot] = dest[rows, cols]
-                values[rows, cols] = _subclass_codes(
-                    material, registry, side, columns, victim, slot, promo_kind
-                )
+                sub_idx = _encode_columns(sub, them, [columns[s] for s in order])
+                exits.append((sub, rows, cols, sub_idx))
+        yield slot, dest, legal, col_kind, succ, exits
+
+
+def _legal_rows(material, side, idx):
+    """(mask of the legal positions among indices `idx`, their digit columns, occupancy).
+
+    `idx` all have `side` to move. A legal index is ``_canonical``, has
+    no pawn on a back rank and leaves the side not to move out of check.
+    """
+    ctx = _context(material)
+    tables = _move_tables(ctx.spec.width, ctx.spec.height)
+    _, digits = _decode_columns(material, idx)
+    ok = _canonical(material, digits)
+    for slot in ctx.pawn_slots:
+        rank = digits[slot] // ctx.spec.width
+        ok &= (rank != 0) & (rank != ctx.spec.height - 1)
+    occ = tables.occupancy(digits, idx.size)
+    movers, _, _, their_king = _sides(ctx, side)
+    for slot, kind in movers:
+        ok &= ~tables.attacks(kind, side, digits[slot], digits[their_king], occ)
+    return ok, digits, occ
+
+
+def _build_side(material, registry, side, lo, hi, max_moves):
+    """Classify the indices in [lo, hi), which all have `side` to move.
+
+    Returns (invalid count, terminal losses, terminal draws, open
+    indices, int32 successor count per open index, int32 edges). The
+    edges list each open index's successors in turn: in-class ones as
+    indices, out-of-class ones as static codes read from the subtables
+    in `registry` (class key -> table). A position with more than
+    `max_moves` moves raises RuntimeError.
+    """
+    ctx = _context(material)
+    tables = _move_tables(ctx.spec.width, ctx.spec.height)
+    idx = np.arange(lo, hi, dtype=np.int64)
+    ok, digits, occ = _legal_rows(material, side, idx)
+    invalid = int(idx.size - np.count_nonzero(ok))
+    idx, occ = idx[ok], occ[ok]
+    digits = [d[ok] for d in digits]
+
+    legal_parts, value_parts = [], []
+    for _, _, legal, _, values, exits in _successors(material, side, digits, occ):
+        # Out-of-class successors are fixed values: one gather per exit.
+        for sub, rows, cols, sub_idx in exits:
+            table = registry[sub.key]
+            wdl = table.wdl[sub_idx].astype(np.int64)
+            if not np.isin(wdl, (Wdl.WIN.value, Wdl.DRAW.value, Wdl.LOSS.value)).all():
+                raise ValidationError(f"a successor decodes to an illegal entry of {sub.name}")
+            dtm = np.where(wdl == Wdl.DRAW.value, DTM_ABSENT, table.dtm[sub_idx].astype(np.int64))
+            values[rows, cols] = _static_code(wdl, dtm)
         legal_parts.append(legal)
         value_parts.append(values)
 
@@ -886,16 +936,134 @@ def _build_side(material, registry, side, lo, hi, max_moves):
             f"{material.name}: a position has {counts.max()} moves, bound is {max_moves}"
         )
     stuck = counts == 0
+    _, enemies, my_king, _ = _sides(ctx, side)
     mated = np.zeros(np.count_nonzero(stuck), dtype=bool)
     for other, other_kind in enemies:
         mated |= tables.attacks(
-            other_kind, them, digits[other][stuck], digits[my_king][stuck], occ[stuck]
+            other_kind, 1 - side, digits[other][stuck], digits[my_king][stuck], occ[stuck]
         )
     live = ~stuck
     return (
         invalid, idx[stuck][mated], idx[stuck][~mated], idx[live],
         counts[live].astype(np.int32), values[live][legal[live]].astype(np.int32),
     )
+
+
+def _successor_values(material, side, idx, table_for, slots):
+    """Every legal move of the indices `idx`, all with `side` to move, and the value it reaches.
+
+    The indices must be legal positions of `material`. Returns dense
+    (rows, candidates) arrays: the legal mask, the move key ``(from *
+    S + to) * 8 + promotion kind``, the successor's class slot (`slots`
+    maps class keys to slots) and index, and its wdl and dtm.
+    `table_for` maps a class key to its table and raises
+    MaterialMismatchError for a missing one; it is asked only for the
+    classes that the moves reach.
+    """
+    ctx = _context(material)
+    ok, digits, occ = _legal_rows(material, side, idx)
+    _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
+    own = table_for(material.key)
+    parts = []
+    for slot, dest, legal, col_kind, succ, exits in _successors(material, side, digits, occ):
+        key = (digits[slot][:, None] * ctx.S + dest) * 8 + col_kind
+        to_slot = np.full(succ.shape, slots[material.key], dtype=np.uint8)
+        # Values of illegal candidates are read from index 0 and never used.
+        in_class = np.where(legal, succ, 0)
+        wdl, dtm = own.wdl[in_class], own.dtm[in_class]
+        for sub, rows, cols, sub_idx in exits:
+            table = table_for(sub.key)
+            to_slot[rows, cols] = slots[sub.key]
+            succ[rows, cols] = sub_idx
+            wdl[rows, cols] = table.wdl[sub_idx]
+            dtm[rows, cols] = table.dtm[sub_idx]
+        parts.append((legal, key, to_slot, succ, wdl, dtm))
+    return tuple(np.hstack(columns) for columns in zip(*parts))
+
+
+@dataclass(frozen=True)
+class Policy:
+    """The policy's move at every decisive, non-terminal index of a closure's tables.
+
+    Slot s is class s of ``_closure`` and ``tables[s]`` its table (None
+    where none is loaded). For a loaded slot, index i holds the chosen
+    move's key ``move[s][i]``, ``(from * S + to) * 8 + promotion kind``,
+    and the index ``succ_index[s][i]`` of its successor in slot
+    ``succ_slot[s][i]``; other indices hold 0. ``rows`` counts the
+    indices the build swept.
+    """
+
+    tables: tuple
+    slots: dict  # class key -> slot
+    move: tuple
+    succ_slot: tuple
+    succ_index: tuple
+    rows: int
+
+    def choice(self, slot: int, idx: int) -> tuple:
+        """(move, successor slot, successor index) of index `idx` of slot `slot`."""
+        key = int(self.move[slot][idx])
+        src, dest = divmod(key >> 3, self.tables[slot].material.spec.num_squares)
+        promotion = PieceKind(key & 7) if key & 7 else None
+        succ_slot, succ_index = int(self.succ_slot[slot][idx]), int(self.succ_index[slot][idx])
+        return Move(src, dest, promotion), succ_slot, succ_index
+
+
+_NO_MOVE = np.iinfo(np.int64).max
+
+
+def _refuse(material, idx, ok, error, what) -> None:
+    """Raise `error` naming the first of the indices `idx` whose `ok` is False."""
+    if not ok.all():
+        raise error(f"{material.name} index {int(idx[np.argmin(ok)])}: {what}")
+
+
+def _policy_arrays(table, table_for, slots) -> tuple:
+    """(move, successor slot, successor index) arrays of one table, and its rows.
+
+    One sweep over the decisive, non-terminal indices, block by block:
+    a win takes the successor lost at the least dtm, a loss the one won
+    at the greatest, ties going to the least move key, the canonical
+    order of ``legal_transitions``. A successor that is an illegal
+    entry raises ValidationError, and a choice that breaks the dtm
+    recurrence (a loss successor of a win, each successor of a loss a
+    win, and the chosen one at dtm - 1) raises RuntimeError.
+    """
+    material = table.material
+    n = material.index_size
+    move = np.zeros(n, dtype=np.uint16)
+    succ_slot = np.zeros(n, dtype=np.uint8)
+    succ_index = np.zeros(n, dtype=np.uint32)
+    win = table.wdl == Wdl.WIN.value
+    todo = win | ((table.wdl == Wdl.LOSS.value) & (table.dtm > 0))
+    rows = 0
+    for side, lo, hi in _build_blocks(material, 0, n):
+        idx = lo + np.flatnonzero(todo[lo:hi])
+        if idx.size == 0:
+            continue
+        rows += idx.size
+        legal, key, to_slot, to_idx, wdl, dtm = _successor_values(
+            material, side, idx, table_for, slots
+        )
+        wins = win[idx][:, None]
+        _refuse(material, idx, ~(legal & (wdl == 0)).any(axis=1), ValidationError,
+                "a successor decodes to an illegal table entry")
+        _refuse(material, idx, ~(legal & ~wins & (wdl != Wdl.WIN.value)).any(axis=1),
+                RuntimeError, "a loss position has a successor that does not win")
+        # The winner minimizes the dtm of a lost successor and the loser
+        # maximizes it; the move key breaks ties.
+        score = np.where(wins, dtm, DTM_ABSENT - dtm).astype(np.int64) << 16 | key
+        score[~legal | (wins & (wdl != Wdl.LOSS.value))] = _NO_MOVE
+        pick = score.argmin(axis=1)[:, None]
+        _refuse(material, idx, np.take_along_axis(score, pick, axis=1)[:, 0] != _NO_MOVE,
+                RuntimeError, "a decisive position has no move to choose")
+        chosen = np.take_along_axis(dtm, pick, axis=1)[:, 0].astype(np.int64)
+        _refuse(material, idx, chosen == table.dtm[idx].astype(np.int64) - 1,
+                RuntimeError, "the chosen successor's dtm is not dtm - 1")
+        move[idx] = np.take_along_axis(key, pick, axis=1)[:, 0]
+        succ_slot[idx] = np.take_along_axis(to_slot, pick, axis=1)[:, 0]
+        succ_index[idx] = np.take_along_axis(to_idx, pick, axis=1)[:, 0]
+    return move, succ_slot, succ_index, rows
 
 
 def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:

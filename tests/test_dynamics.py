@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
 import strategia as sg
+from strategia import dynamics, tablebase
 from strategia.dynamics import (
     DivergenceRecord,
     OutcomeClass,
@@ -247,6 +249,22 @@ class TestSampleExperiment:
         a = sg.sample_experiment(krk5, 12, seed=3, workers=1)
         b = sg.sample_experiment(krk5, 12, seed=3, workers=2)
         assert a.json_text() == b.json_text()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_policy_is_built_before_the_bases_are_forked(self, kqkr34, monkeypatch, workers):
+        # Forked workers inherit the built policy; none builds its own.
+        fork_map = dynamics.fork_map
+
+        def no_build(*args):
+            raise AssertionError("a policy build ran after the bases were handed out")
+
+        def handing_out(fn, items, count):
+            monkeypatch.setattr(tablebase, "_policy_arrays", no_build)
+            return fork_map(fn, items, count)
+
+        monkeypatch.setattr(dynamics, "fork_map", handing_out)
+        report = sg.sample_experiment(dataclasses.replace(kqkr34), 6, seed=2, workers=workers)
+        assert report.counts["bases"] == 6
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, krk5, workers):

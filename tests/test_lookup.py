@@ -1,5 +1,7 @@
 """One lookup path: probe reads one class, resolve never solves, loaded tables solve subclasses in the open."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,25 @@ def test_cli_path_and_experiment_name_each_solved_subclass(kpk4, kpk4_file, tmp_
         err = capsys.readouterr().err
         for name in names:
             assert f"solving {name}:" in err, (label, name)
+
+
+def test_cli_path_and_experiment_report_the_policy_build_after_the_solves(
+    kpk4_file, tmp_path, capsys
+):
+    runs = (
+        ["path", "--tb", str(kpk4_file), "--fen", PROMOTING_FEN, "--out", str(tmp_path / "p.csv")],
+        ["experiment", "--tb", str(kpk4_file), "--sample", "5", "--seed", "3",
+         "--out", str(tmp_path / "exp")],
+    )
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv) == 0, argv[0]
+        err = capsys.readouterr().err.splitlines()
+        built = [n for n, line in enumerate(err) if line.startswith("policy ")]
+        assert len(built) == 1, err
+        assert re.fullmatch(r"policy KPvK: \d+ rows in \d+\.\d\d s", err[built[0]])
+        assert any(line.startswith("solving") for line in err[: built[0]])
+        assert not any(line.startswith("solving") for line in err[built[0]:])
 
 
 def test_experiment_workers_do_not_change_the_output(kpk4_file, tmp_path):

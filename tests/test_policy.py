@@ -1,16 +1,19 @@
-"""The policy reads successor values by index arithmetic.
+"""The array policy against the scalar policy, one lookup per successor.
 
-`Tablebase.locate_successor` is held to the scalar lookup (the
-successor's class table and `index_of`) for every legal transition of
-every legal index of each class, and `policy_step` to the
-per-successor lookup loop it replaced, on every decisive index.
+`reference_policy` plays every legal move with `legal_transitions` and
+values each successor by its class key and `index_of`. The array
+policy (`Tablebase.policy`) must pick the same move and reach the same
+(table, index) on every decisive, non-terminal index of each class of
+`CLASSES` and of every subtable.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import strategia as sg
+from strategia import tablebase
 
 SPEC4 = sg.BoardSpec(4, 4)
 PROMOTING_FEN = "4/1P1k/4/K3 w - -"  # b3-b4 promotes at once on 4x4
@@ -55,18 +58,23 @@ def closure(request):
     return sg.solve(sg.MaterialClass.from_string(text, spec))
 
 
+def decisive_positions(table):
+    """(index, position) of every decisive, non-terminal index of `table`."""
+    for idx in table.decisive_indices().tolist():
+        if table.dtm[idx] > 0:
+            yield idx, sg.position_at(idx, table.material)
+
+
 def assert_successors_match(tb, table):
-    """locate_successor equals the scalar lookup on every legal transition of every legal index of `table`."""
+    """The policy's successor (table, index) equals the scalar lookup of the reference successor."""
+    policy = tb.policy()
     checked = 0
-    for idx in range(table.material.index_size):
-        pos = sg.position_at(idx, table.material)
-        if pos is None:
-            continue
-        for move, succ in sg.legal_transitions(pos):
-            want_table, want_idx = reference_location(tb, succ)
-            got_table, got_idx = tb.locate_successor(table, idx, move)
-            assert got_table is want_table and got_idx == want_idx, (table.material.name, idx, move)
-            checked += 1
+    for idx, pos in decisive_positions(table):
+        _, succ = reference_policy(pos, tb)
+        want_table, want_idx = reference_location(tb, succ)
+        _, got_slot, got_idx = policy.choice(policy.slots[table.material.key], idx)
+        assert policy.tables[got_slot] is want_table and got_idx == want_idx, (table.material.name, idx)
+        checked += 1
     assert checked > 0
 
 
@@ -77,15 +85,16 @@ def test_successor_index_matches_the_scalar_lookup(closure):
 def test_successor_index_from_a_subtable_matches_the_scalar_lookup(kpk4):
     # A playout goes on inside the subtable a promotion or capture reaches.
     for table in kpk4.subtables.values():
-        assert_successors_match(kpk4, table)
+        if table.decisive_indices().size:
+            assert_successors_match(kpk4, table)
 
 
 def test_policy_step_matches_the_per_successor_lookup(closure):
-    for idx in closure.decisive_indices().tolist():
-        if closure.dtm[idx] == 0:
-            continue
-        pos = sg.position_at(idx, closure.material)
-        assert sg.policy_step(pos, closure) == reference_policy(pos, closure), idx
+    for table in [closure, *closure.subtables.values()]:
+        for idx, pos in decisive_positions(table):
+            assert sg.policy_step(pos, closure) == reference_policy(pos, closure), (
+                table.material.name, idx,
+            )
 
 
 def test_policy_on_a_loaded_table_names_each_missing_promotion_class(kpk4, tmp_path):
@@ -129,3 +138,47 @@ def test_an_illegal_successor_entry_raises_instead_of_being_skipped(kqk4, wdl):
     broken.wdl[sg.index_of(succ, kqk4.material)] = 0
     with pytest.raises(sg.ValidationError, match="illegal table entry"):
         sg.policy_step(pos, broken)
+
+
+def test_a_table_loaded_without_its_subclasses_plays_out(krk8_file):
+    # Decisive KRvK rows never reach KvK, so the policy builds without it.
+    loaded = sg.Tablebase.load(krk8_file)
+    idx = int(np.flatnonzero(loaded.dtm == loaded.counts()["max_dtm"])[0])
+    playout = sg.generate_playout(sg.position_at(idx, loaded.material), loaded)
+    assert playout.plies == loaded.counts()["max_dtm"]
+    assert playout.terminal is sg.Outcome.CHECKMATE
+    assert loaded.subtables == {}
+
+
+def test_lookups_never_build_the_policy(kpk4, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a lookup built the policy")
+
+    monkeypatch.setattr(tablebase, "_policy_arrays", no_build)
+    table = dataclasses.replace(kpk4)
+    pos = sg.parse_fen(PROMOTING_FEN, SPEC4)
+    at = table.locate(pos)
+    assert table.probe(pos) == table.resolve(pos) == table.value_at(at[1])
+
+
+def test_playouts_and_policy_steps_share_one_build(kpk4, monkeypatch):
+    table = dataclasses.replace(kpk4)
+    pos = sg.parse_fen(PROMOTING_FEN, SPEC4)
+    messages = []
+    policy = table.policy(progress=messages.append)
+    assert len(messages) == 1 and messages[0].startswith(f"policy KPvK: {policy.rows} rows in ")
+    monkeypatch.setattr(tablebase, "_policy_arrays", lambda *args: pytest.fail("built twice"))
+    assert table.policy() is policy
+    line = sg.generate_playout(pos, table)
+    assert sg.policy_step(pos, table) == (line.steps[0].move, line.steps[0].position)
+
+
+def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
+    broken = dataclasses.replace(kqk4, dtm=kqk4.dtm.copy())
+    idx = next(i for i in kqk4.decisive_indices().tolist() if kqk4.wdl[i] == sg.Wdl.WIN.value)
+    broken.dtm[idx] += 2
+    with pytest.raises(RuntimeError, match="dtm - 1"):
+        broken.policy()
+    broken.dtm[idx] -= 2
+    pos = sg.position_at(idx, kqk4.material)
+    assert sg.policy_step(pos, broken) == sg.policy_step(pos, kqk4)

@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import random
 import re
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -225,6 +227,16 @@ class TestPersistence:
         for idx, (wdl, dtm) in enumerate(records):
             assert wdl == int(kqk4.wdl[idx])
             assert dtm == int(kqk4.dtm[idx])
+
+    def test_a_replaced_table_computes_its_own_checksum(self, kqk4):
+        # The checksum is a memo of the body, so dataclasses.replace must not copy it.
+        assert kqk4.checksum == 0x0F4255FA
+        changed = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy())
+        idx = int(kqk4.decisive_indices()[0])
+        changed.wdl[idx] = sg.Wdl.DRAW.value
+        assert changed.checksum == zlib.crc32(changed._body_bytes())
+        assert changed.checksum != kqk4.checksum
+        assert kqk4.checksum == 0x0F4255FA
 
     def test_checksum_corruption_detected(self, kqk4, tmp_path):
         path = tmp_path / "kqk4.ctb"
