@@ -580,6 +580,31 @@ def apply_move(pos: Position, move: Move) -> Position:
     raise IllegalMoveError(f"illegal move {move.text(pos.spec.width)}", move=move)
 
 
+def play(pos: Position, move: Move) -> Position:
+    """The successor after `move`, which the caller knows to be legal; unchecked.
+
+    For positions with no castle rights and no en passant capture (all
+    the tables can index): the move shifts one piece, removes at most
+    the one on its target square, promotes, and sets ep_square only
+    after a double push, exactly as ``legal_transitions`` builds the
+    successor, without generating the other moves.
+    """
+    spec = pos.spec
+    board = list(pos.placement)
+    cell = board[move.from_sq]
+    board[move.from_sq] = 0
+    if move.promotion is not None:
+        cell = move.promotion.value * pos.side_to_move.sign
+    board[move.to_sq] = cell
+    ep = None
+    double = abs(cell) == PieceKind.PAWN and abs(move.to_sq - move.from_sq) == 2 * spec.width
+    if double and spec.en_passant_enabled:
+        ep = (move.from_sq + move.to_sq) // 2
+    return Position(
+        spec, tuple(board), pos.side_to_move.other(), ep, pos.castle_rights, pos.ply_index + 1
+    )
+
+
 def in_check(pos: Position) -> bool:
     geo = geometry(pos.spec.width, pos.spec.height)
     _, theirs, my_king, _ = _scan(pos.placement, pos.side_to_move)

@@ -191,7 +191,6 @@ def _cmd_probe(args, argv) -> int:
 def _cmd_path(args, argv) -> int:
     table = Tablebase.load(args.tb)
     table.solve_subclasses(progress=_stderr)
-    table.policy(progress=_stderr)
     pos = parse_fen(args.fen, table.material.spec)
     playout = generate_playout(pos, table, Mode(args.mode))
     buffer = io.StringIO()
@@ -239,7 +238,7 @@ def _cmd_perturb(args, argv) -> int:
 def _cmd_experiment(args, argv) -> int:
     table = Tablebase.load(args.tb)
     table.solve_subclasses(progress=_stderr)
-    table.policy(progress=_stderr)
+    table.policy().sweep(progress=_stderr)
     thresholds = _parse_thresholds(args.thresholds)
     report = sample_experiment(
         table,

@@ -436,8 +436,8 @@ def sample_experiment(
         chosen = decisive[rng.sample(range(decisive.size), sample_size)]
     base_indices = sorted(chosen.tolist())
 
-    # Built here, forked workers inherit the policy instead of each building it.
-    tb.policy()
+    # Swept here, forked workers inherit the policy instead of each sweeping it.
+    tb.policy().sweep()
     per_base = fork_map(lambda idx: _pairs_for_base(tb, idx, mode), base_indices, workers)
     pairs = [pair for records in per_base for pair in records]
 

@@ -9,12 +9,14 @@ exactly the probed distance to mate, together with the encoded vector
 at every ply. Drawn positions are refused: there is no canonical
 drawing policy here.
 
-The policy is an array (``Tablebase.policy``): one sweep over each
-class of the table's closure picks the move of every decisive,
-non-terminal index and the (class slot, index) it reaches. A playout
-locates its start once (one class key and one ``index_of``) and then
-walks indices, one array read per ply; only the chosen successor is
-built as a ``Position`` and encoded.
+The policy is an array (``Tablebase.policy``): a sweep over each class
+of the table's closure picks the move of every decisive, non-terminal
+index and the (class slot, index) it reaches; before the sweep, which
+runs once a caller has played more than a line or two, rows are chosen
+one at a time. A playout locates its start once (one class key and one
+``index_of``) and then walks indices, one choice per ply; only the
+chosen successor is built as a ``Position`` (``board.play``) and
+encoded.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import csv
 from dataclasses import dataclass
 from typing import IO, Optional
 
-from .board import Color, Move, Outcome, PieceKind, Position, square_name
+from .board import Color, Move, Outcome, Position, play, square_name
 from .encoding import ConfigVector, Mode, SparseDelta, decode, delta, encode
 from .errors import UnsupportedCaseError
 from .tablebase import Tablebase
@@ -83,34 +85,7 @@ def policy_step(pos: Position, tb: Tablebase) -> tuple:
         raise UnsupportedCaseError("terminal position: no move to choose")
     policy = tb.policy()
     move, _, _ = policy.choice(policy.slots[table.material.key], idx)
-    return move, _play(pos, move)
-
-
-def _play(pos: Position, move: Move) -> Position:
-    """The position after `move`, a legal move of an indexable position.
-
-    Indexable positions have no castle rights, and with pawns on one
-    side only there is no en passant capture: the move shifts one
-    piece, removes at most the one on its target square and sets
-    ep_square only after a double push, as ``legal_transitions`` does.
-    """
-    spec = pos.spec
-    board = list(pos.placement)
-    cell = board[move.from_sq]
-    board[move.from_sq] = 0
-    if move.promotion is not None:
-        cell = move.promotion.value * pos.side_to_move.sign
-    board[move.to_sq] = cell
-    ep = None
-    if (
-        abs(cell) == PieceKind.PAWN
-        and abs(move.to_sq - move.from_sq) == 2 * spec.width
-        and spec.en_passant_enabled
-    ):
-        ep = (move.from_sq + move.to_sq) // 2
-    return Position(
-        spec, tuple(board), pos.side_to_move.other(), ep, pos.castle_rights, pos.ply_index + 1
-    )
+    return move, play(pos, move)
 
 
 def policy_delta(
@@ -132,10 +107,9 @@ def generate_playout(
     """Iterate the policy from a decisive position until checkmate.
 
     The number of steps equals the probed distance to mate exactly, and
-    the probed dtm falls by exactly one per ply: the policy build checks
-    that every choice is at dtm - 1 and raises RuntimeError otherwise.
-    So the line ends on a (LOSS, 0) entry, which the solver gives only
-    to checkmates.
+    the probed dtm falls by exactly one per ply: the policy checks that
+    every choice is at dtm - 1, and that the (LOSS, 0) entry the line
+    ends on is checkmate, and raises RuntimeError otherwise.
     """
     table, idx = tb.locate(pos)
     value = table.value_at(idx)
@@ -147,8 +121,9 @@ def generate_playout(
     current = pos
     for dtm in range(value.dtm - 1, -1, -1):
         move, slot, idx = policy.choice(slot, idx)
-        current = _play(current, move)
+        current = play(current, move)
         steps.append(PlayoutStep(move, current, encode(current, mode), dtm))
+    policy.check_mate(slot, idx)
     return Playout(
         initial=pos,
         initial_vector=encode(pos, mode),

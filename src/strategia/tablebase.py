@@ -32,12 +32,13 @@ class with no table raises MaterialMismatchError naming it. A table
 file holds one class, so a loaded table has no subtables until
 ``solve_subclasses`` solves them.
 
-The playout policy is an array over the closure, built by an explicit
-call (``Tablebase.policy``) and memoized on the table, never by a
-lookup. One sweep per class reads the value of every move of every
+The playout policy (``Tablebase.policy``) is memoized on the table and
+never touched by a lookup. It reads the value of every move of a
 decisive, non-terminal index (``_successor_values``) and keeps the
-policy's move with the (class slot, index) it reaches
-(``_policy_arrays``).
+policy's move with the (class slot, index) it reaches (``_choose``):
+one row at a time for the first lines played, then in one sweep per
+class into arrays (``_policy_arrays``), which also checks that every
+(LOSS, 0) entry is checkmate (``_check_mates``).
 
 One codec holds the index layout: ``_decode_columns`` splits indices
 into the side to move and one square (digit) per piece slot,
@@ -416,38 +417,22 @@ class Tablebase:
         """
         self.subtables = _solve_missing(_closure(self.material)[:-1], dict(self.subtables), progress)
 
-    def policy(self, *, progress: Optional[Callable[[str], None]] = None) -> "Policy":
-        """The policy of this table's closure: built by the first call, then memoized.
+    def policy(self) -> "Policy":
+        """The policy of this table's closure, memoized while ``subtables`` holds the same tables.
 
-        The build sweeps each loaded class of ``_closure`` once (see
-        ``_policy_arrays``) and reports the class, its rows and seconds
-        through `progress`. A class with no table is skipped unless a
-        decisive position's move reaches it, which raises
-        MaterialMismatchError naming it; a failed build memoizes
-        nothing. The memo holds while ``subtables`` holds the same
-        tables. Lookups never build it.
+        Getting it sweeps nothing: ``Policy.choice`` chooses a row at a
+        time until ``Policy.sweep`` (called by it, or by a caller that
+        plays many lines) chooses every row at once. Lookups never
+        touch it.
         """
         closure = _closure(self.material)
         tables = tuple(
             self if mc.key == self.material.key else self.subtables.get(mc.key) for mc in closure
         )
         memo = self._policy
-        if memo is not None and all(a is b for a, b in zip(memo.tables, tables)):
-            return memo
-        start = time.perf_counter()
-        slots = {mc.key: slot for slot, mc in enumerate(closure)}
-        arrays = [
-            (None, None, None, 0) if table is None
-            else _policy_arrays(table, self._table_for, slots)
-            for table in tables
-        ]
-        move, succ_slot, succ_index, rows = zip(*arrays)
-        self._policy = Policy(tables, slots, move, succ_slot, succ_index, sum(rows))
-        if progress:
-            progress(
-                f"policy {self.material.name}: {sum(rows)} rows "
-                f"in {time.perf_counter() - start:.2f} s"
-            )
+        if memo is None or any(a is not b for a, b in zip(memo.tables, tables)):
+            slots = {mc.key: slot for slot, mc in enumerate(closure)}
+            self._policy = Policy(self.material, tables, slots, self._table_for)
         return self._policy
 
     def decisive_indices(self) -> np.ndarray:
@@ -897,6 +882,17 @@ def _legal_rows(material, side, idx):
     return ok, digits, occ
 
 
+def _in_check(material, side, digits, occ):
+    """Whether the king of `side` is attacked, per row of digit columns and occupancy."""
+    ctx = _context(material)
+    tables = _move_tables(ctx.spec.width, ctx.spec.height)
+    _, enemies, my_king, _ = _sides(ctx, side)
+    check = np.zeros(occ.size, dtype=bool)
+    for other, other_kind in enemies:
+        check |= tables.attacks(other_kind, 1 - side, digits[other], digits[my_king], occ)
+    return check
+
+
 def _build_side(material, registry, side, lo, hi, max_moves):
     """Classify the indices in [lo, hi), which all have `side` to move.
 
@@ -907,8 +903,6 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     in `registry` (class key -> table). A position with more than
     `max_moves` moves raises RuntimeError.
     """
-    ctx = _context(material)
-    tables = _move_tables(ctx.spec.width, ctx.spec.height)
     idx = np.arange(lo, hi, dtype=np.int64)
     ok, digits, occ = _legal_rows(material, side, idx)
     invalid = int(idx.size - np.count_nonzero(ok))
@@ -936,12 +930,7 @@ def _build_side(material, registry, side, lo, hi, max_moves):
             f"{material.name}: a position has {counts.max()} moves, bound is {max_moves}"
         )
     stuck = counts == 0
-    _, enemies, my_king, _ = _sides(ctx, side)
-    mated = np.zeros(np.count_nonzero(stuck), dtype=bool)
-    for other, other_kind in enemies:
-        mated |= tables.attacks(
-            other_kind, 1 - side, digits[other][stuck], digits[my_king][stuck], occ[stuck]
-        )
+    mated = _in_check(material, side, [d[stuck] for d in digits], occ[stuck])
     live = ~stuck
     return (
         invalid, idx[stuck][mated], idx[stuck][~mated], idx[live],
@@ -981,32 +970,82 @@ def _successor_values(material, side, idx, table_for, slots):
     return tuple(np.hstack(columns) for columns in zip(*parts))
 
 
-@dataclass(frozen=True)
+# Rows a policy chooses one at a time before it sweeps every row. A row
+# costs 0.1-0.3 ms on its own and about 1 us in a sweep (KRvK 8x8 and
+# KPvK 6x6 on a 2-core Xeon), so one line of up to this many plies, as
+# ``path`` plays, never pays for a sweep (0.15-0.45 s there), and a
+# caller that plays many lines pays at most 40 ms before it does.
+_ROWS_BEFORE_SWEEP = 128
+
+
 class Policy:
     """The policy's move at every decisive, non-terminal index of a closure's tables.
 
     Slot s is class s of ``_closure`` and ``tables[s]`` its table (None
-    where none is loaded). For a loaded slot, index i holds the chosen
-    move's key ``move[s][i]``, ``(from * S + to) * 8 + promotion kind``,
-    and the index ``succ_index[s][i]`` of its successor in slot
-    ``succ_slot[s][i]``; other indices hold 0. ``rows`` counts the
-    indices the build swept.
+    where none is loaded). ``choice`` gives a row's move and the (slot,
+    index) it reaches. Until ``sweep`` has run it chooses each row on
+    its own, and the ``_ROWS_BEFORE_SWEEP``-th such row runs the sweep.
+    The sweep fills, for each loaded slot, the arrays ``move[s]`` (the
+    move key ``(from * S + to) * 8 + promotion kind``), ``succ_slot[s]``
+    and ``succ_index[s]``, 0 at rows with no move, and counts the rows
+    it chose in ``rows``. Both check every row they choose, and a
+    failed sweep keeps nothing.
     """
 
-    tables: tuple
-    slots: dict  # class key -> slot
-    move: tuple
-    succ_slot: tuple
-    succ_index: tuple
-    rows: int
+    def __init__(self, material, tables: tuple, slots: dict, table_for):
+        self.material = material
+        self.tables = tables
+        self.slots = slots  # class key -> slot
+        self._table_for = table_for
+        self.move = self.succ_slot = self.succ_index = None
+        self.rows = 0
+        self.rows_alone = 0
+
+    def sweep(self, *, progress: Optional[Callable[[str], None]] = None) -> "Policy":
+        """Choose every row of every loaded table once (``_policy_arrays``); a no-op once done.
+
+        Reports the class, the rows chosen and the seconds through `progress`.
+        """
+        if self.move is not None:
+            return self
+        start = time.perf_counter()
+        arrays = [
+            (None, None, None, 0) if table is None
+            else _policy_arrays(table, self._table_for, self.slots)
+            for table in self.tables
+        ]
+        self.move, self.succ_slot, self.succ_index, rows = zip(*arrays)
+        self.rows = sum(rows)
+        if progress:
+            progress(
+                f"policy {self.material.name}: {self.rows} rows "
+                f"in {time.perf_counter() - start:.2f} s"
+            )
+        return self
 
     def choice(self, slot: int, idx: int) -> tuple:
-        """(move, successor slot, successor index) of index `idx` of slot `slot`."""
-        key = int(self.move[slot][idx])
-        src, dest = divmod(key >> 3, self.tables[slot].material.spec.num_squares)
+        """(move, successor slot, successor index) of the decisive, non-terminal index `idx`."""
+        if self.move is None and self.rows_alone >= _ROWS_BEFORE_SWEEP:
+            self.sweep()
+        if self.move is None:
+            table = self.tables[slot]
+            side = idx // _context(table.material).half
+            self.rows_alone += 1
+            key, succ_slot, succ_index = (
+                int(a[0]) for a in _choose(table, side, np.array([idx]), self._table_for, self.slots)
+            )
+        else:
+            key = int(self.move[slot][idx])
+            succ_slot, succ_index = int(self.succ_slot[slot][idx]), int(self.succ_index[slot][idx])
+        src, dest = divmod(key >> 3, self.material.spec.num_squares)
         promotion = PieceKind(key & 7) if key & 7 else None
-        succ_slot, succ_index = int(self.succ_slot[slot][idx]), int(self.succ_index[slot][idx])
         return Move(src, dest, promotion), succ_slot, succ_index
+
+    def check_mate(self, slot: int, idx: int) -> None:
+        """Raise RuntimeError unless the (LOSS, 0) index `idx` is checkmate; a sweep checked all."""
+        if self.move is None:
+            table = self.tables[slot]
+            _check_mates(table, idx // _context(table.material).half, np.array([idx]))
 
 
 _NO_MOVE = np.iinfo(np.int64).max
@@ -1018,51 +1057,80 @@ def _refuse(material, idx, ok, error, what) -> None:
         raise error(f"{material.name} index {int(idx[np.argmin(ok)])}: {what}")
 
 
+def _choose(table, side, idx, table_for, slots) -> tuple:
+    """(move key, successor slot, successor index) of decisive, non-terminal indices of `table`.
+
+    The indices `idx` all have `side` to move. A win takes the successor
+    lost at the least dtm, a loss the one won at the greatest, ties
+    going to the least move key, the canonical order of
+    ``legal_transitions``. A successor that is an illegal entry raises
+    ValidationError, and a choice that breaks the dtm recurrence (a
+    loss successor of a win, each successor of a loss a win, and the
+    chosen one at dtm - 1) raises RuntimeError.
+    """
+    material = table.material
+    legal, key, to_slot, to_idx, wdl, dtm = _successor_values(material, side, idx, table_for, slots)
+    wins = (table.wdl[idx] == Wdl.WIN.value)[:, None]
+    _refuse(material, idx, ~(legal & (wdl == 0)).any(axis=1), ValidationError,
+            "a successor decodes to an illegal table entry")
+    _refuse(material, idx, ~(legal & ~wins & (wdl != Wdl.WIN.value)).any(axis=1),
+            RuntimeError, "a loss position has a successor that does not win")
+    # The winner minimizes the dtm of a lost successor and the loser
+    # maximizes it; the move key breaks ties.
+    score = np.where(wins, dtm, DTM_ABSENT - dtm).astype(np.int64) << 16 | key
+    score[~legal | (wins & (wdl != Wdl.LOSS.value))] = _NO_MOVE
+    pick = score.argmin(axis=1)[:, None]
+    _refuse(material, idx, np.take_along_axis(score, pick, axis=1)[:, 0] != _NO_MOVE,
+            RuntimeError, "a decisive position has no move to choose")
+    chosen = np.take_along_axis(dtm, pick, axis=1)[:, 0].astype(np.int64)
+    _refuse(material, idx, chosen == table.dtm[idx].astype(np.int64) - 1,
+            RuntimeError, "the chosen successor's dtm is not dtm - 1")
+    return tuple(np.take_along_axis(a, pick, axis=1)[:, 0] for a in (key, to_slot, to_idx))
+
+
+def _check_mates(table, side, idx) -> None:
+    """Raise RuntimeError naming the first of the (LOSS, 0) indices `idx` that is not checkmate.
+
+    The indices all have `side` to move; one that is not a legal
+    position raises ValidationError.
+    """
+    material = table.material
+    ok, digits, occ = _legal_rows(material, side, idx)
+    _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
+    mated = _in_check(material, side, digits, occ)
+    for _, _, legal, _, _, _ in _successors(material, side, digits, occ):
+        mated &= ~legal.any(axis=1)
+    _refuse(material, idx, mated, RuntimeError, "a (LOSS, 0) entry is not checkmate")
+
+
 def _policy_arrays(table, table_for, slots) -> tuple:
     """(move, successor slot, successor index) arrays of one table, and its rows.
 
-    One sweep over the decisive, non-terminal indices, block by block:
-    a win takes the successor lost at the least dtm, a loss the one won
-    at the greatest, ties going to the least move key, the canonical
-    order of ``legal_transitions``. A successor that is an illegal
-    entry raises ValidationError, and a choice that breaks the dtm
-    recurrence (a loss successor of a win, each successor of a loss a
-    win, and the chosen one at dtm - 1) raises RuntimeError.
+    Checks every (LOSS, 0) index first (``_check_mates``), so that a
+    playout ends in checkmate, then chooses every decisive, non-terminal
+    index (``_choose``), block by block, into arrays allocated before
+    the sweep.
     """
     material = table.material
     n = material.index_size
     move = np.zeros(n, dtype=np.uint16)
     succ_slot = np.zeros(n, dtype=np.uint8)
     succ_index = np.zeros(n, dtype=np.uint32)
-    win = table.wdl == Wdl.WIN.value
-    todo = win | ((table.wdl == Wdl.LOSS.value) & (table.dtm > 0))
+    blocks = _build_blocks(material, 0, n)
+    lost = table.wdl == Wdl.LOSS.value
+    mate = lost & (table.dtm == 0)
+    for side, lo, hi in blocks:
+        idx = lo + np.flatnonzero(mate[lo:hi])
+        if idx.size:
+            _check_mates(table, side, idx)
+    todo = (table.wdl == Wdl.WIN.value) | (lost & ~mate)
     rows = 0
-    for side, lo, hi in _build_blocks(material, 0, n):
+    for side, lo, hi in blocks:
         idx = lo + np.flatnonzero(todo[lo:hi])
         if idx.size == 0:
             continue
         rows += idx.size
-        legal, key, to_slot, to_idx, wdl, dtm = _successor_values(
-            material, side, idx, table_for, slots
-        )
-        wins = win[idx][:, None]
-        _refuse(material, idx, ~(legal & (wdl == 0)).any(axis=1), ValidationError,
-                "a successor decodes to an illegal table entry")
-        _refuse(material, idx, ~(legal & ~wins & (wdl != Wdl.WIN.value)).any(axis=1),
-                RuntimeError, "a loss position has a successor that does not win")
-        # The winner minimizes the dtm of a lost successor and the loser
-        # maximizes it; the move key breaks ties.
-        score = np.where(wins, dtm, DTM_ABSENT - dtm).astype(np.int64) << 16 | key
-        score[~legal | (wins & (wdl != Wdl.LOSS.value))] = _NO_MOVE
-        pick = score.argmin(axis=1)[:, None]
-        _refuse(material, idx, np.take_along_axis(score, pick, axis=1)[:, 0] != _NO_MOVE,
-                RuntimeError, "a decisive position has no move to choose")
-        chosen = np.take_along_axis(dtm, pick, axis=1)[:, 0].astype(np.int64)
-        _refuse(material, idx, chosen == table.dtm[idx].astype(np.int64) - 1,
-                RuntimeError, "the chosen successor's dtm is not dtm - 1")
-        move[idx] = np.take_along_axis(key, pick, axis=1)[:, 0]
-        succ_slot[idx] = np.take_along_axis(to_slot, pick, axis=1)[:, 0]
-        succ_index[idx] = np.take_along_axis(to_idx, pick, axis=1)[:, 0]
+        move[idx], succ_slot[idx], succ_index[idx] = _choose(table, side, idx, table_for, slots)
     return move, succ_slot, succ_index, rows
 
 

@@ -134,6 +134,27 @@ class TestApplyMove:
                 assert succ.placement[pawn_sq] == sg.PieceKind.PAWN.value * mover.sign
 
 
+    @pytest.mark.parametrize(
+        "text, spec",
+        [("KPvKN", sg.BoardSpec(4, 4)), ("KPvK", sg.BoardSpec(6, 6)), ("KRPvK", sg.BoardSpec(3, 4))],
+    )
+    def test_play_builds_the_successor_legal_transitions_builds(self, text, spec):
+        # Indexable positions: pushes, double pushes, captures and promotions.
+        from strategia.board import play
+
+        material = sg.MaterialClass.from_string(text, spec)
+        rng = random.Random(5)
+        checked = 0
+        for idx in rng.sample(range(material.index_size), 400):
+            pos = sg.position_at(idx, material)
+            if pos is None:
+                continue
+            for move, succ in sg.legal_transitions(pos):
+                assert play(pos, move) == succ, (text, idx, move)
+                checked += 1
+        assert checked > 0
+
+
 class TestOutcome:
     def test_checkmate(self):
         assert sg.outcome(fen("8/8/8/8/8/8/1qk5/K7 w - -")) is sg.Outcome.CHECKMATE

@@ -252,14 +252,15 @@ class TestSampleExperiment:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_policy_is_built_before_the_bases_are_forked(self, kqkr34, monkeypatch, workers):
-        # Forked workers inherit the built policy; none builds its own.
+        # Forked workers inherit the swept policy; none chooses a row again.
         fork_map = dynamics.fork_map
 
         def no_build(*args):
-            raise AssertionError("a policy build ran after the bases were handed out")
+            raise AssertionError("a policy row was chosen after the bases were handed out")
 
         def handing_out(fn, items, count):
             monkeypatch.setattr(tablebase, "_policy_arrays", no_build)
+            monkeypatch.setattr(tablebase, "_choose", no_build)
             return fork_map(fn, items, count)
 
         monkeypatch.setattr(dynamics, "fork_map", handing_out)

@@ -100,22 +100,27 @@ def test_cli_path_and_experiment_name_each_solved_subclass(kpk4, kpk4_file, tmp_
             assert f"solving {name}:" in err, (label, name)
 
 
-def test_cli_path_and_experiment_report_the_policy_build_after_the_solves(
+def test_cli_experiment_reports_the_policy_sweep_after_the_solves_and_path_runs_none(
     kpk4_file, tmp_path, capsys
 ):
-    runs = (
-        ["path", "--tb", str(kpk4_file), "--fen", PROMOTING_FEN, "--out", str(tmp_path / "p.csv")],
-        ["experiment", "--tb", str(kpk4_file), "--sample", "5", "--seed", "3",
-         "--out", str(tmp_path / "exp")],
-    )
-    for argv in runs:
+    # One line chooses its rows alone; an experiment plays many and sweeps.
+    runs = {
+        "path": ["path", "--tb", str(kpk4_file), "--fen", PROMOTING_FEN,
+                 "--out", str(tmp_path / "p.csv")],
+        "experiment": ["experiment", "--tb", str(kpk4_file), "--sample", "5", "--seed", "3",
+                       "--out", str(tmp_path / "exp")],
+    }
+    for label, argv in runs.items():
         capsys.readouterr()
-        assert main(argv) == 0, argv[0]
+        assert main(argv) == 0, label
         err = capsys.readouterr().err.splitlines()
         built = [n for n, line in enumerate(err) if line.startswith("policy ")]
+        assert any(line.startswith("solving") for line in err), label
+        if label == "path":
+            assert built == [], err
+            continue
         assert len(built) == 1, err
         assert re.fullmatch(r"policy KPvK: \d+ rows in \d+\.\d\d s", err[built[0]])
-        assert any(line.startswith("solving") for line in err[: built[0]])
         assert not any(line.startswith("solving") for line in err[built[0]:])
 
 

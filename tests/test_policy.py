@@ -8,6 +8,7 @@ policy (`Tablebase.policy`) must pick the same move and reach the same
 """
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
@@ -66,8 +67,8 @@ def decisive_positions(table):
 
 
 def assert_successors_match(tb, table):
-    """The policy's successor (table, index) equals the scalar lookup of the reference successor."""
-    policy = tb.policy()
+    """The swept policy's successor (table, index) equals the scalar lookup of the reference successor."""
+    policy = tb.policy().sweep()
     checked = 0
     for idx, pos in decisive_positions(table):
         _, succ = reference_policy(pos, tb)
@@ -147,6 +148,7 @@ def test_a_table_loaded_without_its_subclasses_plays_out(krk8_file):
     playout = sg.generate_playout(sg.position_at(idx, loaded.material), loaded)
     assert playout.plies == loaded.counts()["max_dtm"]
     assert playout.terminal is sg.Outcome.CHECKMATE
+    assert loaded.policy().sweep().rows > 0
     assert loaded.subtables == {}
 
 
@@ -155,6 +157,7 @@ def test_lookups_never_build_the_policy(kpk4, monkeypatch):
         raise AssertionError("a lookup built the policy")
 
     monkeypatch.setattr(tablebase, "_policy_arrays", no_build)
+    monkeypatch.setattr(tablebase, "_choose", no_build)
     table = dataclasses.replace(kpk4)
     pos = sg.parse_fen(PROMOTING_FEN, SPEC4)
     at = table.locate(pos)
@@ -165,20 +168,84 @@ def test_playouts_and_policy_steps_share_one_build(kpk4, monkeypatch):
     table = dataclasses.replace(kpk4)
     pos = sg.parse_fen(PROMOTING_FEN, SPEC4)
     messages = []
-    policy = table.policy(progress=messages.append)
+    policy = table.policy().sweep(progress=messages.append)
     assert len(messages) == 1 and messages[0].startswith(f"policy KPvK: {policy.rows} rows in ")
     monkeypatch.setattr(tablebase, "_policy_arrays", lambda *args: pytest.fail("built twice"))
-    assert table.policy() is policy
+    monkeypatch.setattr(tablebase, "_choose", lambda *args: pytest.fail("a row chosen alone"))
+    assert table.policy() is policy and policy.sweep() is policy
     line = sg.generate_playout(pos, table)
     assert sg.policy_step(pos, table) == (line.steps[0].move, line.steps[0].position)
+
+
+def test_one_line_chooses_its_rows_alone_and_many_lines_sweep(krk8_file, monkeypatch):
+    loaded = sg.Tablebase.load(krk8_file)
+    starts = [int(i) for i in np.flatnonzero(loaded.dtm == loaded.counts()["max_dtm"])]
+    policy = loaded.policy()
+    sweep = tablebase._policy_arrays
+    monkeypatch.setattr(tablebase, "_policy_arrays", lambda *args: pytest.fail("one line swept"))
+    first = sg.generate_playout(sg.position_at(starts[0], loaded.material), loaded)
+    assert policy.move is None and policy.rows_alone == first.plies
+    monkeypatch.setattr(tablebase, "_policy_arrays", sweep)
+    lines = [first]
+    while policy.move is None:
+        lines.append(sg.generate_playout(sg.position_at(starts[len(lines)], loaded.material), loaded))
+    assert policy.rows_alone == tablebase._ROWS_BEFORE_SWEEP
+    # The lines played before and after the sweep are the lines it picks.
+    for idx, line in zip(starts, lines):
+        assert sg.generate_playout(sg.position_at(idx, loaded.material), loaded) == line
+
+
+def test_rows_chosen_alone_equal_the_sweep(closure, monkeypatch):
+    swept = closure.policy().sweep()
+    monkeypatch.setattr(tablebase, "_ROWS_BEFORE_SWEEP", float("inf"))
+    alone = tablebase.Policy(closure.material, swept.tables, swept.slots, closure._table_for)
+    rng = random.Random(7)
+    for table in [closure, *closure.subtables.values()]:
+        slot = swept.slots[table.material.key]
+        rows = [idx for idx, _ in decisive_positions(table)]
+        for idx in rng.sample(rows, min(len(rows), 200)):
+            assert alone.choice(slot, idx) == swept.choice(slot, idx), (table.material.name, idx)
+    assert alone.move is None
 
 
 def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
     broken = dataclasses.replace(kqk4, dtm=kqk4.dtm.copy())
     idx = next(i for i in kqk4.decisive_indices().tolist() if kqk4.wdl[i] == sg.Wdl.WIN.value)
     broken.dtm[idx] += 2
-    with pytest.raises(RuntimeError, match="dtm - 1"):
-        broken.policy()
-    broken.dtm[idx] -= 2
     pos = sg.position_at(idx, kqk4.material)
+    with pytest.raises(RuntimeError, match="dtm - 1"):
+        sg.policy_step(pos, broken)
+    with pytest.raises(RuntimeError, match="dtm - 1"):
+        broken.policy().sweep()
+    assert broken.policy().move is None
+    broken.dtm[idx] -= 2
     assert sg.policy_step(pos, broken) == sg.policy_step(pos, kqk4)
+
+
+def false_mates(table):
+    """(label, index) of a stalemate and of a position with a move, each valued (LOSS, 0) below."""
+    found = {}
+    for idx in range(table.material.index_size):
+        pos = sg.position_at(idx, table.material)
+        if pos is None:
+            continue
+        if table.wdl[idx] == sg.Wdl.DRAW.value and not sg.legal_transitions(pos):
+            found.setdefault("stalemate", idx)
+        elif table.wdl[idx] == sg.Wdl.LOSS.value and table.dtm[idx] > 0:
+            found.setdefault("has-a-move", idx)
+    return sorted(found.items())
+
+
+@pytest.mark.parametrize("case", ["stalemate", "has-a-move"])
+def test_a_loss_at_dtm_0_that_is_not_checkmate_raises(kqk4, case):
+    # A line ends on a (LOSS, 0) entry without asking the rules, so the
+    # policy checks each such entry against them.
+    idx = dict(false_mates(kqk4))[case]
+    broken = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy(), dtm=kqk4.dtm.copy())
+    broken.wdl[idx], broken.dtm[idx] = sg.Wdl.LOSS.value, 0
+    pos = sg.position_at(idx, kqk4.material)
+    with pytest.raises(RuntimeError, match=f"KQvK index {idx}: a \\(LOSS, 0\\) entry is not checkmate"):
+        sg.generate_playout(pos, broken)
+    with pytest.raises(RuntimeError, match=f"KQvK index {idx}: a \\(LOSS, 0\\) entry is not checkmate"):
+        broken.policy().sweep()
+    assert broken.policy().move is None
