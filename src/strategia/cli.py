@@ -190,8 +190,8 @@ def _cmd_probe(args, argv) -> int:
 
 def _cmd_path(args, argv) -> int:
     table = Tablebase.load(args.tb)
-    table.solve_subclasses(progress=_stderr)
     pos = parse_fen(args.fen, table.material.spec)
+    table.solve_subclasses(progress=_stderr)
     playout = generate_playout(pos, table, Mode(args.mode))
     buffer = io.StringIO()
     write_playout_csv(playout, buffer)
@@ -236,10 +236,9 @@ def _cmd_perturb(args, argv) -> int:
 
 
 def _cmd_experiment(args, argv) -> int:
+    thresholds = _parse_thresholds(args.thresholds)
     table = Tablebase.load(args.tb)
     table.solve_subclasses(progress=_stderr)
-    table.policy().sweep(progress=_stderr)
-    thresholds = _parse_thresholds(args.thresholds)
     report = sample_experiment(
         table,
         args.sample,
@@ -247,6 +246,7 @@ def _cmd_experiment(args, argv) -> int:
         thresholds=thresholds,
         mode=Mode(args.mode),
         workers=args.workers,
+        progress=_stderr,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -9,6 +9,13 @@ finite-time divergence exponent. The experiment driver samples base
 positions from a solved table under a fixed seed and aggregates the
 records; identical inputs give byte-identical reports.
 
+``divergence`` compares two ``Playout``s. The experiment plays none:
+``Policy.walk`` walks the lines of every base and decisive perturbation
+together, one batched choice per (class, side to move) group and ply,
+and each base's vectors are scattered from digit columns into int8 code
+rows (``encoding.code_rows``). One helper, ``_separations``, computes
+the d and Hamming series for both, in numpy over the common prefix.
+
 All numbers reported here are observations about exactly solved small
 classes. They say nothing about boards or material beyond what was
 measured.
@@ -21,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import IO, Optional
+from typing import IO, Callable, Optional
 
 import numpy as np
 
@@ -34,12 +41,12 @@ from .board import (
     square_name,
     validate_position,
 )
-from .encoding import Mode, encode
+from .encoding import Mode, code_rows, encode, mark_double_pushes
 from .errors import UnsupportedCaseError, ValidationError
 from .fen import format_fen
-from .playout import Playout, generate_playout
+from .playout import Playout
 from .runio import fork_map
-from .tablebase import Tablebase, Wdl, WdlDtm, index_of, position_at
+from .tablebase import Tablebase, Wdl, WdlDtm, _decode_columns, index_of, position_at
 
 SCHEMA_VERSION = 1
 SCOPE_NOTE = (
@@ -138,16 +145,15 @@ def _value_from_playout(playout: Playout) -> WdlDtm:
     return WdlDtm(wdl, playout.initial_dtm)
 
 
-def _separation(va, vb) -> tuple:
-    """(Euclidean, Hamming) distance between two encoded vectors."""
-    sq_sum = 0
-    differing = 0
-    for ca, cb in zip(va.components, vb.components):
-        if ca != cb:
-            diff = cb - ca
-            sq_sum += diff * diff
-            differing += 1
-    return math.sqrt(sq_sum), differing
+def _separations(a, b) -> tuple:
+    """Euclidean and Hamming distances between code rows `a` and `b`, along their last axis.
+
+    The codes are widened to int64 before squaring. Returns float64 and
+    int64 arrays over the broadcast leading axes, whose ``.tolist()``
+    gives the Python floats and ints that records hold.
+    """
+    diff = np.asarray(b, dtype=np.int64) - np.asarray(a, dtype=np.int64)
+    return np.sqrt((diff * diff).sum(axis=-1)), np.count_nonzero(diff, axis=-1)
 
 
 def divergence(path_a: Playout, path_b: Playout) -> DivergenceRecord:
@@ -160,8 +166,9 @@ def divergence(path_a: Playout, path_b: Playout) -> DivergenceRecord:
     if path_a.mode is not path_b.mode:
         raise ValidationError("playout encoding modes differ")
     m = min(path_a.plies, path_b.plies)
-    d_series, hamming_series = zip(
-        *map(_separation, path_a.vectors()[: m + 1], path_b.vectors()[: m + 1])
+    d_series, hamming_series = _separations(
+        [vec.components for vec in path_a.vectors()[: m + 1]],
+        [vec.components for vec in path_b.vectors()[: m + 1]],
     )
     first_div = None
     for n in range(1, m + 1):
@@ -178,8 +185,8 @@ def divergence(path_a: Playout, path_b: Playout) -> DivergenceRecord:
         base_value=_value_from_playout(path_a),
         perturbed_value=_value_from_playout(path_b),
         outcome_class=outcome_class,
-        d_series=d_series,
-        hamming_series=hamming_series,
+        d_series=tuple(d_series.tolist()),
+        hamming_series=tuple(hamming_series.tolist()),
         first_divergence_ply=first_div,
     )
 
@@ -340,15 +347,18 @@ class ExperimentReport:
                 "d_series", "hamming_series",
             ]
         )
+        base_fens = {}
         for pair in self.pairs:
             rec = pair.record
             base, pert = rec.base, rec.perturbed
+            if pair.base_index not in base_fens:
+                base_fens[pair.base_index] = format_fen(base)
             width = base.spec.width
             lam = rec.lambda_ft
             writer.writerow(
                 [
                     pair.base_index,
-                    format_fen(base),
+                    base_fens[pair.base_index],
                     rec.base_value.wdl.name.lower(),
                     "" if rec.base_value.dtm is None else rec.base_value.dtm,
                     square_name(pair.moved_from, width),
@@ -372,37 +382,109 @@ class ExperimentReport:
 def _draw_involved_record(
     base: Position, perturbed: Position, base_value: WdlDtm, pert_value: WdlDtm, mode: Mode
 ) -> DivergenceRecord:
-    d0, hamming0 = _separation(encode(base, mode), encode(perturbed, mode))
+    d0, hamming0 = _separations(encode(base, mode).components, encode(perturbed, mode).components)
     return DivergenceRecord(
         base=base,
         perturbed=perturbed,
         base_value=base_value,
         perturbed_value=pert_value,
         outcome_class=OutcomeClass.DRAW_INVOLVED,
-        d_series=(d0,),
-        hamming_series=(hamming0,),
+        d_series=(d0.tolist(),),
+        hamming_series=(hamming0.tolist(),),
         first_divergence_ply=None,
     )
 
 
-def _pairs_for_base(tb: Tablebase, base_idx: int, mode: Mode) -> list:
+@dataclass(frozen=True)
+class _Base:
+    """A sampled base, its value, and (perturbation, index, value) of each perturbation in order.
+
+    Its lines are the base's, then each decisive perturbation's in order.
+    """
+
+    index: int
+    position: Position
+    value: WdlDtm
+    perturbed: tuple
+
+    @property
+    def line_starts(self) -> list:
+        return [self.index] + [idx for _, idx, value in self.perturbed if value.is_decisive]
+
+
+def _locate_base(tb: Tablebase, base_idx: int) -> _Base:
     base = position_at(base_idx, tb.material)
-    base_value = tb.value_at(base_idx)
-    base_path = generate_playout(base, tb, mode)
-    out = []
+    perturbed = []
     for perturbation in perturbations(base):
+        pert_idx = index_of(perturbation.perturbed, tb.material)
+        perturbed.append((perturbation, pert_idx, tb.value_at(pert_idx)))
+    return _Base(base_idx, base, tb.value_at(base_idx), tuple(perturbed))
+
+
+def _line_vectors(policy, slots, indices, keys, mode: Mode) -> np.ndarray:
+    """int8 (plies + 1, lines, components) vectors of walked lines (``Policy.walk`` arrays).
+
+    Each class's rows are decoded into digit columns at once and
+    scattered into code rows (``code_rows``); the pawn a move has just
+    double-pushed is marked where the board allows en passant.
+    """
+    spec = policy.material.spec
+    lines = slots.shape[1]
+    flat_slot, flat_index = slots.ravel(), indices.ravel()
+    rows = np.empty((flat_slot.size, spec.num_squares + (mode is Mode.AUGMENTED)), dtype=np.int8)
+    for slot in np.unique(flat_slot).tolist():
+        at = np.flatnonzero(flat_slot == slot)
+        material = policy.tables[slot].material
+        side, squares = _decode_columns(material, flat_index[at])
+        cells = [piece.cell for piece in material.pieces]
+        rows[at] = code_rows(cells, squares, side, spec.num_squares, mode)
+    if spec.en_passant_enabled:
+        src, dest = np.divmod(keys.ravel() >> 3, spec.num_squares)
+        mark_double_pushes(rows[lines:], src, dest, spec.width)
+    return rows.reshape(slots.shape + (-1,))
+
+
+def _pairs_for_base(policy, base: _Base, slots, indices, keys, mode: Mode) -> list:
+    """The pair records of one base from its walked lines (``_Base.line_starts`` order).
+
+    d, Hamming and the first divergence ply run over each pair's
+    common prefix of plies.
+    """
+    dtm = np.array([base.value.dtm] + [v.dtm for _, _, v in base.perturbed if v.is_decisive])
+    plies = int(dtm.max())
+    vectors = _line_vectors(policy, slots[: plies + 1], indices[: plies + 1], keys[:plies], mode)
+    d_series, hamming_series = _separations(vectors[:, :1], vectors[:, 1:])
+    d_series, hamming_series = d_series.T.tolist(), hamming_series.T.tolist()
+    prefix = np.minimum(dtm[0], dtm[1:])
+    # Row n: whether the pair's moves at ply n differ inside its prefix. Row 0 never does.
+    differ = np.zeros((plies + 1, prefix.size), dtype=bool)
+    differ[1:] = keys[:plies, 1:] != keys[:plies, :1]
+    differ &= np.arange(plies + 1)[:, None] <= prefix
+    first_div = differ.argmax(axis=0).tolist()
+    out = []
+    line = 0
+    for perturbation, pert_idx, pert_value in base.perturbed:
         perturbed = perturbation.perturbed
-        pert_idx = index_of(perturbed, tb.material)
-        pert_value = tb.value_at(pert_idx)
-        if not pert_value.is_decisive or not base_value.is_decisive:
-            record = _draw_involved_record(base, perturbed, base_value, pert_value, mode)
+        if not pert_value.is_decisive:
+            record = _draw_involved_record(base.position, perturbed, base.value, pert_value, mode)
         else:
-            pert_path = generate_playout(perturbed, tb, mode)
-            record = divergence(base_path, pert_path)
-            if record.outcome_class is OutcomeClass.SAME_WINNER and record.prefix_plies >= 2:
+            m = int(prefix[line])
+            same = pert_value.wdl is base.value.wdl
+            record = DivergenceRecord(
+                base=base.position,
+                perturbed=perturbed,
+                base_value=base.value,
+                perturbed_value=pert_value,
+                outcome_class=OutcomeClass.SAME_WINNER if same else OutcomeClass.FLIP,
+                d_series=tuple(d_series[line][: m + 1]),
+                hamming_series=tuple(hamming_series[line][: m + 1]),
+                first_divergence_ply=first_div[line] or None,
+            )
+            if same and m >= 2:
                 record = replace(record, lambda_ft=finite_time_lyapunov(record))
+            line += 1
         out.append(
-            PairRecord(base_idx, pert_idx, perturbation.moved_from, perturbation.moved_to, record)
+            PairRecord(base.index, pert_idx, perturbation.moved_from, perturbation.moved_to, record)
         )
     return out
 
@@ -415,8 +497,14 @@ def sample_experiment(
     thresholds: AtypicalityThresholds = DEFAULT_THRESHOLDS,
     mode: Mode = Mode.AUGMENTED,
     workers: int = 1,
+    progress: Optional[Callable[[str], None]] = None,
 ) -> ExperimentReport:
     """Sample decisive bases, perturb each, and aggregate the divergence records.
+
+    The lines of every base and decisive perturbation are walked
+    together, one batched choice per ply (``Policy.walk``, reported
+    through `progress`), before `workers` forked processes build the
+    records base by base from them; the policy is never swept.
 
     Fully deterministic for a fixed (table, sample_size, seed) triple;
     worker count cannot change the output because records are merged in
@@ -436,9 +524,21 @@ def sample_experiment(
         chosen = decisive[rng.sample(range(decisive.size), sample_size)]
     base_indices = sorted(chosen.tolist())
 
-    # Swept here, forked workers inherit the policy instead of each sweeping it.
-    tb.policy().sweep()
-    per_base = fork_map(lambda idx: _pairs_for_base(tb, idx, mode), base_indices, workers)
+    # Walked here, so forked workers inherit every line and choose no row.
+    bases = [_locate_base(tb, idx) for idx in base_indices]
+    starts = [idx for base in bases for idx in base.line_starts]
+    policy = tb.policy()
+    top = np.full(len(starts), policy.slots[tb.material.key])
+    slots, indices, keys = policy.walk(top, starts, progress=progress)
+    ends = np.cumsum([len(base.line_starts) for base in bases]).tolist()
+
+    def base_pairs(j):
+        lines = slice(ends[j - 1] if j else 0, ends[j])
+        return _pairs_for_base(
+            policy, bases[j], slots[:, lines], indices[:, lines], keys[:, lines], mode
+        )
+
+    per_base = fork_map(base_pairs, range(len(bases)), workers)
     pairs = [pair for records in per_base for pair in records]
 
     counts = {

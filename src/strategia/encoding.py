@@ -8,6 +8,11 @@ side still has castle rights, 8 a king without. In augmented mode a
 trailing +1/-1 component records the side to move, which makes the
 vector a complete game state on its own; strict mode omits it and
 needs the side supplied out of band.
+
+``encode`` builds one vector from a ``Position``. ``code_rows`` builds
+the same components as int8 rows for many positions at once, from one
+square column per piece, and ``mark_double_pushes`` adds the en passant
+marks that the moves into them set.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .board import (
     _CASTLE,
@@ -111,6 +118,37 @@ def encode(pos: Position, mode: Mode = Mode.AUGMENTED) -> ConfigVector:
     if mode is Mode.AUGMENTED:
         components.append(1 if pos.side_to_move is Color.WHITE else -1)
     return ConfigVector(mode, tuple(components))
+
+
+def code_rows(cells, squares, side, num_squares: int, mode: Mode) -> np.ndarray:
+    """int8 rows of ``encode`` components for positions given as piece squares.
+
+    `cells` holds the placement cell of each piece, `squares` one
+    square column per piece and `side` the side to move of each row.
+    The positions carry no castle rights, and no pawn is marked
+    capturable en passant (``mark_double_pushes`` marks them).
+    """
+    rows = np.zeros((len(side), num_squares + (mode is Mode.AUGMENTED)), dtype=np.int8)
+    at = np.arange(len(side))
+    for cell, column in zip(cells, squares):
+        rows[at, column] = _CELL_CODES[cell]
+    if mode is Mode.AUGMENTED:
+        rows[:, -1] = np.where(side == Color.WHITE, 1, -1)
+    return rows
+
+
+def mark_double_pushes(rows: np.ndarray, src, dest, width: int) -> None:
+    """Give EP_PAWN, in place, to the pawn of each row that has just moved two ranks, `src` to `dest`.
+
+    Row i encodes the position after the move from ``src[i]`` to
+    ``dest[i]``. Call it only on boards that allow en passant: only
+    there does ``board.play`` set the ep_square that ``encode`` marks.
+    """
+    at = np.flatnonzero(np.abs(dest - src) == 2 * width)
+    to = dest[at]
+    code = rows[at, to]
+    pawn = np.abs(code) == PAWN
+    rows[at[pawn], to[pawn]] = np.sign(code[pawn]) * EP_PAWN
 
 
 def _expected_length(spec: BoardSpec, mode: Mode) -> int:

@@ -16,7 +16,9 @@ runs once a caller has played more than a line or two, rows are chosen
 one at a time. A playout locates its start once (one class key and one
 ``index_of``) and then walks indices, one choice per ply; only the
 chosen successor is built as a ``Position`` (``board.play``) and
-encoded.
+encoded. Experiments play no ``Playout``: ``Policy.walk`` walks all
+their lines together and builds no ``Position`` per ply (see
+``dynamics``).
 """
 
 from __future__ import annotations

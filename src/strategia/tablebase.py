@@ -38,7 +38,10 @@ decisive, non-terminal index (``_successor_values``) and keeps the
 policy's move with the (class slot, index) it reaches (``_choose``):
 one row at a time for the first lines played, then in one sweep per
 class into arrays (``_policy_arrays``), which also checks that every
-(LOSS, 0) entry is checkmate (``_check_mates``).
+(LOSS, 0) entry is checkmate (``_check_mates``). ``Policy.walk`` plays
+many lines at once without the sweep: one ``_choose`` per ply and
+(class, side to move) group of their distinct rows, and a
+``_check_mates`` of the rows they end on.
 
 One codec holds the index layout: ``_decode_columns`` splits indices
 into the side to move and one square (digit) per piece slot,
@@ -1046,6 +1049,63 @@ class Policy:
         if self.move is None:
             table = self.tables[slot]
             _check_mates(table, idx // _context(table.material).half, np.array([idx]))
+
+    def walk(self, slot, idx, *, progress: Optional[Callable[[str], None]] = None) -> tuple:
+        """The lines from the decisive (slot, index) starts, all walked together a ply at a time.
+
+        At each ply the lines still moving are grouped by class slot and
+        side to move, and each group's distinct rows are chosen in one
+        ``_choose``, with every check it makes; the row each line ends
+        on is checked to be checkmate (``_check_mates``). The sweep
+        arrays are neither read nor built. Returns the (plies + 1,
+        lines) slot and index of every ply and the (plies, lines) move
+        keys, plies being the greatest start dtm: a line of dtm d moves
+        at plies 0..d-1, then repeats its last row under move key 0.
+        Reports the rows chosen and the seconds through `progress`.
+        """
+        start = time.perf_counter()
+        slot = np.array(slot, dtype=np.uint8)
+        idx = np.array(idx, dtype=np.int64)
+        dtm = np.zeros(idx.size, dtype=np.int64)
+        for s, _, lines in self._groups(slot, idx):
+            table = self.tables[s]
+            wdl = table.wdl[idx[lines]]
+            _refuse(table.material, idx[lines], (wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value),
+                    ValidationError, "a line starts on an entry that is not decisive")
+            dtm[lines] = table.dtm[idx[lines]]
+        plies = int(dtm.max(initial=0))
+        slots = np.empty((plies + 1, idx.size), dtype=np.uint8)
+        indices = np.empty((plies + 1, idx.size), dtype=np.int64)
+        keys = np.zeros((plies, idx.size), dtype=np.int64)
+        slots[0], indices[0] = slot, idx
+        rows = 0
+        for n in range(plies):
+            moving = np.flatnonzero(dtm > n)
+            for s, side, lines in self._groups(slot[moving], idx[moving]):
+                lines = moving[lines]
+                unique, inverse = np.unique(idx[lines], return_inverse=True)
+                rows += unique.size
+                key, to_slot, to_idx = _choose(self.tables[s], side, unique, self._table_for, self.slots)
+                keys[n, lines] = key[inverse]
+                slot[lines], idx[lines] = to_slot[inverse], to_idx[inverse]
+            slots[n + 1], indices[n + 1] = slot, idx
+        for s, side, lines in self._groups(slot, idx):
+            _check_mates(self.tables[s], side, np.unique(idx[lines]))
+        if progress:
+            progress(
+                f"policy {self.material.name}: {rows} rows "
+                f"in {time.perf_counter() - start:.2f} s"
+            )
+        return slots, indices, keys
+
+    def _groups(self, slot, idx) -> list:
+        """(class slot, side to move, positions in `idx`) of each group of rows that share both."""
+        out = []
+        for s in np.unique(slot).tolist():
+            at = np.flatnonzero(slot == s)
+            side = idx[at] // _context(self.tables[s].material).half
+            out += [(s, b, at[side == b]) for b in np.unique(side).tolist()]
+        return out
 
 
 _NO_MOVE = np.iinfo(np.int64).max

@@ -11,6 +11,7 @@ from strategia.dynamics import (
     OutcomeClass,
     material_gap,
 )
+from test_policy import false_mates
 
 
 def fen(text, spec=None):
@@ -313,3 +314,87 @@ class TestSampleExperiment:
         report = sg.sample_experiment(krk5, 5, seed=2)
         assert "scope_note" in report.json_dict()
         assert "measured" in report.json_dict()["scope_note"]
+
+
+class TestWalkedLines:
+    """An experiment walks its lines together (``Policy.walk``); each must be its playout."""
+
+    CLASSES = ["kpk6", "kqkr34", "krk5"]  # double pushes; captures into subclasses; plain
+
+    @pytest.mark.parametrize("mode", list(sg.Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_walked_vectors_are_the_encoded_playout_positions(self, request, monkeypatch, name, mode):
+        tb = request.getfixturevalue(name)
+        walked = []
+        line_vectors = dynamics._line_vectors
+
+        def recording(policy, slots, indices, keys, mode):
+            vectors = line_vectors(policy, slots, indices, keys, mode)
+            walked.append((indices[0].tolist(), keys, vectors))
+            return vectors
+
+        monkeypatch.setattr(dynamics, "_line_vectors", recording)
+        sg.sample_experiment(tb, 30, seed=4, mode=mode)
+        squares = tb.material.spec.num_squares
+        lines = ep_marks = 0
+        for starts, keys, vectors in walked:
+            for j, idx in enumerate(starts):
+                line = sg.generate_playout(sg.position_at(idx, tb.material), tb, mode)
+                want = [list(vec.components) for vec in line.vectors()]
+                assert vectors[: line.plies + 1, j].tolist() == want, (name, idx)
+                moves = [
+                    (step.move.from_sq * squares + step.move.to_sq) * 8 + (step.move.promotion or 0)
+                    for step in line.steps
+                ]
+                assert keys[: line.plies, j].tolist() == moves, (name, idx)
+                ep_marks += sum(abs(c) == sg.encoding.EP_PAWN for row in want for c in row[:squares])
+                lines += 1
+        assert lines > 30
+        assert (ep_marks > 0) == (name == "kpk6")
+
+    @pytest.mark.parametrize("name", CLASSES)
+    def test_each_decisive_pair_is_the_divergence_of_its_playouts(self, request, name):
+        tb = request.getfixturevalue(name)
+        report = sg.sample_experiment(tb, 30, seed=4)
+        checked = 0
+        for pair in report.pairs:
+            record = pair.record
+            if record.outcome_class is OutcomeClass.DRAW_INVOLVED:
+                continue
+            want = sg.divergence(
+                sg.generate_playout(record.base, tb), sg.generate_playout(record.perturbed, tb)
+            )
+            assert dataclasses.replace(record, lambda_ft=None) == want, pair
+            checked += 1
+        assert checked > 30
+
+    def test_an_experiment_never_sweeps_the_policy(self, kqkr34, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the policy was swept")
+
+        monkeypatch.setattr(tablebase, "_policy_arrays", no_sweep)
+        table = dataclasses.replace(kqkr34)
+        messages = []
+        sg.sample_experiment(table, 20, seed=1, progress=messages.append)
+        assert table.policy().move is None
+        assert len(messages) == 1 and messages[0].startswith("policy KQvKR: "), messages
+
+    @pytest.mark.parametrize("case", ["stalemate", "has-a-move"])
+    def test_a_loss_at_dtm_0_that_is_not_checkmate_raises(self, kqk4, case):
+        idx = dict(false_mates(kqk4))[case]
+        broken = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy(), dtm=kqk4.dtm.copy())
+        broken.wdl[idx], broken.dtm[idx] = sg.Wdl.LOSS.value, 0
+        policy = broken.policy()
+        with pytest.raises(RuntimeError, match=f"KQvK index {idx}: a \\(LOSS, 0\\) entry is not checkmate"):
+            policy.walk([policy.slots[kqk4.material.key]], [idx])
+        # Every base is sampled, so some line reaches the entry. A line
+        # choosing it at a dtm other than 1 breaks the recurrence first.
+        with pytest.raises(RuntimeError, match="is not checkmate|dtm - 1"):
+            sg.sample_experiment(broken, broken.decisive_indices().size, seed=1)
+
+    def test_a_dtm_broken_by_two_raises(self, kqk4):
+        broken = dataclasses.replace(kqk4, dtm=kqk4.dtm.copy())
+        idx = next(i for i in kqk4.decisive_indices().tolist() if kqk4.wdl[i] == sg.Wdl.WIN.value)
+        broken.dtm[idx] += 2
+        with pytest.raises(RuntimeError, match="dtm - 1"):
+            sg.sample_experiment(broken, broken.decisive_indices().size, seed=1)

@@ -84,6 +84,22 @@ def test_cli_path_refuses_before_solving_any(kpk4_file, tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["path", "experiment"])
+def test_cli_malformed_input_exits_3_before_solving_any(kpk4_file, tmp_path, capsys, command):
+    thresholds = tmp_path / "thresholds.json"
+    thresholds.write_text('{"forced_mate_max_dtm": 0}')
+    argv = {
+        "path": ["path", "--tb", str(kpk4_file), "--fen", "4/1P1k/4/K3 w - - x",
+                 "--out", str(tmp_path / "p.csv")],
+        "experiment": ["experiment", "--tb", str(kpk4_file), "--sample", "5", "--seed", "3",
+                       "--thresholds", str(thresholds), "--out", str(tmp_path / "exp")],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not any(line.startswith("solving") for line in err)
+
+
 def test_cli_path_and_experiment_name_each_solved_subclass(kpk4, kpk4_file, tmp_path, capsys):
     names = sorted(table.material.name for table in kpk4.subtables.values())
     runs = {
