@@ -7,13 +7,16 @@ by iterated generational passes: generation d is built only from
 generations below d, so the labeled set grows monotonically and the
 result is independent of pass scheduling.
 
-The passes run on a retrograde frontier. The successor edge lists are
-turned once into a reverse adjacency (each position's predecessors),
-and pass d reads only the predecessors of the positions labeled at
-d - 1: those of a loss become wins, and those of a win count down
-their successors not yet won, becoming losses at 0. Each edge is read
-once over the whole solve. ``_solve_bytes`` bounds the memory a solve
-holds.
+The passes run on a retrograde frontier, and no edge is stored. The
+build keeps a few bytes per index: the value and an open position's
+count of moves. Of the edges it keeps only the exits, the moves that
+leave the class, with the static value each reaches. Pass d reads
+only the predecessors of the positions labeled at d - 1, generated by
+un-moves (``_unmoves``), and the exits that reach a value of dtm
+d - 1: the open predecessors of a loss become wins, and those of a win
+count down their successors not yet won, becoming losses at 0. Each
+edge is generated once over the whole solve. ``_solve_bytes`` bounds
+the memory a solve holds.
 
 Captures and promotions leave the class, so a class is solved on top
 of the subclasses they reach, listed with it in solve order by
@@ -50,20 +53,23 @@ into the side to move and one square (digit) per piece slot,
 Every encode and decode goes through them. ``position_at`` takes
 legality from ``board.validate_position``.
 
-Successor edge lists are built with numpy over blocks of at most
-``_BUILD_BLOCK`` indices with one side to move, not one position at a
-time. A block is decoded into digit columns; indices that are not
-``_canonical``, pawns on a back rank and a side not to move in check
-are masked out. Each mover slot reads its candidate destinations from
-step, ray and between-square tables derived from ``board.geometry()``,
-against one uint64 occupancy bitboard per row, and a move survives
-only if no remaining enemy piece attacks the mover's king afterwards.
-In-class successors are the digit columns with the moved slot set to
-its destination, encoded; captures and promotions are indexed in their
-subclass (``_successors``). The solve reads a subclass successor's
-value in one gather, and the policy sweep reads every successor's. The
-scalar ``legal_transitions`` stays the rules reference, and the tests
-hold this build to it.
+Moves are generated with numpy over blocks of at most ``_BUILD_BLOCK``
+indices with one side to move, not one position at a time. A block is
+decoded into digit columns; indices that are not ``_canonical``, pawns
+on a back rank and a side not to move in check are masked out. Each
+mover slot reads its candidate destinations from step, ray and
+between-square tables derived from ``board.geometry()``, against one
+uint64 occupancy bitboard per row, and a move survives only if no
+remaining enemy piece attacks the mover's king afterwards. Captures and
+promotions are indexed in their subclass (``_successors``); the solve
+reads their values in one gather. The policy also needs in-class
+successors: the digit columns with the moved slot set to its
+destination, encoded (``_successor_values``). Un-moves read the same
+tables backwards, plus un-push tables, and keep a predecessor only if
+the square it comes from is empty, a slider's path is clear and the
+side not to move in it is not in check. The scalar
+``legal_transitions`` stays the rules reference, and the tests hold
+the forward moves and the un-moves to it.
 
 The index encodes only piece squares and the side to move. Castle
 rights are unrepresentable and refused; en passant state is value
@@ -600,15 +606,15 @@ def _static_code(wdl, dtm):
     return -(2 + (wdl << 17) + dtm)
 
 
-# Vectorized successor build. Each block of indices is decoded into
+# Vectorized move generation. Each block of indices is decoded into
 # digit columns (one square per piece slot) and expanded into candidate
-# moves per mover slot; occupancy is one uint64 bitboard per row.
-# A block's temporaries grow with its size, and larger blocks run no
-# faster. Traced in process (tracemalloc), a KQvK 8x8 solve peaks at
-# 68.4 MiB with 4096-index blocks, where the reverse adjacency sets the
-# peak, and at 74.0 MiB with 65536-index ones, where the build does
-# (best of 3: 0.61 and 0.63 s). Peak RSS moves more between runs than
-# with the block size: 107-136 MiB for KRvK 8x8 at 1024 to 65536.
+# moves per mover slot; occupancy is one uint64 bitboard per row. The
+# build and each pass's un-moves run over blocks of at most this many
+# indices, so their temporaries stay bounded (``_solve_bytes`` allows 48
+# bytes per row and move; about 15-36 were measured). With no edges
+# stored, these temporaries are a large part of a solve's peak: traced
+# in process (tracemalloc), KRvK 8x8 peaks at 8.0 MiB and KQvK 8x8 at
+# 11.0 MiB.
 _BUILD_BLOCK = 4096
 
 
@@ -665,6 +671,12 @@ class _MoveTables:
             PieceKind.BISHOP: lines[1],
             PieceKind.QUEEN: lines[0] | lines[1],
         }
+        # The squares between a slider's square and each of its
+        # destinations, 0 for padding: a path test is one row gather.
+        self.path = {
+            kind: np.where(self.dest[kind] >= 0, self.between[np.arange(n)[:, None], self.dest[kind]], 0)
+            for kind in self.line
+        }
         self.step = {
             PieceKind.KING: _adjacency(geo.king_sets),
             PieceKind.KNIGHT: _adjacency(geo.knight_sets),
@@ -674,6 +686,15 @@ class _MoveTables:
         self.pawn_double = tuple(np.asarray(geo.pawn_double[c]) for c in (0, 1))
         self.pawn_caps = tuple(_pad(geo.pawn_caps[c], 2) for c in (0, 1))
         self.promo_rank = geo.pawn_promo_rank
+        # The square a pawn was pushed (or double-pushed) from, -1 where
+        # none; an origin on a back rank holds no pawn.
+        self.pawn_unpush = np.full((2, n), -1, dtype=np.int64)
+        self.pawn_undouble = np.full((2, n), -1, dtype=np.int64)
+        for c in (0, 1):
+            for src in range(width, n - width):
+                self.pawn_unpush[c, geo.pawn_push[c][src]] = src
+                if geo.pawn_double[c][src] >= 0:
+                    self.pawn_undouble[c, geo.pawn_double[c][src]] = src
 
     def attacks(self, kind: int, color: int, src, target, occ):
         """Whether a `color` piece of `kind` on `src` attacks `target` given `occ`."""
@@ -699,7 +720,7 @@ class _MoveTables:
         dest = self.dest[kind][src]
         ok = (dest >= 0) & ((blocked[:, None] & self.bit[dest]) == 0)
         if kind in self.line:
-            ok &= (self.between[src[:, None], dest] & occ[:, None]) == 0
+            ok &= (self.path[kind][src] & occ[:, None]) == 0
         return dest, ok
 
     def pawn_moves(self, color: int, src, occ, enemy_occ, promotion_kinds):
@@ -758,7 +779,9 @@ def _encode_columns(material: MaterialClass, side, digits: list):
             digits[lo:hi] = np.sort(np.broadcast_arrays(*group), axis=0)
         else:
             digits[lo:hi] = sorted(group)
-    return side * ctx.half + sum(digit * power for digit, power in zip(digits, ctx.powers))
+    terms = [side * ctx.half] + [digit * power for digit, power in zip(digits, ctx.powers)]
+    # Adding the smaller terms first broadcasts to the widest shape once.
+    return sum(sorted(terms, key=np.size))
 
 
 def _canonical(material: MaterialClass, digits: list):
@@ -801,12 +824,11 @@ def _successors(material, side, digits, occ):
 
     `digits` holds one square column per piece slot and `occ` one
     occupancy bitboard per row; every row must be a legal position.
-    Yields (slot, dest, legal, col_kind, succ, exits) per mover slot:
-    the (rows, candidates) destinations and legal mask, the promotion
-    kind of each candidate column, and each candidate's in-class
-    successor index. `exits` lists the legal moves that leave the class
-    as (subclass, rows, cols, subclass index), one entry per (victim,
-    promotion kind) that occurs.
+    Yields (slot, dest, legal, col_kind, exits) per mover slot: the
+    (rows, candidates) destinations and legal mask, and the promotion
+    kind of each candidate column. `exits` lists the legal moves that
+    leave the class as (subclass, rows, cols, subclass index), one entry
+    per (victim, promotion kind) that occurs.
     """
     ctx = _context(material)
     tables = _move_tables(ctx.spec.width, ctx.spec.height)
@@ -816,7 +838,6 @@ def _successors(material, side, digits, occ):
     enemy_occ = tables.occupancy([digits[slot] for slot in victims], occ.size)
     blocked = tables.occupancy([digits[slot] for slot, _ in movers], occ.size)
     blocked |= tables.bit[digits[their_king]]
-    stay = [d[:, None] for d in digits]
     for slot, kind in movers:
         src = digits[slot]
         if kind == PieceKind.PAWN:
@@ -835,11 +856,6 @@ def _successors(material, side, digits, occ):
             if other_kind != PieceKind.KING:
                 attacked = attacked & (dest != digits[other][:, None])
             legal &= ~attacked
-
-        # In-class successors: the moved slot takes its destination.
-        moved = list(stay)
-        moved[slot] = dest
-        succ = _encode_columns(material, them, moved)
 
         # Captures and promotions leave the class: index them in their
         # subclass, one (victim, promotion kind) at a time.
@@ -862,7 +878,7 @@ def _successors(material, side, digits, occ):
                 columns[slot] = dest[rows, cols]
                 sub_idx = _encode_columns(sub, them, [columns[s] for s in order])
                 exits.append((sub, rows, cols, sub_idx))
-        yield slot, dest, legal, col_kind, succ, exits
+        yield slot, dest, legal, col_kind, exits
 
 
 def _legal_rows(material, side, idx):
@@ -900,11 +916,13 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     """Classify the indices in [lo, hi), which all have `side` to move.
 
     Returns (invalid count, terminal losses, terminal draws, open
-    indices, int32 successor count per open index, int32 edges). The
-    edges list each open index's successors in turn: in-class ones as
-    indices, out-of-class ones as static codes read from the subtables
-    in `registry` (class key -> table). A position with more than
-    `max_moves` moves raises RuntimeError.
+    indices, successor count per open index, exit indices, exit codes).
+    The counts take in every legal move; in-class successors are only
+    counted, since the solve finds them again by un-moves. Each move that
+    leaves the class (a capture or promotion) is one exit: the open
+    index it leaves from and the static code of the value it reaches,
+    read from the subtables in `registry` (class key -> table). A
+    position with more than `max_moves` moves raises RuntimeError.
     """
     idx = np.arange(lo, hi, dtype=np.int64)
     ok, digits, occ = _legal_rows(material, side, idx)
@@ -912,22 +930,20 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     idx, occ = idx[ok], occ[ok]
     digits = [d[ok] for d in digits]
 
-    legal_parts, value_parts = [], []
-    for _, _, legal, _, values, exits in _successors(material, side, digits, occ):
+    counts = np.zeros(idx.size, dtype=np.int64)
+    exit_idx, exit_code = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for _, _, legal, _, exits in _successors(material, side, digits, occ):
+        counts += np.count_nonzero(legal, axis=1)
         # Out-of-class successors are fixed values: one gather per exit.
-        for sub, rows, cols, sub_idx in exits:
+        for sub, rows, _, sub_idx in exits:
             table = registry[sub.key]
             wdl = table.wdl[sub_idx].astype(np.int64)
             if not np.isin(wdl, (Wdl.WIN.value, Wdl.DRAW.value, Wdl.LOSS.value)).all():
                 raise ValidationError(f"a successor decodes to an illegal entry of {sub.name}")
             dtm = np.where(wdl == Wdl.DRAW.value, DTM_ABSENT, table.dtm[sub_idx].astype(np.int64))
-            values[rows, cols] = _static_code(wdl, dtm)
-        legal_parts.append(legal)
-        value_parts.append(values)
+            exit_idx.append(idx[rows])
+            exit_code.append(_static_code(wdl, dtm))
 
-    legal = np.hstack(legal_parts)
-    values = np.hstack(value_parts)
-    counts = np.count_nonzero(legal, axis=1)
     if counts.size and counts.max() > max_moves:
         raise RuntimeError(
             f"{material.name}: a position has {counts.max()} moves, bound is {max_moves}"
@@ -936,9 +952,59 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     mated = _in_check(material, side, [d[stuck] for d in digits], occ[stuck])
     live = ~stuck
     return (
-        invalid, idx[stuck][mated], idx[stuck][~mated], idx[live],
-        counts[live].astype(np.int32), values[live][legal[live]].astype(np.int32),
+        invalid, idx[stuck][mated], idx[stuck][~mated], idx[live], counts[live],
+        np.concatenate(exit_idx), np.concatenate(exit_code),
     )
+
+
+def _unmoves(material, side, idx):
+    """The in-class predecessors of the legal indices `idx`, all with `side` to move.
+
+    Returns a (rows, candidates) int64 array holding each row's
+    predecessors, -1 elsewhere: the positions that reach the row by a
+    quiet move of the side that just moved. That piece steps back along
+    its step or ray table to an empty square (a slider over empty
+    squares), or a pawn is un-pushed, singly or doubly, to a square off
+    the back ranks. A predecessor must leave the side not to move in it
+    out of check. A move never captures or promotes inside a class, so
+    there is no un-capture or un-promotion, and no two moves of one
+    position reach the same position, so each edge appears once.
+    """
+    ctx = _context(material)
+    tables = _move_tables(ctx.spec.width, ctx.spec.height)
+    _, digits = _decode_columns(material, idx)
+    occ = tables.occupancy(digits, idx.size)
+    them = 1 - side
+    movers, _, _, king = _sides(ctx, them)
+    stay = [d[:, None] for d in digits]
+    widths = [2 if kind == PieceKind.PAWN else tables.dest[kind].shape[1] for _, kind in movers]
+    out = np.full((idx.size, sum(widths)), -1, dtype=np.int64)
+    col = 0
+    for slot, kind in movers:
+        dest = digits[slot]
+        if kind == PieceKind.PAWN:
+            back = np.column_stack([tables.pawn_unpush[them][dest], tables.pawn_undouble[them][dest]])
+        else:
+            back = tables.dest[kind][dest]
+        back_bit = tables.bit[back]
+        ok = (back >= 0) & ((occ[:, None] & back_bit) == 0)
+        if kind == PieceKind.PAWN:
+            # A double push passes over the square a single push starts from.
+            ok[:, 1] &= (occ & back_bit[:, 0]) == 0
+        elif kind in tables.line:
+            ok &= (tables.path[kind][dest] & occ[:, None]) == 0
+
+        # The predecessor's side not to move must not be in check.
+        occ_before = (occ & ~tables.bit[dest])[:, None] | back_bit
+        for other, other_kind in movers:
+            src = back if other == slot else stay[other]
+            ok &= ~tables.attacks(other_kind, them, src, stay[king], occ_before)
+
+        moved = list(stay)
+        moved[slot] = back
+        np.copyto(out[:, col:col + back.shape[1]], _encode_columns(material, them, moved), where=ok)
+        col += back.shape[1]
+    return out
 
 
 def _successor_values(material, side, idx, table_for, slots):
@@ -957,8 +1023,12 @@ def _successor_values(material, side, idx, table_for, slots):
     _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
     own = table_for(material.key)
     parts = []
-    for slot, dest, legal, col_kind, succ, exits in _successors(material, side, digits, occ):
+    for slot, dest, legal, col_kind, exits in _successors(material, side, digits, occ):
         key = (digits[slot][:, None] * ctx.S + dest) * 8 + col_kind
+        # In-class successors: the moved slot takes its destination.
+        moved = [d[:, None] for d in digits]
+        moved[slot] = dest
+        succ = _encode_columns(material, 1 - side, moved)
         to_slot = np.full(succ.shape, slots[material.key], dtype=np.uint8)
         # Values of illegal candidates are read from index 0 and never used.
         in_class = np.where(legal, succ, 0)
@@ -1158,7 +1228,7 @@ def _check_mates(table, side, idx) -> None:
     ok, digits, occ = _legal_rows(material, side, idx)
     _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
     mated = _in_check(material, side, digits, occ)
-    for _, _, legal, _, _, _ in _successors(material, side, digits, occ):
+    for _, _, legal, _, _ in _successors(material, side, digits, occ):
         mated &= ~legal.any(axis=1)
     _refuse(material, idx, mated, RuntimeError, "a (LOSS, 0) entry is not checkmate")
 
@@ -1224,20 +1294,30 @@ def _resolve_budget() -> int:
 def _solve_bytes(material: MaterialClass) -> int:
     """Upper bound on the bytes that solving `material` holds at once.
 
-    The bound lets every index be an open row with `max_moves`
-    successors. The build holds each block's int32 edge list and then
-    their concatenation, 8 bytes per successor. Building
-    the reverse adjacency holds at most 12 bytes per edge (the int64
-    sort key beside one int32 array), and a fixpoint pass holds the
-    int32 predecessors and the edges into one generation. Each index
-    adds 24 bytes: int64 open indices or offsets (two arrays at most),
-    the count of successors not yet won, the open flag, and the wdl and
-    dtm entries. Every subclass table of the closure stays loaded, at
-    3 bytes per index.
+    Per index, the solve holds the wdl and dtm entries and the count of
+    successors not yet won, the indices labeled at the last pass and at
+    the current one (8 bytes per index between them), and at most 3
+    bytes of boolean temporaries. An index has at most as many moves
+    that leave the class as its side's pieces times the enemy pieces
+    they can capture, plus three per promotion kind for each pawn; the
+    build keeps each as an int64 index and an int32 code, 20 bytes
+    while their per-block lists are joined. A build or un-move block
+    holds at most 48 bytes per row and ``_max_move_bound`` move. Every
+    subclass table of the closure stays loaded, at 3 bytes per index.
     """
     n = material.index_size
+    ctx = _context(material)
+    max_moves = _max_move_bound(material)
+    exits = 0
+    for side in (Color.WHITE, Color.BLACK):
+        movers, enemies, _, _ = _sides(ctx, side)
+        victims = sum(kind != PieceKind.KING for _, kind in enemies)
+        pawns = sum(kind == PieceKind.PAWN for _, kind in movers)
+        exits = max(exits, len(movers) * victims + 3 * pawns * len(material.spec.promotion_kinds))
+    per_index = 3 + np.min_scalar_type(max_moves).itemsize + 8 + 3 + 20 * exits
+    block = min(_BUILD_BLOCK, n // 2) * 48 * max_moves
     tables = sum(sub.index_size for sub in _closure(material)[:-1])
-    return n * (12 * _max_move_bound(material) + 24) + 3 * tables
+    return n * per_index + block + 3 * tables
 
 
 def solve(
@@ -1284,115 +1364,108 @@ def _solve_single(material, registry, progress) -> Tablebase:
     max_moves = _max_move_bound(material)
     if progress:
         progress(f"solving {material.name}: {n} indices")
+    start = time.perf_counter()
 
-    results = [
-        _build_side(material, registry, *block, max_moves)
-        for block in _build_blocks(material, 0, n)
-    ]
-    invalid = sum(r[0] for r in results)
-    term_loss, term_draw, open_idx, remaining, targets = (
-        np.concatenate([r[i] for r in results]) for i in range(1, 6)
-    )
-    del results
-
-    # Intern out-of-class successor values as virtual slots after the
-    # real index space, one per distinct (wdl, dtm), in ascending order
-    # of (wdl, dtm).
-    static = targets < 0
-    codes, inverse = np.unique(targets[static], return_inverse=True)
-    targets[static] = n + codes.size - 1 - inverse
-    del static, inverse
-    raw = -codes[::-1] - 2
-    virt_wdl, virt_dtm = raw >> 17, raw & 0x1FFFF
-
-    # Reverse adjacency: the rows with an edge into target t are
-    # preds[offsets[t]:offsets[t + 1]]. One sorted int64 (target, row)
-    # key is the only edge array wider than int32.
-    m = open_idx.size
-    offsets = np.zeros(n + codes.size + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(np.bincount(targets, minlength=n + codes.size))
-    key = targets.astype(np.int64)
-    del targets
-    key *= m
-    key += np.repeat(np.arange(m, dtype=np.int32), remaining)
-    key.sort()
-    np.remainder(key, m, out=key)
-    preds = key.astype(np.int32)
-    del key
-
+    # Per index: the value, and an open position's count of successors
+    # not yet won.
     wdl = np.zeros(n, dtype=np.uint8)
     dtm = np.full(n, DTM_ABSENT, dtype=np.uint16)
-    wdl[term_loss] = Wdl.LOSS.value
-    dtm[term_loss] = 0
-    wdl[term_draw] = Wdl.DRAW.value
+    remaining = np.zeros(n, dtype=np.min_scalar_type(max_moves))
+    invalid = n_mated = n_stalemated = 0
+    draw_code = _static_code(Wdl.DRAW.value, DTM_ABSENT)
+    exit_idx, exit_code = [], []
+    for block in _build_blocks(material, 0, n):
+        bad, mated, stalemated, live, counts, to_idx, codes = _build_side(
+            material, registry, *block, max_moves
+        )
+        invalid += bad
+        n_mated += mated.size
+        n_stalemated += stalemated.size
+        wdl[mated], dtm[mated] = Wdl.LOSS.value, 0
+        wdl[stalemated] = Wdl.DRAW.value
+        remaining[live] = counts
+        # A drawn exit never labels its position, so only its count is kept.
+        decisive = codes != draw_code
+        exit_idx.append(to_idx[decisive])
+        exit_code.append(codes[decisive].astype(np.int32))
+    exit_code = np.concatenate(exit_code)
+    exit_idx = np.concatenate(exit_idx)
+    n_open = int(np.count_nonzero(remaining))
+    build_s = time.perf_counter() - start
 
-    # Static values can trigger labels up to their dtm + 1 even across
+    # A static value of dtm t labels at pass t + 1, even across
     # otherwise quiet passes, so termination waits for that horizon.
-    timed = (virt_wdl != Wdl.DRAW.value) & (virt_dtm != DTM_ABSENT)
-    static_trigger = int(virt_dtm[timed].max()) + 1 if timed.any() else 0
+    static_trigger = int(((-exit_code - 2) & 0x1FFFF).max(initial=-1)) + 1
 
-    # Pass d reads only the positions labeled at d - 1. Their open
-    # predecessors win if they lost; if they won, each predecessor's
-    # count of successors not yet won drops, and one that reaches 0 is
-    # lost. Virtual slots join the frontier at their dtm + 1.
-    is_open = np.ones(m, dtype=bool)
-    n_open = m
-    lost, won = term_loss, np.empty(0, np.int64)
+    # Pass d reads only the positions labeled at d - 1. A loss has an
+    # even dtm and a win an odd one, so those are all losses when d is
+    # odd and all wins when d is even. The open predecessors of a loss
+    # win; each predecessor of a win counts down its successors not yet
+    # won, and one that reaches 0 is lost. Predecessors come from
+    # un-moves (``_unmoves``) and from the exits that reach a static
+    # value of dtm d - 1, one per edge.
+    one = remaining.dtype.type(1)
+    frontier = np.flatnonzero(dtm == 0)
     passes = []
     depth = 0
     while n_open:
         depth += 1
         if depth > n + static_trigger + 2:
             raise RuntimeError("fixpoint failed to terminate")  # pragma: no cover
-        now = np.flatnonzero(virt_dtm == depth - 1)
-        lost = np.concatenate([lost, n + now[virt_wdl[now] == Wdl.LOSS.value]])
-        won = np.concatenate([won, n + now[virt_wdl[now] == Wdl.WIN.value]])
-        rows = _predecessors(preds, offsets, lost)
-        win_rows = np.unique(rows[is_open[rows]])
-        # A row can reach one virtual slot by several moves: count each.
-        rows, times = np.unique(_predecessors(preds, offsets, won), return_counts=True)
-        remaining[rows] -= times
-        loss_rows = rows[(remaining[rows] == 0) & is_open[rows]]
+        winning = depth % 2 == 1
+        code = _static_code((Wdl.LOSS if winning else Wdl.WIN).value, depth - 1)
+        for pred in _frontier_predecessors(material, frontier, exit_idx[exit_code == code]):
+            pred = pred[wdl[pred] == 0]
+            if winning:
+                wdl[pred], dtm[pred] = Wdl.WIN.value, depth
+            else:
+                np.subtract.at(remaining, pred, one)
+                pred = pred[remaining[pred] == 0]
+                wdl[pred], dtm[pred] = Wdl.LOSS.value, depth
 
-        n_win, n_loss = int(win_rows.size), int(loss_rows.size)
-        won, lost = open_idx[win_rows], open_idx[loss_rows]
-        wdl[won] = Wdl.WIN.value
-        wdl[lost] = Wdl.LOSS.value
-        dtm[won] = depth
-        dtm[lost] = depth
-        is_open[win_rows] = False
-        is_open[loss_rows] = False
-        passes.append((n_win, n_loss))
-        if n_win or n_loss:
-            n_open -= n_win + n_loss
+        frontier = np.flatnonzero(dtm == depth)
+        labeled = int(frontier.size)
+        passes.append((labeled, 0) if winning else (0, labeled))
+        if labeled:
+            n_open -= labeled
             if progress and depth % 8 == 0:
+                n_win, n_loss = passes[-1]
                 progress(
                     f"  pass {depth}: {n_win} wins, {n_loss} losses, {n_open} open"
                 )
         elif depth >= static_trigger:
             break
 
-    wdl[open_idx[is_open]] = Wdl.DRAW.value
+    wdl[(wdl == 0) & (remaining > 0)] = Wdl.DRAW.value
     legal = n - invalid
     decisive = (wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value)
     max_dtm = int(dtm[decisive].max()) if decisive.any() else 0
     stats = SolveStats(
         legal=legal,
         invalid=invalid,
-        terminal_losses=int(term_loss.size),
-        terminal_draws=int(term_draw.size) + n_open,
+        terminal_losses=n_mated,
+        terminal_draws=n_stalemated + n_open,
         passes=tuple(passes),
         max_dtm=max_dtm,
     )
     if progress:
-        progress(f"  {material.name}: {legal} legal, max dtm {max_dtm}, {depth} passes")
+        fixpoint_s = time.perf_counter() - start - build_s
+        progress(
+            f"  {material.name}: {legal} legal, max dtm {max_dtm}, {depth} passes, "
+            f"build {build_s:.2f} s, fixpoint {fixpoint_s:.2f} s"
+        )
     return Tablebase(material, wdl, dtm, stats=stats)
 
 
-def _predecessors(preds, offsets, targets) -> np.ndarray:
-    """The rows with an edge into any of `targets`, one per edge."""
-    starts = offsets[targets]
-    sizes = offsets[targets + 1] - starts
-    edges = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-    edges += np.arange(edges.size)
-    return preds[edges]
+def _frontier_predecessors(material, frontier, statics):
+    """The predecessors of the sorted indices `frontier`, one array per block, then `statics`.
+
+    The frontier is split at the side bit into blocks of at most
+    ``_BUILD_BLOCK`` indices, and each block's un-moves are flattened.
+    """
+    cut = int(np.searchsorted(frontier, _context(material).half))
+    for side, part in enumerate((frontier[:cut], frontier[cut:])):
+        for start in range(0, part.size, _BUILD_BLOCK):
+            pred = _unmoves(material, side, part[start:start + _BUILD_BLOCK])
+            yield pred[pred >= 0]
+    yield statics

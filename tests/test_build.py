@@ -1,9 +1,15 @@
-"""The vectorized successor build against the scalar rules engine.
+"""The vectorized move generation against the scalar rules engine.
 
 The reference row of an index is built one position at a time from
 `position_at`, `legal_transitions` and `index_of` (in-class successors)
 or the subtable's `probe` (captures and promotions). Rows are compared
 as multisets, since the fixpoint reads them without regard to order.
+
+Three vectorized views are held to it on every index of small classes:
+the forward rows that `_successor_values` gives (the policy's view),
+the solver's build (`_build_side`: move counts, terminal classes and
+the static codes of the moves that leave the class), and the in-class
+predecessors that `_unmoves` generates.
 """
 
 import numpy as np
@@ -16,8 +22,12 @@ from strategia.tablebase import (
     DTM_ABSENT,
     _build_blocks,
     _build_side,
+    _in_check,
+    _legal_rows,
     _max_move_bound,
     _static_code,
+    _successor_values,
+    _unmoves,
 )
 
 ROOK_KNIGHT = frozenset({sg.PieceKind.ROOK, sg.PieceKind.KNIGHT})
@@ -54,6 +64,7 @@ EXHAUSTIVE = (
     ("KPvK", sg.BoardSpec(3, 5)),
     ("KPvK", sg.BoardSpec(4, 4, promotion_kinds=ROOK_KNIGHT)),
     ("KRPvK", sg.BoardSpec(3, 4)),  # promotion to a rook: duplicate rooks in the subclass
+    ("KNvKP", sg.BoardSpec(3, 5)),  # a black pawn: pushes and double pushes down the board
 )
 
 
@@ -77,21 +88,43 @@ def reference_class(material, registry, idx):
     return sorted(row)
 
 
-def build_range(material, registry, lo, hi, max_moves=None):
-    """(invalid, losses, draws, open indices, counts, edges) of [lo, hi), built block by block."""
-    if max_moves is None:
-        max_moves = _max_move_bound(material)
-    parts = [
-        _build_side(material, registry, *block, max_moves)
-        for block in _build_blocks(material, lo, hi)
-    ]
+def build_range(material, registry, lo, hi):
+    """(invalid, losses, draws, open indices, counts, edges) of [lo, hi), from `_successor_values`.
+
+    The edges list each open index's successors in turn: in-class ones
+    as indices, out-of-class ones as static codes of their values in
+    `registry`. The class's own values are read from an empty
+    placeholder table and never used.
+    """
+    n = material.index_size
+    placeholder = sg.Tablebase(material, np.zeros(n, np.uint8), np.zeros(n, np.uint16))
+    tables = {material.key: placeholder, **registry}
+    slots = {key: slot for slot, key in enumerate(tables)}
+    parts = []
+    for side, start, stop in _build_blocks(material, lo, hi):
+        idx = np.arange(start, stop, dtype=np.int64)
+        ok, digits, occ = _legal_rows(material, side, idx)
+        idx, occ, digits = idx[ok], occ[ok], [d[ok] for d in digits]
+        legal, _, to_slot, to_idx, wdl, dtm = _successor_values(
+            material, side, idx, tables.__getitem__, slots
+        )
+        wdl = wdl.astype(np.int64)
+        dtm = np.where(wdl == sg.Wdl.DRAW.value, DTM_ABSENT, dtm.astype(np.int64))
+        values = np.where(to_slot == slots[material.key], to_idx, _static_code(wdl, dtm))
+        counts = np.count_nonzero(legal, axis=1)
+        stuck = counts == 0
+        mated = _in_check(material, side, [d[stuck] for d in digits], occ[stuck])
+        live = ~stuck
+        parts.append((
+            int(ok.size - np.count_nonzero(ok)), idx[stuck][mated], idx[stuck][~mated],
+            idx[live], counts[live], values[live][legal[live]],
+        ))
     return (sum(p[0] for p in parts), *(np.concatenate([p[i] for p in parts]) for i in range(1, 6)))
 
 
 def built_classes(material, registry, lo, hi):
-    """Index -> class as the vectorized build labels [lo, hi)."""
+    """Index -> class as the forward rows label [lo, hi)."""
     invalid, losses, draws, open_idx, counts, edges = build_range(material, registry, lo, hi)
-    assert counts.dtype == edges.dtype == np.int32
     assert int(counts.sum()) == edges.size
     out = {int(i): "loss" for i in losses}
     out.update((int(i), "draw") for i in draws)
@@ -102,20 +135,82 @@ def built_classes(material, registry, lo, hi):
     return out
 
 
+def solver_classes(material, registry, lo, hi, max_moves=None):
+    """Index -> 'loss', 'draw' or (move count, sorted exit codes), as `_build_side` labels [lo, hi)."""
+    if max_moves is None:
+        max_moves = _max_move_bound(material)
+    out = {}
+    for block in _build_blocks(material, lo, hi):
+        invalid, losses, draws, live, counts, exit_idx, exit_code = _build_side(
+            material, registry, *block, max_moves
+        )
+        out.update((int(i), "loss") for i in losses)
+        out.update((int(i), "draw") for i in draws)
+        exits = {}
+        for idx, code in zip(exit_idx.tolist(), exit_code.tolist()):
+            exits.setdefault(idx, []).append(code)
+        for idx, count in zip(live.tolist(), counts.tolist()):
+            out[idx] = (count, sorted(exits.pop(idx, [])))
+        assert not exits
+        assert invalid == block[2] - block[1] - losses.size - draws.size - live.size
+    return out
+
+
+def counted(row):
+    """What the solver's build keeps of a class: a row's length and its static codes."""
+    return row if isinstance(row, str) else (len(row), [code for code in row if code < 0])
+
+
+def assert_builds_match(material, registry, lo, hi, reference):
+    """Both the forward rows and the solver's build of [lo, hi) match `reference(idx)`."""
+    built = built_classes(material, registry, lo, hi)
+    solver = solver_classes(material, registry, lo, hi)
+    for idx in range(lo, hi):
+        expected = reference(idx)
+        assert built.get(idx, "invalid") == expected, idx
+        assert solver.get(idx, "invalid") == counted(expected), idx
+
+
 def registry_of(table):
     return dict(table.subtables)
 
 
-@pytest.mark.parametrize(
-    "text,spec", EXHAUSTIVE,
+@pytest.fixture(
+    scope="module", params=EXHAUSTIVE,
     ids=[f"{t}-{s.width}x{s.height}-{len(s.promotion_kinds)}promo" for t, s in EXHAUSTIVE],
 )
-def test_build_matches_scalar_rules_on_every_index(text, spec):
+def exhaustive(request):
+    """(class, subtables, scalar class of every index) of one EXHAUSTIVE class."""
+    text, spec = request.param
     material = sg.MaterialClass.from_string(text, spec)
     registry = registry_of(sg.solve(material))
-    built = built_classes(material, registry, 0, material.index_size)
-    for idx in range(material.index_size):
-        assert built.get(idx, "invalid") == reference_class(material, registry, idx), idx
+    reference = [reference_class(material, registry, idx) for idx in range(material.index_size)]
+    return material, registry, reference
+
+
+def test_build_matches_scalar_rules_on_every_index(exhaustive):
+    material, registry, reference = exhaustive
+    assert_builds_match(material, registry, 0, material.index_size, reference.__getitem__)
+
+
+def test_unmoves_match_scalar_rules_on_every_index(exhaustive):
+    # The predecessors of F are the P whose legal moves include a quiet,
+    # in-class move to F: the in-class entries of P's scalar row.
+    material, _, reference = exhaustive
+    expected = {}
+    for p, row in enumerate(reference):
+        if isinstance(row, list):
+            for f in row:
+                if f >= 0:
+                    expected.setdefault(f, []).append(p)
+    for side, lo, hi in _build_blocks(material, 0, material.index_size):
+        targets = np.array([f for f in range(lo, hi) if reference[f] != "invalid"], dtype=np.int64)
+        if targets.size == 0:
+            continue
+        preds = _unmoves(material, side, targets)
+        assert preds.shape[0] == targets.size
+        for f, row in zip(targets.tolist(), preds.tolist()):
+            assert sorted(p for p in row if p >= 0) == expected.get(f, []), f
 
 
 @settings(max_examples=300, deadline=None)
@@ -124,8 +219,8 @@ def test_build_matches_scalar_rules_on_sampled_kqk8_indices(kqk8, data):
     material = kqk8.material
     registry = registry_of(kqk8)
     idx = data.draw(st.integers(0, material.index_size - 1))
-    built = built_classes(material, registry, idx, idx + 1)
-    assert built.get(idx, "invalid") == reference_class(material, registry, idx)
+    assert_builds_match(material, registry, idx, idx + 1,
+                        lambda i: reference_class(material, registry, i))
 
 
 @settings(max_examples=300, deadline=None)
@@ -134,8 +229,8 @@ def test_build_matches_scalar_rules_on_sampled_kpk6_indices(kpk6, data):
     material = kpk6.material
     registry = registry_of(kpk6)
     idx = data.draw(st.integers(0, material.index_size - 1))
-    built = built_classes(material, registry, idx, idx + 1)
-    assert built.get(idx, "invalid") == reference_class(material, registry, idx)
+    assert_builds_match(material, registry, idx, idx + 1,
+                        lambda i: reference_class(material, registry, i))
 
 
 @pytest.mark.parametrize("fixture", ["kqk4", "kpk6"])
@@ -152,15 +247,14 @@ def test_build_blocks_split_at_the_side_bit(request, fixture):
             assert 0 < stop - start <= _BUILD_BLOCK
             assert side == start // half == (stop - 1) // half
     registry = registry_of(table)
-    built = built_classes(material, registry, half - 300, half + 300)
-    for idx in range(half - 300, half + 300):
-        assert built.get(idx, "invalid") == reference_class(material, registry, idx), idx
+    assert_builds_match(material, registry, half - 300, half + 300,
+                        lambda i: reference_class(material, registry, i))
 
 
 def test_row_over_the_move_bound_raises_instead_of_truncating(kqk4):
     material = kqk4.material
     with pytest.raises(RuntimeError, match="bound"):
-        build_range(material, registry_of(kqk4), 0, material.index_size, max_moves=2)
+        solver_classes(material, registry_of(kqk4), 0, material.index_size, max_moves=2)
 
 
 @pytest.mark.parametrize("fixture,crc", [

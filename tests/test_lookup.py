@@ -80,7 +80,7 @@ def test_cli_path_refuses_before_solving_any(kpk4_file, tmp_path, monkeypatch, c
     assert code == 4
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("solving")] == []
-    assert err == ["error: budget: solving KQvK needs about 3 MiB, budget is 2 MiB"]
+    assert err == ["error: budget: solving KQvK needs about 5 MiB, budget is 2 MiB"]
     assert not out.exists()
 
 

@@ -144,10 +144,10 @@ class TestSolveProperties:
             sg.solve(mc)
 
     def test_budget_refusal_rounds_the_estimate_up(self, monkeypatch):
-        # KQvK 4x4 needs 2,262,528 bytes: over a 2 MiB budget, so the
+        # KBvK 3x5 needs 2,505,600 bytes: over a 2 MiB budget, so the
         # message must not read "needs about 2 MiB, budget is 2 MiB".
         monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", "2")
-        mc = sg.MaterialClass.from_string("KQvK", sg.BoardSpec(4, 4))
+        mc = sg.MaterialClass.from_string("KBvK", sg.BoardSpec(3, 5))
         with pytest.raises(sg.BudgetExceededError) as refusal:
             sg.solve(mc)
         match = re.search(r"needs about (\d+) MiB, budget is (\d+) MiB", str(refusal.value))
@@ -155,14 +155,18 @@ class TestSolveProperties:
         assert (estimate, budget) == (3, 2)
         assert estimate > budget
 
-    @pytest.mark.parametrize("text", ["KRvK", "KQvK"])
-    def test_budget_estimate_bounds_the_measured_peak(self, text):
+    @pytest.mark.parametrize("text, size", [("KRvK", 8), ("KQvK", 8), ("KPvK", 6)],
+                             ids=["KRvK", "KQvK", "KPvK-6x6"])
+    def test_budget_estimate_bounds_the_measured_peak(self, text, size):
+        # KPvK 6x6 solves its subclasses first and keeps captures and
+        # promotions as exits.
         baseline = child_peak_rss("import numpy, strategia")
         peak = child_peak_rss(
             "import strategia as sg; "
-            f"sg.solve(sg.MaterialClass.from_string({text!r}, sg.BoardSpec.standard()))"
+            f"sg.solve(sg.MaterialClass.from_string({text!r}, sg.BoardSpec({size}, {size})))"
         )
-        assert peak <= baseline + _solve_bytes(sg.MaterialClass.from_string(text, STANDARD))
+        spec = sg.BoardSpec(size, size)
+        assert peak <= baseline + _solve_bytes(sg.MaterialClass.from_string(text, spec))
 
     def test_probe_material_mismatch(self, kqk4):
         pos = sg.parse_fen("k3/4/4/K3 w - -", sg.BoardSpec(4, 4))
