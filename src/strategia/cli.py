@@ -81,16 +81,6 @@ def _parse_capacity_range(text: str):
     return list(range(lo, hi + 1))
 
 
-def _worker_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"worker count must be at least 1, got {value}")
-    return value
-
-
 def _stderr(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -137,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--thresholds", help="JSON file overriding atypicality thresholds")
     p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.AUGMENTED.value)
-    p.add_argument("--workers", type=_worker_count, default=1)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("evalprobe", help="capacity sweep of linear evaluators vs table truth")
@@ -245,7 +234,6 @@ def _cmd_experiment(args, argv) -> int:
         args.seed,
         thresholds=thresholds,
         mode=Mode(args.mode),
-        workers=args.workers,
         progress=_stderr,
     )
     out_dir = Path(args.out)

@@ -45,7 +45,6 @@ from .encoding import Mode, code_rows, encode, mark_double_pushes
 from .errors import UnsupportedCaseError, ValidationError
 from .fen import format_fen
 from .playout import Playout
-from .runio import fork_map
 from .tablebase import Tablebase, Wdl, WdlDtm, _decode_columns, index_of, position_at
 
 SCHEMA_VERSION = 1
@@ -496,19 +495,17 @@ def sample_experiment(
     *,
     thresholds: AtypicalityThresholds = DEFAULT_THRESHOLDS,
     mode: Mode = Mode.AUGMENTED,
-    workers: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ExperimentReport:
     """Sample decisive bases, perturb each, and aggregate the divergence records.
 
     The lines of every base and decisive perturbation are walked
     together, one batched choice per ply (``Policy.walk``, reported
-    through `progress`), before `workers` forked processes build the
-    records base by base from them; the policy is never swept.
+    through `progress`), before the records are built base by base
+    from them; the policy is never swept.
 
-    Fully deterministic for a fixed (table, sample_size, seed) triple;
-    worker count cannot change the output because records are merged in
-    canonical (base index, perturbation) order.
+    A pure function of (table, sample_size, seed, mode, thresholds):
+    records come in canonical (base index, perturbation) order.
     """
     decisive = tb.decisive_indices()
     if decisive.size == 0:
@@ -524,22 +521,19 @@ def sample_experiment(
         chosen = decisive[rng.sample(range(decisive.size), sample_size)]
     base_indices = sorted(chosen.tolist())
 
-    # Walked here, so forked workers inherit every line and choose no row.
     bases = [_locate_base(tb, idx) for idx in base_indices]
     starts = [idx for base in bases for idx in base.line_starts]
     policy = tb.policy()
     top = np.full(len(starts), policy.slots[tb.material.key])
     slots, indices, keys = policy.walk(top, starts, progress=progress)
-    ends = np.cumsum([len(base.line_starts) for base in bases]).tolist()
-
-    def base_pairs(j):
-        lines = slice(ends[j - 1] if j else 0, ends[j])
-        return _pairs_for_base(
-            policy, bases[j], slots[:, lines], indices[:, lines], keys[:, lines], mode
+    pairs = []
+    end = 0
+    for base in bases:
+        lines = slice(end, end + len(base.line_starts))
+        end = lines.stop
+        pairs += _pairs_for_base(
+            policy, base, slots[:, lines], indices[:, lines], keys[:, lines], mode
         )
-
-    per_base = fork_map(base_pairs, range(len(bases)), workers)
-    pairs = [pair for records in per_base for pair in records]
 
     counts = {
         "bases": len(base_indices),
@@ -591,8 +585,8 @@ def sample_experiment(
         }
 
     atypicality = {"depletion": 0, "forced-mate": 0, "material-gap": 0, "typical": 0}
-    for idx in base_indices:
-        result = is_atypical(position_at(idx, tb.material), tb, thresholds)
+    for base in bases:
+        result = is_atypical(base.position, tb, thresholds)
         if not result.atypical:
             atypicality["typical"] += 1
         for reason in result.reasons:

@@ -7,11 +7,6 @@ manifest.jsonl, single-file artifacts get a `<name>.manifest.jsonl`
 sidecar. Manifests are append-only JSON lines; they carry the
 timestamp, so reruns keep data files byte-identical while the manifest
 accumulates one entry per run.
-
-``fork_map`` is the one worker-pool helper, and only experiments fan
-out over processes (``sample_experiment``'s bases); solves run in
-process. It maps in process for one worker and over a fork pool
-otherwise, returning results in input order either way.
 """
 
 from __future__ import annotations
@@ -21,40 +16,6 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Optional
-
-from .errors import ValidationError
-
-# The job of the running fork pool; forked workers inherit it, so
-# neither the function nor the items have to be pickled.
-_FORK_JOB: Optional[tuple] = None
-
-
-def _run_forked(position: int):
-    fn, items = _FORK_JOB
-    return fn(items[position])
-
-
-def check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValidationError(f"workers must be at least 1, got {workers}")
-
-
-def fork_map(fn: Callable, items, workers: int) -> list:
-    """``[fn(item) for item in items]``, over `workers` forked processes if more than one."""
-    check_workers(workers)
-    items = list(items)
-    if workers == 1:
-        return [fn(item) for item in items]
-    import multiprocessing
-
-    global _FORK_JOB
-    _FORK_JOB = (fn, items)
-    try:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            return pool.map(_run_forked, range(len(items)))
-    finally:
-        _FORK_JOB = None
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:

@@ -149,10 +149,12 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_exits_2(self, kqk4_file, tmp_path, capsys, workers):
+        # experiment runs in process and has no --workers option, so argparse refuses it
         out = tmp_path / "run"
         code = main(["experiment", "--tb", str(kqk4_file), "--sample", "6",
                      "--seed", "1", "--workers", workers, "--out", str(out)])
         assert code == 2
+        assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [

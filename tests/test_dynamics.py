@@ -246,32 +246,23 @@ class TestSampleExperiment:
         b = sg.sample_experiment(krk5, 25, seed=10)
         assert a.json_text() != b.json_text()
 
-    def test_workers_do_not_change_the_report(self, krk5):
-        a = sg.sample_experiment(krk5, 12, seed=3, workers=1)
-        b = sg.sample_experiment(krk5, 12, seed=3, workers=2)
-        assert a.json_text() == b.json_text()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_the_policy_is_built_before_the_bases_are_forked(self, kqkr34, monkeypatch, workers):
-        # Forked workers inherit the swept policy; none chooses a row again.
-        fork_map = dynamics.fork_map
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_policy_is_built_before_the_bases_are_forked(self, kqkr34, monkeypatch, seed):
+        # The walk chooses every row; building each base's records after it,
+        # in the same process, chooses none.
+        pairs_for_base = dynamics._pairs_for_base
 
         def no_build(*args):
-            raise AssertionError("a policy row was chosen after the bases were handed out")
+            raise AssertionError("a policy row was chosen after the walk")
 
-        def handing_out(fn, items, count):
+        def building(*args):
             monkeypatch.setattr(tablebase, "_policy_arrays", no_build)
             monkeypatch.setattr(tablebase, "_choose", no_build)
-            return fork_map(fn, items, count)
+            return pairs_for_base(*args)
 
-        monkeypatch.setattr(dynamics, "fork_map", handing_out)
-        report = sg.sample_experiment(dataclasses.replace(kqkr34), 6, seed=2, workers=workers)
+        monkeypatch.setattr(dynamics, "_pairs_for_base", building)
+        report = sg.sample_experiment(dataclasses.replace(kqkr34), 6, seed=seed)
         assert report.counts["bases"] == 6
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_rejected(self, krk5, workers):
-        with pytest.raises(sg.ValidationError, match="workers"):
-            sg.sample_experiment(krk5, 5, seed=1, workers=workers)
 
     def test_empty_decisive_set_is_an_error(self):
         tb = sg.solve(sg.MaterialClass.from_string("KvK", sg.BoardSpec(4, 4)))

@@ -140,17 +140,6 @@ def test_cli_experiment_reports_the_policy_sweep_after_the_solves_and_path_runs_
         assert not any(line.startswith("solving") for line in err[built[0]:])
 
 
-def test_experiment_workers_do_not_change_the_output(kpk4_file, tmp_path):
-    outputs = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        code = main(["experiment", "--tb", str(kpk4_file), "--sample", "30", "--seed", "5",
-                     "--workers", workers, "--out", str(out)])
-        assert code == 0
-        outputs.append(((out / "report.json").read_bytes(), (out / "records.csv").read_bytes()))
-    assert outputs[0] == outputs[1]
-
-
 class TestProbeRefusals:
     def test_wrong_board_size(self, kpk4):
         pos = sg.parse_fen("5/5/1P1k1/5/K4 w - -", sg.BoardSpec(5, 5))
