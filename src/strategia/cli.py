@@ -168,12 +168,10 @@ def _cmd_solve(args, argv) -> int:
 def _cmd_probe(args, argv) -> int:
     table = Tablebase.load(args.tb)
     pos = parse_fen(args.fen, table.material.spec)
-    value = table.probe(pos)
+    idx = index_of(pos, table.material)
+    value = table.value_at(idx)
     dtm = "-" if value.dtm is None else value.dtm
-    print(
-        f"material={table.material.name} index={index_of(pos, table.material)} "
-        f"wdl={value.wdl.name.lower()} dtm={dtm}"
-    )
+    print(f"material={table.material.name} index={idx} wdl={value.wdl.name.lower()} dtm={dtm}")
     return EXIT_OK
 
 

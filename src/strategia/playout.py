@@ -110,8 +110,8 @@ def generate_playout(
 
     The number of steps equals the probed distance to mate exactly, and
     the probed dtm falls by exactly one per ply: the policy checks that
-    every choice is at dtm - 1, and that the (LOSS, 0) entry the line
-    ends on is checkmate, and raises RuntimeError otherwise.
+    every choice is at dtm - 1, and checked when it was made that every
+    (LOSS, 0) entry is checkmate, and raises RuntimeError otherwise.
     """
     table, idx = tb.locate(pos)
     value = table.value_at(idx)
@@ -125,7 +125,6 @@ def generate_playout(
         move, slot, idx = policy.choice(slot, idx)
         current = play(current, move)
         steps.append(PlayoutStep(move, current, encode(current, mode), dtm))
-    policy.check_mate(slot, idx)
     return Playout(
         initial=pos,
         initial_vector=encode(pos, mode),

@@ -36,15 +36,15 @@ file holds one class, so a loaded table has no subtables until
 ``solve_subclasses`` solves them.
 
 The playout policy (``Tablebase.policy``) is memoized on the table and
-never touched by a lookup. It reads the value of every move of a
-decisive, non-terminal index (``_successor_values``) and keeps the
-policy's move with the (class slot, index) it reaches (``_choose``):
-one row at a time for the first lines played, then in one sweep per
-class into arrays (``_policy_arrays``), which also checks that every
-(LOSS, 0) entry is checkmate (``_check_mates``). ``Policy.walk`` plays
-many lines at once without the sweep: one ``_choose`` per ply and
-(class, side to move) group of their distinct rows, and a
-``_check_mates`` of the rows they end on.
+never touched by a lookup. Making it checks, once, that every (LOSS, 0)
+entry of the closure's loaded tables is checkmate (``_check_mates``).
+It reads the value of every move of a decisive, non-terminal index
+(``_successor_values``) and keeps the policy's move with the (class
+slot, index) it reaches (``_choose``): one row at a time for the first
+lines played, then in one sweep per class into arrays
+(``_policy_arrays``), or a ply at a time for many lines together
+(``Policy.walk``). ``_side_blocks`` cuts every batch of rows into
+same-side blocks.
 
 One codec holds the index layout: ``_decode_columns`` splits indices
 into the side to move and one square (digit) per piece slot,
@@ -429,6 +429,8 @@ class Tablebase:
     def policy(self) -> "Policy":
         """The policy of this table's closure, memoized while ``subtables`` holds the same tables.
 
+        Making it checks every (LOSS, 0) entry of the closure's loaded
+        tables; a false mate raises RuntimeError and memoizes nothing.
         Getting it sweeps nothing: ``Policy.choice`` chooses a row at a
         time until ``Policy.sweep`` (called by it, or by a caller that
         plays many lines) chooses every row at once. Lookups never
@@ -609,12 +611,12 @@ def _static_code(wdl, dtm):
 # Vectorized move generation. Each block of indices is decoded into
 # digit columns (one square per piece slot) and expanded into candidate
 # moves per mover slot; occupancy is one uint64 bitboard per row. The
-# build and each pass's un-moves run over blocks of at most this many
-# indices, so their temporaries stay bounded (``_solve_bytes`` allows 48
-# bytes per row and move; about 15-36 were measured). With no edges
-# stored, these temporaries are a large part of a solve's peak: traced
-# in process (tracemalloc), KRvK 8x8 peaks at 8.0 MiB and KQvK 8x8 at
-# 11.0 MiB.
+# build, un-moves and batches of policy rows run over blocks of at most
+# this many indices, so their temporaries stay bounded (``_solve_bytes``
+# allows 48 bytes per row and move; about 15-36 were measured). With no
+# edges stored, these temporaries are a large part of a solve's peak:
+# traced in process (tracemalloc), KRvK 8x8 peaks at 8.0 MiB and KQvK
+# 8x8 at 11.0 MiB.
 _BUILD_BLOCK = 4096
 
 
@@ -1055,17 +1057,22 @@ class Policy:
     """The policy's move at every decisive, non-terminal index of a closure's tables.
 
     Slot s is class s of ``_closure`` and ``tables[s]`` its table (None
-    where none is loaded). ``choice`` gives a row's move and the (slot,
-    index) it reaches. Until ``sweep`` has run it chooses each row on
-    its own, and the ``_ROWS_BEFORE_SWEEP``-th such row runs the sweep.
-    The sweep fills, for each loaded slot, the arrays ``move[s]`` (the
-    move key ``(from * S + to) * 8 + promotion kind``), ``succ_slot[s]``
-    and ``succ_index[s]``, 0 at rows with no move, and counts the rows
-    it chose in ``rows``. Both check every row they choose, and a
-    failed sweep keeps nothing.
+    where none is loaded). Making a policy checks every decisive dtm-0
+    entry of each loaded table (``_check_mates``), so a line ends in
+    checkmate. ``choice`` gives a row's move and the (slot, index) it
+    reaches. Until ``sweep`` has run it chooses each row on its own, and
+    the ``_ROWS_BEFORE_SWEEP``-th such row runs the sweep. The sweep
+    fills, for each loaded slot, the arrays ``move[s]`` (the move key
+    ``(from * S + to) * 8 + promotion kind``), ``succ_slot[s]`` and
+    ``succ_index[s]``, 0 at rows with no move, and counts the rows it
+    chose in ``rows``. Both check every row they choose, and a failed
+    sweep keeps nothing.
     """
 
     def __init__(self, material, tables: tuple, slots: dict, table_for):
+        for table in tables:
+            if table is not None:
+                _check_mates(table)
         self.material = material
         self.tables = tables
         self.slots = slots  # class key -> slot
@@ -1083,12 +1090,13 @@ class Policy:
             return self
         start = time.perf_counter()
         arrays = [
-            (None, None, None, 0) if table is None
+            (None, None, None) if table is None
             else _policy_arrays(table, self._table_for, self.slots)
             for table in self.tables
         ]
-        self.move, self.succ_slot, self.succ_index, rows = zip(*arrays)
-        self.rows = sum(rows)
+        self.move, self.succ_slot, self.succ_index = zip(*arrays)
+        # A move key is never 0, so the chosen rows are the nonzero keys.
+        self.rows = sum(int(np.count_nonzero(move)) for move in self.move if move is not None)
         if progress:
             progress(
                 f"policy {self.material.name}: {self.rows} rows "
@@ -1114,20 +1122,13 @@ class Policy:
         promotion = PieceKind(key & 7) if key & 7 else None
         return Move(src, dest, promotion), succ_slot, succ_index
 
-    def check_mate(self, slot: int, idx: int) -> None:
-        """Raise RuntimeError unless the (LOSS, 0) index `idx` is checkmate; a sweep checked all."""
-        if self.move is None:
-            table = self.tables[slot]
-            _check_mates(table, idx // _context(table.material).half, np.array([idx]))
-
     def walk(self, slot, idx, *, progress: Optional[Callable[[str], None]] = None) -> tuple:
         """The lines from the decisive (slot, index) starts, all walked together a ply at a time.
 
-        At each ply the lines still moving are grouped by class slot and
-        side to move, and each group's distinct rows are chosen in one
-        ``_choose``, with every check it makes; the row each line ends
-        on is checked to be checkmate (``_check_mates``). The sweep
-        arrays are neither read nor built. Returns the (plies + 1,
+        At each ply the lines still moving are grouped by class slot,
+        and each group's distinct rows are chosen by ``_choose``, one
+        ``_side_blocks`` block at a time, with every check it makes. The
+        sweep arrays are neither read nor built. Returns the (plies + 1,
         lines) slot and index of every ply and the (plies, lines) move
         keys, plies being the greatest start dtm: a line of dtm d moves
         at plies 0..d-1, then repeats its last row under move key 0.
@@ -1137,7 +1138,8 @@ class Policy:
         slot = np.array(slot, dtype=np.uint8)
         idx = np.array(idx, dtype=np.int64)
         dtm = np.zeros(idx.size, dtype=np.int64)
-        for s, _, lines in self._groups(slot, idx):
+        for s in np.unique(slot).tolist():
+            lines = np.flatnonzero(slot == s)
             table = self.tables[s]
             wdl = table.wdl[idx[lines]]
             _refuse(table.material, idx[lines], (wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value),
@@ -1151,31 +1153,26 @@ class Policy:
         rows = 0
         for n in range(plies):
             moving = np.flatnonzero(dtm > n)
-            for s, side, lines in self._groups(slot[moving], idx[moving]):
-                lines = moving[lines]
+            # Every group is taken before any of its lines moves to another slot.
+            groups = [(s, moving[slot[moving] == s]) for s in np.unique(slot[moving]).tolist()]
+            for s, lines in groups:
+                table = self.tables[s]
                 unique, inverse = np.unique(idx[lines], return_inverse=True)
                 rows += unique.size
-                key, to_slot, to_idx = _choose(self.tables[s], side, unique, self._table_for, self.slots)
-                keys[n, lines] = key[inverse]
-                slot[lines], idx[lines] = to_slot[inverse], to_idx[inverse]
+                chosen = [
+                    _choose(table, side, block, self._table_for, self.slots)
+                    for side, block in _side_blocks(table.material, unique)
+                ]
+                key, to_slot, to_idx = (np.concatenate(parts)[inverse] for parts in zip(*chosen))
+                keys[n, lines] = key
+                slot[lines], idx[lines] = to_slot, to_idx
             slots[n + 1], indices[n + 1] = slot, idx
-        for s, side, lines in self._groups(slot, idx):
-            _check_mates(self.tables[s], side, np.unique(idx[lines]))
         if progress:
             progress(
                 f"policy {self.material.name}: {rows} rows "
                 f"in {time.perf_counter() - start:.2f} s"
             )
         return slots, indices, keys
-
-    def _groups(self, slot, idx) -> list:
-        """(class slot, side to move, positions in `idx`) of each group of rows that share both."""
-        out = []
-        for s in np.unique(slot).tolist():
-            at = np.flatnonzero(slot == s)
-            side = idx[at] // _context(self.tables[s].material).half
-            out += [(s, b, at[side == b]) for b in np.unique(side).tolist()]
-        return out
 
 
 _NO_MOVE = np.iinfo(np.int64).max
@@ -1218,50 +1215,57 @@ def _choose(table, side, idx, table_for, slots) -> tuple:
     return tuple(np.take_along_axis(a, pick, axis=1)[:, 0] for a in (key, to_slot, to_idx))
 
 
-def _check_mates(table, side, idx) -> None:
-    """Raise RuntimeError naming the first of the (LOSS, 0) indices `idx` that is not checkmate.
+def _check_mates(table) -> None:
+    """Raise RuntimeError naming the first decisive dtm-0 entry of `table` that is not checkmate.
 
-    The indices all have `side` to move; one that is not a legal
-    position raises ValidationError.
+    A line ends on such an entry without asking the rules. A win at dtm
+    0 is never valid; a (LOSS, 0) entry must be a legal position
+    (ValidationError otherwise) whose side to move is in check and has
+    no move.
     """
     material = table.material
-    ok, digits, occ = _legal_rows(material, side, idx)
-    _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
-    mated = _in_check(material, side, digits, occ)
-    for _, _, legal, _, _ in _successors(material, side, digits, occ):
-        mated &= ~legal.any(axis=1)
-    _refuse(material, idx, mated, RuntimeError, "a (LOSS, 0) entry is not checkmate")
+    ends = np.flatnonzero(table.dtm == 0)
+    wdl = table.wdl[ends]
+    ends = ends[(wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value)]
+    _refuse(material, ends, table.wdl[ends] == Wdl.LOSS.value,
+            RuntimeError, "a (WIN, 0) entry is not checkmate")
+    for side, idx in _side_blocks(material, ends):
+        ok, digits, occ = _legal_rows(material, side, idx)
+        _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
+        mated = _in_check(material, side, digits, occ)
+        for _, _, legal, _, _ in _successors(material, side, digits, occ):
+            mated &= ~legal.any(axis=1)
+        _refuse(material, idx, mated, RuntimeError, "a (LOSS, 0) entry is not checkmate")
 
 
 def _policy_arrays(table, table_for, slots) -> tuple:
-    """(move, successor slot, successor index) arrays of one table, and its rows.
+    """(move, successor slot, successor index) arrays of one table.
 
-    Checks every (LOSS, 0) index first (``_check_mates``), so that a
-    playout ends in checkmate, then chooses every decisive, non-terminal
-    index (``_choose``), block by block, into arrays allocated before
-    the sweep.
+    Chooses every decisive, non-terminal index (``_choose``), one
+    ``_side_blocks`` block at a time, into arrays allocated before the
+    sweep.
     """
     material = table.material
     n = material.index_size
     move = np.zeros(n, dtype=np.uint16)
     succ_slot = np.zeros(n, dtype=np.uint8)
     succ_index = np.zeros(n, dtype=np.uint32)
-    blocks = _build_blocks(material, 0, n)
-    lost = table.wdl == Wdl.LOSS.value
-    mate = lost & (table.dtm == 0)
-    for side, lo, hi in blocks:
-        idx = lo + np.flatnonzero(mate[lo:hi])
-        if idx.size:
-            _check_mates(table, side, idx)
-    todo = (table.wdl == Wdl.WIN.value) | (lost & ~mate)
-    rows = 0
-    for side, lo, hi in blocks:
-        idx = lo + np.flatnonzero(todo[lo:hi])
-        if idx.size == 0:
-            continue
-        rows += idx.size
+    decisive = (table.wdl == Wdl.WIN.value) | (table.wdl == Wdl.LOSS.value)
+    for side, idx in _side_blocks(material, np.flatnonzero(decisive & (table.dtm > 0))):
         move[idx], succ_slot[idx], succ_index[idx] = _choose(table, side, idx, table_for, slots)
-    return move, succ_slot, succ_index, rows
+    return move, succ_slot, succ_index
+
+
+def _side_blocks(material: MaterialClass, idx: np.ndarray):
+    """(side, block) of the sorted indices `idx`, in order.
+
+    The indices are cut at the side bit, and each side's into blocks
+    of at most ``_BUILD_BLOCK``, so a block's temporaries stay bounded.
+    """
+    cut = int(np.searchsorted(idx, _context(material).half))
+    for side, part in enumerate((idx[:cut], idx[cut:])):
+        for start in range(0, part.size, _BUILD_BLOCK):
+            yield side, part[start:start + _BUILD_BLOCK]
 
 
 def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
@@ -1460,12 +1464,9 @@ def _solve_single(material, registry, progress) -> Tablebase:
 def _frontier_predecessors(material, frontier, statics):
     """The predecessors of the sorted indices `frontier`, one array per block, then `statics`.
 
-    The frontier is split at the side bit into blocks of at most
-    ``_BUILD_BLOCK`` indices, and each block's un-moves are flattened.
+    The blocks are ``_side_blocks``', so each block's un-moves stay bounded.
     """
-    cut = int(np.searchsorted(frontier, _context(material).half))
-    for side, part in enumerate((frontier[:cut], frontier[cut:])):
-        for start in range(0, part.size, _BUILD_BLOCK):
-            pred = _unmoves(material, side, part[start:start + _BUILD_BLOCK])
-            yield pred[pred >= 0]
+    for side, block in _side_blocks(material, frontier):
+        pred = _unmoves(material, side, block)
+        yield pred[pred >= 0]
     yield statics

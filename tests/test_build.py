@@ -22,6 +22,7 @@ from strategia.tablebase import (
     DTM_ABSENT,
     _build_blocks,
     _build_side,
+    _side_blocks,
     _in_check,
     _legal_rows,
     _max_move_bound,
@@ -246,6 +247,13 @@ def test_build_blocks_split_at_the_side_bit(request, fixture):
         for side, start, stop in blocks:
             assert 0 < stop - start <= _BUILD_BLOCK
             assert side == start // half == (stop - 1) // half
+    # Sorted index lists (a policy's rows, a frontier) split the same way.
+    for idx in (table.decisive_indices(), np.arange(half - 300, half + 300), np.arange(half)):
+        blocks = list(_side_blocks(material, idx))
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), idx)
+        for side, block in blocks:
+            assert 0 < block.size <= _BUILD_BLOCK
+            assert (block // half == side).all()
     registry = registry_of(table)
     assert_builds_match(material, registry, half - 300, half + 300,
                         lambda i: reference_class(material, registry, i))

@@ -11,7 +11,7 @@ from strategia.dynamics import (
     OutcomeClass,
     material_gap,
 )
-from test_policy import false_mates
+from test_policy import false_mates, not_checkmate, plant_false_mate
 
 
 def fen(text, spec=None):
@@ -372,16 +372,19 @@ class TestWalkedLines:
 
     @pytest.mark.parametrize("case", ["stalemate", "has-a-move"])
     def test_a_loss_at_dtm_0_that_is_not_checkmate_raises(self, kqk4, case):
+        # The policy checks every (LOSS, 0) entry when it is made, so an
+        # experiment refuses a false mate before it walks any line.
         idx = dict(false_mates(kqk4))[case]
-        broken = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy(), dtm=kqk4.dtm.copy())
-        broken.wdl[idx], broken.dtm[idx] = sg.Wdl.LOSS.value, 0
-        policy = broken.policy()
-        with pytest.raises(RuntimeError, match=f"KQvK index {idx}: a \\(LOSS, 0\\) entry is not checkmate"):
-            policy.walk([policy.slots[kqk4.material.key]], [idx])
-        # Every base is sampled, so some line reaches the entry. A line
-        # choosing it at a dtm other than 1 breaks the recurrence first.
-        with pytest.raises(RuntimeError, match="is not checkmate|dtm - 1"):
+        broken = plant_false_mate(kqk4, idx)
+        message = not_checkmate("KQvK", idx)
+        with pytest.raises(RuntimeError, match=message):
+            broken.policy()
+        with pytest.raises(RuntimeError, match=message):
+            sg.generate_playout(sg.position_at(idx, kqk4.material), broken)
+        with pytest.raises(RuntimeError, match=message):
             sg.sample_experiment(broken, broken.decisive_indices().size, seed=1)
+        with pytest.raises(RuntimeError, match=message):
+            broken.policy()
 
     def test_a_dtm_broken_by_two_raises(self, kqk4):
         broken = dataclasses.replace(kqk4, dtm=kqk4.dtm.copy())

@@ -8,6 +8,7 @@ policy (`Tablebase.policy`) must pick the same move and reach the same
 """
 
 import dataclasses
+import io
 import random
 
 import numpy as np
@@ -208,6 +209,26 @@ def test_rows_chosen_alone_equal_the_sweep(closure, monkeypatch):
     assert alone.move is None
 
 
+def test_small_blocks_choose_the_same_moves(kqkr34, monkeypatch):
+    # Blocks of 16 rows make the walk and the sweep choose in many blocks.
+    def run():
+        table = dataclasses.replace(kqkr34)
+        report = sg.sample_experiment(table, 40, seed=1)
+        records = io.StringIO()
+        report.write_records_csv(records)
+        policy = table.policy().sweep()
+        return report.json_text(), records.getvalue(), policy
+
+    want = run()
+    monkeypatch.setattr(tablebase, "_BUILD_BLOCK", 16)
+    got = run()
+    assert got[:2] == want[:2]
+    for name in ("move", "succ_slot", "succ_index"):
+        for a, b in zip(getattr(got[2], name), getattr(want[2], name)):
+            assert (a is None and b is None) or np.array_equal(a, b), name
+    assert got[2].rows == want[2].rows > 0
+
+
 def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
     broken = dataclasses.replace(kqk4, dtm=kqk4.dtm.copy())
     idx = next(i for i in kqk4.decisive_indices().tolist() if kqk4.wdl[i] == sg.Wdl.WIN.value)
@@ -236,16 +257,57 @@ def false_mates(table):
     return sorted(found.items())
 
 
+def plant_false_mate(table, idx):
+    """A copy of `table` whose entry `idx` is (LOSS, 0)."""
+    broken = dataclasses.replace(table, wdl=table.wdl.copy(), dtm=table.dtm.copy())
+    broken.wdl[idx], broken.dtm[idx] = sg.Wdl.LOSS.value, 0
+    return broken
+
+
+def not_checkmate(name, idx):
+    return f"{name} index {idx}: a \\(LOSS, 0\\) entry is not checkmate"
+
+
 @pytest.mark.parametrize("case", ["stalemate", "has-a-move"])
 def test_a_loss_at_dtm_0_that_is_not_checkmate_raises(kqk4, case):
-    # A line ends on a (LOSS, 0) entry without asking the rules, so the
-    # policy checks each such entry against them.
+    # A line ends on a (LOSS, 0) entry without asking the rules, so
+    # making the policy checks each such entry against them.
     idx = dict(false_mates(kqk4))[case]
-    broken = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy(), dtm=kqk4.dtm.copy())
-    broken.wdl[idx], broken.dtm[idx] = sg.Wdl.LOSS.value, 0
+    broken = plant_false_mate(kqk4, idx)
     pos = sg.position_at(idx, kqk4.material)
-    with pytest.raises(RuntimeError, match=f"KQvK index {idx}: a \\(LOSS, 0\\) entry is not checkmate"):
+    with pytest.raises(RuntimeError, match=not_checkmate("KQvK", idx)):
+        broken.policy()
+    with pytest.raises(RuntimeError, match=not_checkmate("KQvK", idx)):
         sg.generate_playout(pos, broken)
-    with pytest.raises(RuntimeError, match=f"KQvK index {idx}: a \\(LOSS, 0\\) entry is not checkmate"):
-        broken.policy().sweep()
-    assert broken.policy().move is None
+    with pytest.raises(RuntimeError, match=not_checkmate("KQvK", idx)):
+        sg.sample_experiment(broken, 5, seed=1)
+    # Nothing was memoized, so asking again checks again.
+    with pytest.raises(RuntimeError, match=not_checkmate("KQvK", idx)):
+        broken.policy()
+
+
+def test_a_false_mate_no_line_reaches_still_raises(kpk4):
+    # The false mate sits in a subtable that the line played never
+    # reaches; the policy refuses the whole closure before any move.
+    sub = kpk4.subtables[sg.MaterialClass.from_string("KQvK", SPEC4).key]
+    idx = dict(false_mates(sub))["has-a-move"]
+    table = dataclasses.replace(kpk4, subtables=dict(kpk4.subtables))
+    table.subtables[sub.material.key] = plant_false_mate(sub, idx)
+    def reaches_kqk(idx):
+        line = sg.generate_playout(sg.position_at(idx, kpk4.material), kpk4)
+        return sub.material.key in {sg.material_key_of(step.position) for step in line.steps}
+
+    starts = kpk4.decisive_indices().tolist()
+    start = next(i for i in starts if kpk4.dtm[i] > 0 and not reaches_kqk(i))
+    with pytest.raises(RuntimeError, match=not_checkmate("KQvK", idx)):
+        table.policy()
+    with pytest.raises(RuntimeError, match=not_checkmate("KQvK", idx)):
+        sg.generate_playout(sg.position_at(start, kpk4.material), table)
+
+
+def test_a_win_at_dtm_0_raises(kqk4):
+    idx = next(i for i in kqk4.decisive_indices().tolist() if kqk4.wdl[i] == sg.Wdl.WIN.value)
+    broken = dataclasses.replace(kqk4, dtm=kqk4.dtm.copy())
+    broken.dtm[idx] = 0
+    with pytest.raises(RuntimeError, match=f"KQvK index {idx}: a \\(WIN, 0\\) entry"):
+        broken.policy()
