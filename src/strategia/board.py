@@ -30,7 +30,7 @@ class Color(IntEnum):
         return 1 if self is Color.WHITE else -1
 
     def other(self) -> "Color":
-        return Color(1 - self.value)
+        return Color.BLACK if self is Color.WHITE else Color.WHITE
 
 
 class PieceKind(IntEnum):

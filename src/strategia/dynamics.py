@@ -507,19 +507,13 @@ def sample_experiment(
     A pure function of (table, sample_size, seed, mode, thresholds):
     records come in canonical (base index, perturbation) order.
     """
-    decisive = tb.decisive_indices()
-    if decisive.size == 0:
+    # A table with no decisive entry is refused before a size that is
+    # not positive, so such a size still draws one base to find out.
+    base_indices = tb.decisive_sample(random.Random(seed), max(sample_size, 1)).tolist()
+    if not base_indices:
         raise UnsupportedCaseError("table has no decisive entries to sample")
     if sample_size <= 0:
         raise ValidationError("sample_size must be positive")
-    rng = random.Random(seed)
-    if sample_size >= decisive.size:
-        chosen = decisive
-    else:
-        # random.sample picks by (n, k, RNG state) alone, so drawing
-        # positions into the array picks the same bases as the list did.
-        chosen = decisive[rng.sample(range(decisive.size), sample_size)]
-    base_indices = sorted(chosen.tolist())
 
     bases = [_locate_base(tb, idx) for idx in base_indices]
     starts = [idx for base in bases for idx in base.line_starts]

@@ -8,9 +8,9 @@ to mate (positive when the side to move wins, negative when it loses),
 so the sign of a prediction doubles as a win/loss call. Fitting and
 evaluation are deterministic given dataset order and seed.
 
-Features are computed in one numpy batch, not one position at a time:
-a dataset's table indices are decoded into one square column per piece
-slot with the solver's decode, and mobility counts moves with the
+Features are computed in numpy batches of rows, not one position at a
+time: a dataset's table indices are decoded into one square column per
+piece slot with the solver's decode, and mobility counts moves with the
 solver's move tables (``tablebase._MoveTables``), so the rules keep one
 vectorized form. ``extract_features`` feeds one position's pieces
 through the same column code.
@@ -28,7 +28,7 @@ import numpy as np
 from .board import BoardSpec, Color, Piece, PieceKind, Position
 from .dynamics import material_points
 from .errors import UnknownFeatureError, ValidationError
-from .tablebase import Tablebase, Wdl, _decode_columns, _move_tables
+from .tablebase import _BUILD_BLOCK, Tablebase, Wdl, _decode_columns, _move_tables
 
 
 _MATERIAL_FEATURES = {
@@ -131,6 +131,11 @@ def extract_features(pos: Position, names: Sequence[str] = DEFAULT_FEATURE_CHAIN
     return _feature_matrix(pos.spec, [p for _, p in placed], squares, side, names)[0]
 
 
+def _check_sample_size(sample_size: Optional[int]) -> None:
+    if sample_size is not None and sample_size < 1:
+        raise ValidationError(f"sample size must be at least 1, got {sample_size}")
+
+
 def build_dtm_dataset(
     tb: Tablebase,
     names: Sequence[str] = DEFAULT_FEATURE_CHAIN,
@@ -140,19 +145,25 @@ def build_dtm_dataset(
     """(X, y, indices) over decisive entries, optionally a seeded subsample.
 
     Rows are ordered by table index, so the dataset is a pure function
-    of (table, names, sample_size, seed). The targets are signed dtm:
-    +dtm for wins, -dtm for losses, from the side to move's view.
+    of (table, names, sample_size, seed); the subsample is
+    ``Tablebase.decisive_sample`` drawn by ``Random(seed)``. The targets
+    are signed dtm: +dtm for wins, -dtm for losses, from the side to
+    move's view. The feature rows are filled ``_BUILD_BLOCK`` rows at a
+    time, so their temporaries stay bounded.
     """
-    if sample_size is not None and sample_size < 1:
-        raise ValidationError(f"sample size must be at least 1, got {sample_size}")
-    decisive = tb.decisive_indices()
+    _check_sample_size(sample_size)
+    if sample_size is None:
+        decisive = tb.decisive_indices()
+    else:
+        decisive = tb.decisive_sample(random.Random(seed), sample_size)
     if not decisive.size:
         raise ValidationError("table has no decisive entries")
-    if sample_size is not None and sample_size < decisive.size:
-        rng = random.Random(seed)
-        decisive = decisive[sorted(rng.sample(range(decisive.size), sample_size))]
-    side, squares = _decode_columns(tb.material, decisive)
-    X = _feature_matrix(tb.material.spec, list(tb.material.pieces), squares, side, names)
+    pieces = list(tb.material.pieces)
+    X = np.empty((decisive.size, len(names)), dtype=np.float64)
+    for lo in range(0, decisive.size, _BUILD_BLOCK):
+        rows = decisive[lo:lo + _BUILD_BLOCK]
+        side, squares = _decode_columns(tb.material, rows)
+        X[lo:lo + rows.size] = _feature_matrix(tb.material.spec, pieces, squares, side, names)
     dtm = tb.dtm[decisive].astype(np.float64)
     y = np.where(tb.wdl[decisive] == Wdl.WIN.value, dtm, -dtm)
     return X, y, decisive
@@ -271,23 +282,32 @@ def capacity_sweep(
 
     Returns rows of (capacity, train_mae, eval_mae, wdl_misclassification,
     train_size, eval_size). The eval sample is drawn with a shifted seed
-    so it differs from the train sample when subsampling.
+    so it differs from the train sample when subsampling. One dataset is
+    alive at a time: every model is fitted and its train MAE taken
+    before the train set is dropped and the eval set built. Both
+    sample sizes are checked before any dataset is built.
     """
-    X_train, y_train, _ = build_dtm_dataset(tb, features, train_sample, seed)
-    X_eval, y_eval, _ = build_dtm_dataset(tb, features, eval_sample, seed + 1)
-    rows = []
+    _check_sample_size(train_sample)
+    _check_sample_size(eval_sample)
+    X, y, _ = build_dtm_dataset(tb, features, train_sample, seed)
+    fitted = []
     for capacity in capacities:
-        model = fit_evaluator(X_train, y_train, capacity, features)
-        train_mae = mae(model.predict(X_train), y_train)
-        eval_pred = model.predict(X_eval)
+        model = fit_evaluator(X, y, capacity, features)
+        fitted.append((model, mae(model.predict(X), y)))
+    train_size = int(y.size)
+    del X, y
+    X, y, _ = build_dtm_dataset(tb, features, eval_sample, seed + 1)
+    rows = []
+    for capacity, (model, train_mae) in zip(capacities, fitted):
+        eval_pred = model.predict(X)
         rows.append(
             (
                 capacity,
                 train_mae,
-                mae(eval_pred, y_eval),
-                wdl_misclassification(eval_pred, y_eval),
-                int(y_train.size),
-                int(y_eval.size),
+                mae(eval_pred, y),
+                wdl_misclassification(eval_pred, y),
+                train_size,
+                int(y.size),
             )
         )
     return rows

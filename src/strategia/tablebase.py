@@ -42,9 +42,9 @@ It reads the value of every move of a decisive, non-terminal index
 (``_successor_values``) and keeps the policy's move with the (class
 slot, index) it reaches (``_choose``): one row at a time for the first
 lines played, then in one sweep per class into arrays
-(``_policy_arrays``), or a ply at a time for many lines together
-(``Policy.walk``). ``_side_blocks`` cuts every batch of rows into
-same-side blocks.
+(``_policy_arrays``, one block of the index at a time), or a ply at a
+time for many lines together (``Policy.walk``). ``_side_blocks`` cuts
+every batch of rows into same-side blocks.
 
 One codec holds the index layout: ``_decode_columns`` splits indices
 into the side to move and one square (digit) per piece slot,
@@ -81,6 +81,7 @@ from __future__ import annotations
 
 import functools
 import os
+import random
 import struct
 import time
 import zlib
@@ -149,6 +150,11 @@ class WdlDtm:
     @property
     def is_decisive(self) -> bool:
         return self.wdl is not Wdl.DRAW
+
+
+def _decisive(wdl: np.ndarray) -> np.ndarray:
+    """Mask of the wins and losses among the wdl codes `wdl`."""
+    return (wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value)
 
 
 def _canonical_sort_key(piece: Piece):
@@ -447,11 +453,36 @@ class Tablebase:
         return self._policy
 
     def decisive_indices(self) -> np.ndarray:
-        return np.flatnonzero((self.wdl == Wdl.WIN.value) | (self.wdl == Wdl.LOSS.value))
+        return np.flatnonzero(_decisive(self.wdl))
+
+    def decisive_sample(self, rng: random.Random, k: int) -> np.ndarray:
+        """`k` decisive indices drawn by `rng`, in index order; all of them if `k` is not less than their count.
+
+        The draw is ``sorted(rng.sample(range(count), k))``: positions
+        among the decisive indices in index order, so the result is
+        ``decisive_indices()`` at those positions. Taking every index
+        leaves `rng` untouched. The decisive entries are counted, and the
+        drawn ones found, one ``_build_blocks`` block at a time, so no
+        temporary is as long as the index.
+        """
+        blocks = _build_blocks(self.material, 0, self.wdl.size)
+        counts = np.array([np.count_nonzero(_decisive(self.wdl[lo:hi])) for _, lo, hi in blocks])
+        total = int(counts.sum())
+        if k >= total:
+            return self.decisive_indices()
+        positions = np.array(sorted(rng.sample(range(total), k)), dtype=np.int64)
+        before = np.cumsum(counts) - counts  # decisive entries before each block
+        cuts = np.searchsorted(positions, before + counts)
+        parts, first = [], 0
+        for (_, lo, hi), start, cut in zip(blocks, before.tolist(), cuts.tolist()):
+            if cut > first:
+                parts.append(np.flatnonzero(_decisive(self.wdl[lo:hi]))[positions[first:cut] - start] + lo)
+                first = cut
+        return np.concatenate(parts)
 
     def counts(self) -> dict:
         wdl = self.wdl
-        decisive = (wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value)
+        decisive = _decisive(wdl)
         max_dtm = int(self.dtm[decisive].max()) if decisive.any() else 0
         return {
             "entries": int(wdl.size),
@@ -499,6 +530,13 @@ class Tablebase:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Tablebase":
+        """The table stored in the file bytes `blob`; a malformed file raises TablebaseFormatError.
+
+        The checksum and the records are read through a view of `blob`,
+        not a copy, and the code range is checked on the uint8 wdl
+        column, so a load peaks at about twice the body: `blob`, then
+        the wdl and dtm columns.
+        """
         if len(blob) < 8 or blob[:4] != MAGIC:
             raise TablebaseFormatError("bad magic: not a tablebase file")
         version, width, height, count = struct.unpack_from("<BBBB", blob, 4)
@@ -531,7 +569,7 @@ class Tablebase:
         body_len = entries * _RECORD.itemsize
         if len(blob) != offset + body_len + 4:
             raise TablebaseFormatError("truncated or oversized file body")
-        body = blob[offset:offset + body_len]
+        body = memoryview(blob)[offset:offset + body_len]
         (stored_crc,) = struct.unpack_from("<I", blob, offset + body_len)
         actual_crc = zlib.crc32(body)
         if stored_crc != actual_crc:
@@ -540,7 +578,7 @@ class Tablebase:
             )
         rec = np.frombuffer(body, dtype=_RECORD)
         wdl = rec["wdl"].copy()
-        if not np.isin(wdl, (0, 1, 2, 3)).all():
+        if (wdl > Wdl.LOSS.value).any():
             raise TablebaseFormatError("body contains out-of-range wdl codes")
         table = cls(material, wdl, rec["dtm"].copy())
         table._checksum = actual_crc
@@ -940,7 +978,7 @@ def _build_side(material, registry, side, lo, hi, max_moves):
         for sub, rows, _, sub_idx in exits:
             table = registry[sub.key]
             wdl = table.wdl[sub_idx].astype(np.int64)
-            if not np.isin(wdl, (Wdl.WIN.value, Wdl.DRAW.value, Wdl.LOSS.value)).all():
+            if (wdl == 0).any():
                 raise ValidationError(f"a successor decodes to an illegal entry of {sub.name}")
             dtm = np.where(wdl == Wdl.DRAW.value, DTM_ABSENT, table.dtm[sub_idx].astype(np.int64))
             exit_idx.append(idx[rows])
@@ -1141,8 +1179,7 @@ class Policy:
         for s in np.unique(slot).tolist():
             lines = np.flatnonzero(slot == s)
             table = self.tables[s]
-            wdl = table.wdl[idx[lines]]
-            _refuse(table.material, idx[lines], (wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value),
+            _refuse(table.material, idx[lines], _decisive(table.wdl[idx[lines]]),
                     ValidationError, "a line starts on an entry that is not decisive")
             dtm[lines] = table.dtm[idx[lines]]
         plies = int(dtm.max(initial=0))
@@ -1225,8 +1262,7 @@ def _check_mates(table) -> None:
     """
     material = table.material
     ends = np.flatnonzero(table.dtm == 0)
-    wdl = table.wdl[ends]
-    ends = ends[(wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value)]
+    ends = ends[_decisive(table.wdl[ends])]
     _refuse(material, ends, table.wdl[ends] == Wdl.LOSS.value,
             RuntimeError, "a (WIN, 0) entry is not checkmate")
     for side, idx in _side_blocks(material, ends):
@@ -1241,18 +1277,20 @@ def _check_mates(table) -> None:
 def _policy_arrays(table, table_for, slots) -> tuple:
     """(move, successor slot, successor index) arrays of one table.
 
-    Chooses every decisive, non-terminal index (``_choose``), one
-    ``_side_blocks`` block at a time, into arrays allocated before the
-    sweep.
+    Chooses every decisive, non-terminal index (``_choose``) into arrays
+    allocated before the sweep, one ``_build_blocks`` block of the index
+    at a time: a block's rows are read from its slice of the table, so
+    the sweep holds the arrays and one block's temporaries.
     """
     material = table.material
     n = material.index_size
     move = np.zeros(n, dtype=np.uint16)
     succ_slot = np.zeros(n, dtype=np.uint8)
     succ_index = np.zeros(n, dtype=np.uint32)
-    decisive = (table.wdl == Wdl.WIN.value) | (table.wdl == Wdl.LOSS.value)
-    for side, idx in _side_blocks(material, np.flatnonzero(decisive & (table.dtm > 0))):
-        move[idx], succ_slot[idx], succ_index[idx] = _choose(table, side, idx, table_for, slots)
+    for side, lo, hi in _build_blocks(material, 0, n):
+        idx = np.flatnonzero(_decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0)) + lo
+        if idx.size:
+            move[idx], succ_slot[idx], succ_index[idx] = _choose(table, side, idx, table_for, slots)
     return move, succ_slot, succ_index
 
 
@@ -1306,8 +1344,8 @@ def _solve_bytes(material: MaterialClass) -> int:
     they can capture, plus three per promotion kind for each pawn; the
     build keeps each as an int64 index and an int32 code, 20 bytes
     while their per-block lists are joined. A build or un-move block
-    holds at most 48 bytes per row and ``_max_move_bound`` move. Every
-    subclass table of the closure stays loaded, at 3 bytes per index.
+    holds at most ``_block_bytes``. Every subclass table of the closure
+    stays loaded, at 3 bytes per index.
     """
     n = material.index_size
     ctx = _context(material)
@@ -1319,9 +1357,18 @@ def _solve_bytes(material: MaterialClass) -> int:
         pawns = sum(kind == PieceKind.PAWN for _, kind in movers)
         exits = max(exits, len(movers) * victims + 3 * pawns * len(material.spec.promotion_kinds))
     per_index = 3 + np.min_scalar_type(max_moves).itemsize + 8 + 3 + 20 * exits
-    block = min(_BUILD_BLOCK, n // 2) * 48 * max_moves
     tables = sum(sub.index_size for sub in _closure(material)[:-1])
-    return n * per_index + block + 3 * tables
+    return n * per_index + _block_bytes(material) + 3 * tables
+
+
+def _block_bytes(material: MaterialClass) -> int:
+    """Upper bound on the temporaries of one block of `material`'s moves.
+
+    A build, un-move or policy block holds at most ``_BUILD_BLOCK`` rows
+    (half the index if that is less), at 48 bytes per row and
+    ``_max_move_bound`` move.
+    """
+    return min(_BUILD_BLOCK, material.index_size // 2) * 48 * _max_move_bound(material)
 
 
 def solve(
@@ -1442,7 +1489,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
 
     wdl[(wdl == 0) & (remaining > 0)] = Wdl.DRAW.value
     legal = n - invalid
-    decisive = (wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value)
+    decisive = _decisive(wdl)
     max_dtm = int(dtm[decisive].max()) if decisive.any() else 0
     stats = SolveStats(
         legal=legal,

@@ -266,8 +266,15 @@ class TestSampleExperiment:
 
     def test_empty_decisive_set_is_an_error(self):
         tb = sg.solve(sg.MaterialClass.from_string("KvK", sg.BoardSpec(4, 4)))
-        with pytest.raises(sg.UnsupportedCaseError, match="decisive"):
-            sg.sample_experiment(tb, 5, seed=1)
+        # Refused before a size that is not positive.
+        for size in (5, 0, -1):
+            with pytest.raises(sg.UnsupportedCaseError, match="decisive"):
+                sg.sample_experiment(tb, size, seed=1)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_a_size_that_is_not_positive_is_an_error(self, krk5, size):
+        with pytest.raises(sg.ValidationError, match="positive"):
+            sg.sample_experiment(krk5, size, seed=1)
 
     def test_record_invariants(self, krk5):
         report = sg.sample_experiment(krk5, 25, seed=11)

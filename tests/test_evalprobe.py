@@ -155,6 +155,12 @@ class TestDatasetAndError:
         random_model.rank_deficient_ = False
         assert mae(fitted.predict(X), y) <= mae(random_model.predict(X), y)
 
+    @pytest.mark.parametrize("size", [None, 1, 5])
+    def test_empty_decisive_set_is_an_error(self, size):
+        tb = sg.solve(sg.MaterialClass.from_string("KvK", sg.BoardSpec(4, 4)))
+        with pytest.raises(sg.ValidationError, match="no decisive entries"):
+            build_dtm_dataset(tb, sample_size=size)
+
     def test_misclassification_sign_rule(self):
         predicted = np.array([3.0, -2.0, 0.0, 5.0])
         target = np.array([4.0, -1.0, 2.0, -5.0])
@@ -174,6 +180,23 @@ class TestCapacitySweep:
             mses.append(float(np.mean(residual**2)))
             assert mae(model.predict(X), y) > 0
         assert all(b <= a + 1e-9 for a, b in zip(mses, mses[1:]))
+
+    def test_sweep_scores_each_fit_on_the_eval_set(self, krk5):
+        rows = capacity_sweep(krk5, [0, 3, 16], train_sample=900, eval_sample=700, seed=4)
+        X_train, y_train, _ = build_dtm_dataset(krk5, sample_size=900, seed=4)
+        X_eval, y_eval, _ = build_dtm_dataset(krk5, sample_size=700, seed=5)
+        expected = []
+        for capacity in [0, 3, 16]:
+            model = fit_evaluator(X_train, y_train, capacity)
+            predicted = model.predict(X_eval)
+            expected.append((capacity, mae(model.predict(X_train), y_train), mae(predicted, y_eval),
+                             wdl_misclassification(predicted, y_eval), 900, 700))
+        assert rows == expected
+
+    @pytest.mark.parametrize("train,evaluate", [(0, 10), (10, 0)])
+    def test_a_bad_sample_size_is_refused_before_any_fit(self, kqk4, train, evaluate):
+        with pytest.raises(sg.ValidationError, match="sample size"):
+            capacity_sweep(kqk4, [99], train_sample=train, eval_sample=evaluate)
 
     def test_sweep_csv_shape(self, kqk4, tmp_path):
         rows = capacity_sweep(kqk4, range(0, 5), train_sample=500, eval_sample=300, seed=1)

@@ -16,6 +16,7 @@ import pytest
 
 import strategia as sg
 from strategia import tablebase
+from test_tablebase import traced_peak
 
 SPEC4 = sg.BoardSpec(4, 4)
 PROMOTING_FEN = "4/1P1k/4/K3 w - -"  # b3-b4 promotes at once on 4x4
@@ -311,3 +312,13 @@ def test_a_win_at_dtm_0_raises(kqk4):
     broken.dtm[idx] = 0
     with pytest.raises(RuntimeError, match=f"KQvK index {idx}: a \\(WIN, 0\\) entry"):
         broken.policy()
+
+
+@pytest.mark.parametrize("name", ["krk8", "kpk6"])
+def test_a_sweep_holds_the_arrays_and_one_block(name, request):
+    # A fresh table of the same values, so no other test's sweep is memoized.
+    policy = dataclasses.replace(request.getfixturevalue(name)).policy()
+    tables = [t.material for t in policy.tables if t is not None]
+    arrays = sum(7 * material.index_size for material in tables)  # uint16 + uint8 + uint32
+    block = max(tablebase._block_bytes(material) for material in tables)
+    assert traced_peak(policy.sweep) <= arrays + block

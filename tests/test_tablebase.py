@@ -2,7 +2,9 @@ import dataclasses
 import os
 import random
 import re
+import struct
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -40,6 +42,16 @@ def child_peak_rss(code):
     _, status, usage = os.wait4(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     return usage.ru_maxrss * 1024  # KiB on Linux
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc traces while `fn()` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_table_matches_oracle(tb):
@@ -273,3 +285,43 @@ class TestPersistence:
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(sg.TablebaseFormatError, match="magic"):
             sg.Tablebase.load(path)
+
+    @pytest.mark.parametrize("code", [4, 255])
+    def test_out_of_range_wdl_code_rejected(self, kqk4, code):
+        blob = bytearray(kqk4.file_bytes())
+        body = len(blob) - 3 * kqk4.material.index_size - 4
+        blob[body + 3 * 17] = code  # the wdl byte of record 17
+        blob[-4:] = struct.pack("<I", zlib.crc32(blob[body:-4]))
+        with pytest.raises(sg.TablebaseFormatError, match="out-of-range wdl codes"):
+            sg.Tablebase.from_bytes(bytes(blob))
+
+    def test_load_peaks_at_most_two_and_a_half_bodies(self, krk8_file):
+        # The file's bytes, then the wdl and dtm columns: twice the body. A
+        # copy of the body, or a temporary of several bytes per entry,
+        # breaks the bound.
+        body = 3 * sg.MaterialClass.from_string("KRvK", STANDARD).index_size
+        assert traced_peak(lambda: sg.Tablebase.load(krk8_file)) <= 2.5 * body
+
+
+class TestDecisiveSample:
+    @pytest.fixture(scope="class")
+    def tables(self, krk8, kpk6):
+        return [krk8, kpk6] + list(kpk6.subtables.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_equals_the_draw_over_every_decisive_index(self, tables, seed):
+        for table in tables:
+            decisive = table.decisive_indices()
+            count = decisive.size
+            for k in sorted({k for k in (1, count // 2, count - 1) if 0 < k < count}):
+                rng, reference = random.Random(seed), random.Random(seed)
+                got = table.decisive_sample(rng, k)
+                assert np.array_equal(got, decisive[sorted(reference.sample(range(count), k))])
+                assert rng.getstate() == reference.getstate()
+            rng = random.Random(seed)
+            state = rng.getstate()
+            for k in (count, count + 1):
+                assert np.array_equal(table.decisive_sample(rng, k), decisive)
+            assert rng.getstate() == state
+        # KvK 6x6 has no decisive entry, so the empty table is covered too.
+        assert {table.decisive_indices().size == 0 for table in tables} == {False, True}
