@@ -9,11 +9,12 @@ exactly the probed distance to mate, together with the encoded vector
 at every ply. Drawn positions are refused: there is no canonical
 drawing policy here.
 
-The policy is an array (``Tablebase.policy``): a sweep over each class
-of the table's closure picks the move of every decisive, non-terminal
-index and the (class slot, index) it reaches; before the sweep, which
-runs once a caller has played more than a line or two, rows are chosen
-one at a time. A playout locates its start once (one class key and one
+The policy is an array (``Tablebase.policy``) over each class of the
+table's closure: the move of every decisive, non-terminal index and the
+(class slot, index) it reaches. It is filled one block of 4,096 indices
+at a time: a row not chosen yet fills the block that holds it, so a
+line pays for the blocks its plies touch and many lines together pay at
+most one sweep. A playout locates its start once (one class key and one
 ``index_of``) and then walks indices, one choice per ply; only the
 chosen successor is built as a ``Position`` (``board.play``) and
 encoded. Experiments play no ``Playout``: ``Policy.walk`` walks all

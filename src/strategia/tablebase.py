@@ -40,11 +40,11 @@ never touched by a lookup. Making it checks, once, that every (LOSS, 0)
 entry of the closure's loaded tables is checkmate (``_check_mates``).
 It reads the value of every move of a decisive, non-terminal index
 (``_successor_values``) and keeps the policy's move with the (class
-slot, index) it reaches (``_choose``): one row at a time for the first
-lines played, then in one sweep per class into arrays
-(``_policy_arrays``, one block of the index at a time), or a ply at a
-time for many lines together (``Policy.walk``). ``_side_blocks`` cuts
-every batch of rows into same-side blocks.
+slot, index) it reaches (``_choose``): into arrays one ``_build_blocks``
+block at a time (``Policy._fill_block``), the block that holds a row
+the first time a line asks for it or every block in a sweep, or a ply
+at a time for many lines together (``Policy.walk``). ``_side_blocks``
+cuts every batch of rows into same-side blocks.
 
 One codec holds the index layout: ``_decode_columns`` splits indices
 into the side to move and one square (digit) per piece slot,
@@ -437,10 +437,9 @@ class Tablebase:
 
         Making it checks every (LOSS, 0) entry of the closure's loaded
         tables; a false mate raises RuntimeError and memoizes nothing.
-        Getting it sweeps nothing: ``Policy.choice`` chooses a row at a
-        time until ``Policy.sweep`` (called by it, or by a caller that
-        plays many lines) chooses every row at once. Lookups never
-        touch it.
+        Getting it chooses nothing: a ``Policy.choice`` of a row not
+        chosen yet fills the one block that holds it, and only
+        ``Policy.sweep`` fills every block. Lookups never touch it.
         """
         closure = _closure(self.material)
         tables = tuple(
@@ -481,15 +480,21 @@ class Tablebase:
         return np.concatenate(parts)
 
     def counts(self) -> dict:
-        wdl = self.wdl
-        decisive = _decisive(wdl)
-        max_dtm = int(self.dtm[decisive].max()) if decisive.any() else 0
+        """Entries per wdl code and the greatest decisive dtm, counted one ``_build_blocks`` block at a time."""
+        tally = np.zeros(4, dtype=np.int64)
+        max_dtm = 0
+        for _, lo, hi in _build_blocks(self.material, 0, self.wdl.size):
+            wdl = self.wdl[lo:hi]
+            tally += np.bincount(wdl, minlength=4)
+            dtm = self.dtm[lo:hi][_decisive(wdl)]
+            max_dtm = max(max_dtm, int(dtm.max(initial=0)))
+        invalid, win, draw, loss = tally.tolist()
         return {
-            "entries": int(wdl.size),
-            "invalid": int((wdl == 0).sum()),
-            "win": int((wdl == Wdl.WIN.value).sum()),
-            "draw": int((wdl == Wdl.DRAW.value).sum()),
-            "loss": int((wdl == Wdl.LOSS.value).sum()),
+            "entries": int(self.wdl.size),
+            "invalid": invalid,
+            "win": win,
+            "draw": draw,
+            "loss": loss,
             "max_dtm": max_dtm,
         }
 
@@ -1083,14 +1088,6 @@ def _successor_values(material, side, idx, table_for, slots):
     return tuple(np.hstack(columns) for columns in zip(*parts))
 
 
-# Rows a policy chooses one at a time before it sweeps every row. A row
-# costs 0.1-0.3 ms on its own and about 1 us in a sweep (KRvK 8x8 and
-# KPvK 6x6 on a 2-core Xeon), so one line of up to this many plies, as
-# ``path`` plays, never pays for a sweep (0.15-0.45 s there), and a
-# caller that plays many lines pays at most 40 ms before it does.
-_ROWS_BEFORE_SWEEP = 128
-
-
 class Policy:
     """The policy's move at every decisive, non-terminal index of a closure's tables.
 
@@ -1098,13 +1095,16 @@ class Policy:
     where none is loaded). Making a policy checks every decisive dtm-0
     entry of each loaded table (``_check_mates``), so a line ends in
     checkmate. ``choice`` gives a row's move and the (slot, index) it
-    reaches. Until ``sweep`` has run it chooses each row on its own, and
-    the ``_ROWS_BEFORE_SWEEP``-th such row runs the sweep. The sweep
-    fills, for each loaded slot, the arrays ``move[s]`` (the move key
+    reaches, read from the arrays ``move[s]`` (the move key
     ``(from * S + to) * 8 + promotion kind``), ``succ_slot[s]`` and
-    ``succ_index[s]``, 0 at rows with no move, and counts the rows it
-    chose in ``rows``. Both check every row they choose, and a failed
-    sweep keeps nothing.
+    ``succ_index[s]``. ``_fill_block`` is the one writer of the arrays:
+    it chooses the rows of one ``_build_blocks`` block not chosen yet,
+    and allocates a slot's arrays on its first fill, so a slot never
+    filled holds none. A move key is never 0, so 0 marks a row not
+    chosen yet. A miss in ``choice`` fills the block that holds its
+    row; ``sweep`` fills every block and counts the chosen rows in
+    ``rows``. Every row is checked when it is chosen, and a block whose
+    check fails keeps nothing.
     """
 
     def __init__(self, material, tables: tuple, slots: dict, table_for):
@@ -1115,26 +1115,24 @@ class Policy:
         self.tables = tables
         self.slots = slots  # class key -> slot
         self._table_for = table_for
-        self.move = self.succ_slot = self.succ_index = None
+        self.move, self.succ_slot, self.succ_index = ([None] * len(tables) for _ in range(3))
         self.rows = 0
-        self.rows_alone = 0
+        self.swept = False
 
     def sweep(self, *, progress: Optional[Callable[[str], None]] = None) -> "Policy":
-        """Choose every row of every loaded table once (``_policy_arrays``); a no-op once done.
+        """Fill every block of every loaded table (``_fill_block``); a no-op once done.
 
         Reports the class, the rows chosen and the seconds through `progress`.
         """
-        if self.move is not None:
+        if self.swept:
             return self
         start = time.perf_counter()
-        arrays = [
-            (None, None, None) if table is None
-            else _policy_arrays(table, self._table_for, self.slots)
-            for table in self.tables
-        ]
-        self.move, self.succ_slot, self.succ_index = zip(*arrays)
-        # A move key is never 0, so the chosen rows are the nonzero keys.
+        for slot, table in enumerate(self.tables):
+            if table is not None:
+                for block in _build_blocks(table.material, 0, table.material.index_size):
+                    self._fill_block(slot, *block)
         self.rows = sum(int(np.count_nonzero(move)) for move in self.move if move is not None)
+        self.swept = True
         if progress:
             progress(
                 f"policy {self.material.name}: {self.rows} rows "
@@ -1142,20 +1140,28 @@ class Policy:
             )
         return self
 
+    def _fill_block(self, slot: int, side: int, lo: int, hi: int) -> None:
+        """Choose the decisive, non-terminal rows of [lo, hi) in `slot` not chosen yet (``_choose``)."""
+        table = self.tables[slot]
+        arrays = (self.move, self.succ_slot, self.succ_index)
+        if self.move[slot] is None:
+            for array, dtype in zip(arrays, (np.uint16, np.uint8, np.uint32)):
+                array[slot] = np.zeros(table.material.index_size, dtype=dtype)
+        rows = _decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0) & (self.move[slot][lo:hi] == 0)
+        idx = np.flatnonzero(rows) + lo
+        if idx.size:
+            for array, chosen in zip(arrays, _choose(table, side, idx, self._table_for, self.slots)):
+                array[slot][idx] = chosen
+
     def choice(self, slot: int, idx: int) -> tuple:
-        """(move, successor slot, successor index) of the decisive, non-terminal index `idx`."""
-        if self.move is None and self.rows_alone >= _ROWS_BEFORE_SWEEP:
-            self.sweep()
-        if self.move is None:
-            table = self.tables[slot]
-            side = idx // _context(table.material).half
-            self.rows_alone += 1
-            key, succ_slot, succ_index = (
-                int(a[0]) for a in _choose(table, side, np.array([idx]), self._table_for, self.slots)
-            )
-        else:
-            key = int(self.move[slot][idx])
-            succ_slot, succ_index = int(self.succ_slot[slot][idx]), int(self.succ_index[slot][idx])
+        """(move, successor slot, successor index) of the decisive, non-terminal index `idx`.
+
+        A row not chosen yet fills the block that holds it.
+        """
+        if self.move[slot] is None or self.move[slot][idx] == 0:
+            self._fill_block(slot, *_block_of(self.tables[slot].material, idx))
+        key = int(self.move[slot][idx])
+        succ_slot, succ_index = int(self.succ_slot[slot][idx]), int(self.succ_index[slot][idx])
         src, dest = divmod(key >> 3, self.material.spec.num_squares)
         promotion = PieceKind(key & 7) if key & 7 else None
         return Move(src, dest, promotion), succ_slot, succ_index
@@ -1166,7 +1172,7 @@ class Policy:
         At each ply the lines still moving are grouped by class slot,
         and each group's distinct rows are chosen by ``_choose``, one
         ``_side_blocks`` block at a time, with every check it makes. The
-        sweep arrays are neither read nor built. Returns the (plies + 1,
+        policy arrays are neither read nor filled. Returns the (plies + 1,
         lines) slot and index of every ply and the (plies, lines) move
         keys, plies being the greatest start dtm: a line of dtm d moves
         at plies 0..d-1, then repeats its last row under move key 0.
@@ -1258,40 +1264,25 @@ def _check_mates(table) -> None:
     A line ends on such an entry without asking the rules. A win at dtm
     0 is never valid; a (LOSS, 0) entry must be a legal position
     (ValidationError otherwise) whose side to move is in check and has
-    no move.
+    no move. The entries are found, and the wins refused, one
+    ``_build_blocks`` block at a time; the mates are then checked in
+    ``_side_blocks`` batches, since one move generation per block of
+    the index would cost more than the scan.
     """
     material = table.material
-    ends = np.flatnonzero(table.dtm == 0)
-    ends = ends[_decisive(table.wdl[ends])]
-    _refuse(material, ends, table.wdl[ends] == Wdl.LOSS.value,
-            RuntimeError, "a (WIN, 0) entry is not checkmate")
-    for side, idx in _side_blocks(material, ends):
+    ends = []
+    for _, lo, hi in _build_blocks(material, 0, material.index_size):
+        idx = np.flatnonzero((table.dtm[lo:hi] == 0) & _decisive(table.wdl[lo:hi])) + lo
+        _refuse(material, idx, table.wdl[idx] == Wdl.LOSS.value,
+                RuntimeError, "a (WIN, 0) entry is not checkmate")
+        ends.append(idx)
+    for side, idx in _side_blocks(material, np.concatenate(ends)):
         ok, digits, occ = _legal_rows(material, side, idx)
         _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
         mated = _in_check(material, side, digits, occ)
         for _, _, legal, _, _ in _successors(material, side, digits, occ):
             mated &= ~legal.any(axis=1)
         _refuse(material, idx, mated, RuntimeError, "a (LOSS, 0) entry is not checkmate")
-
-
-def _policy_arrays(table, table_for, slots) -> tuple:
-    """(move, successor slot, successor index) arrays of one table.
-
-    Chooses every decisive, non-terminal index (``_choose``) into arrays
-    allocated before the sweep, one ``_build_blocks`` block of the index
-    at a time: a block's rows are read from its slice of the table, so
-    the sweep holds the arrays and one block's temporaries.
-    """
-    material = table.material
-    n = material.index_size
-    move = np.zeros(n, dtype=np.uint16)
-    succ_slot = np.zeros(n, dtype=np.uint8)
-    succ_index = np.zeros(n, dtype=np.uint32)
-    for side, lo, hi in _build_blocks(material, 0, n):
-        idx = np.flatnonzero(_decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0)) + lo
-        if idx.size:
-            move[idx], succ_slot[idx], succ_index[idx] = _choose(table, side, idx, table_for, slots)
-    return move, succ_slot, succ_index
 
 
 def _side_blocks(material: MaterialClass, idx: np.ndarray):
@@ -1306,20 +1297,25 @@ def _side_blocks(material: MaterialClass, idx: np.ndarray):
             yield side, part[start:start + _BUILD_BLOCK]
 
 
-def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
-    """(side, start, stop) blocks that cover [lo, hi) in order.
+def _block_of(material: MaterialClass, idx: int) -> tuple:
+    """(side, start, stop) of the block that holds index `idx`.
 
-    A block holds at most ``_BUILD_BLOCK`` indices, all with the same
-    side to move.
+    The blocks tile each side's half of the index from its start, every
+    ``_BUILD_BLOCK`` indices, so each has one side to move.
     """
     half = _context(material).half
+    side, offset = divmod(idx, half)
+    start = idx - offset % _BUILD_BLOCK
+    return side, start, min(start + _BUILD_BLOCK, (side + 1) * half)
+
+
+def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
+    """(side, start, stop) blocks that cover [lo, hi) in order: the ``_block_of`` blocks cut to [lo, hi)."""
     blocks = []
-    start = lo
-    while start < hi:
-        side = Color.BLACK if start >= half else Color.WHITE
-        stop = min(hi, start + _BUILD_BLOCK, (side + 1) * half)
-        blocks.append((side, start, stop))
-        start = stop
+    while lo < hi:
+        side, _, stop = _block_of(material, lo)
+        blocks.append((side, lo, min(stop, hi)))
+        lo = min(stop, hi)
     return blocks
 
 

@@ -256,7 +256,7 @@ class TestSampleExperiment:
             raise AssertionError("a policy row was chosen after the walk")
 
         def building(*args):
-            monkeypatch.setattr(tablebase, "_policy_arrays", no_build)
+            monkeypatch.setattr(tablebase.Policy, "_fill_block", no_build)
             monkeypatch.setattr(tablebase, "_choose", no_build)
             return pairs_for_base(*args)
 
@@ -367,14 +367,15 @@ class TestWalkedLines:
         assert checked > 30
 
     def test_an_experiment_never_sweeps_the_policy(self, kqkr34, monkeypatch):
-        def no_sweep(*args):
-            raise AssertionError("the policy was swept")
+        def no_fill(*args):
+            raise AssertionError("a policy block was filled")
 
-        monkeypatch.setattr(tablebase, "_policy_arrays", no_sweep)
+        monkeypatch.setattr(tablebase.Policy, "_fill_block", no_fill)
         table = dataclasses.replace(kqkr34)
         messages = []
         sg.sample_experiment(table, 20, seed=1, progress=messages.append)
-        assert table.policy().move is None
+        policy = table.policy()
+        assert all(a is None for a in (*policy.move, *policy.succ_slot, *policy.succ_index))
         assert len(messages) == 1 and messages[0].startswith("policy KQvKR: "), messages
 
     @pytest.mark.parametrize("case", ["stalemate", "has-a-move"])

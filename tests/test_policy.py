@@ -158,7 +158,7 @@ def test_lookups_never_build_the_policy(kpk4, monkeypatch):
     def no_build(*args):
         raise AssertionError("a lookup built the policy")
 
-    monkeypatch.setattr(tablebase, "_policy_arrays", no_build)
+    monkeypatch.setattr(tablebase.Policy, "_fill_block", no_build)
     monkeypatch.setattr(tablebase, "_choose", no_build)
     table = dataclasses.replace(kpk4)
     pos = sg.parse_fen(PROMOTING_FEN, SPEC4)
@@ -172,42 +172,90 @@ def test_playouts_and_policy_steps_share_one_build(kpk4, monkeypatch):
     messages = []
     policy = table.policy().sweep(progress=messages.append)
     assert len(messages) == 1 and messages[0].startswith(f"policy KPvK: {policy.rows} rows in ")
-    monkeypatch.setattr(tablebase, "_policy_arrays", lambda *args: pytest.fail("built twice"))
+    monkeypatch.setattr(tablebase.Policy, "_fill_block", lambda *args: pytest.fail("built twice"))
     monkeypatch.setattr(tablebase, "_choose", lambda *args: pytest.fail("a row chosen alone"))
     assert table.policy() is policy and policy.sweep() is policy
     line = sg.generate_playout(pos, table)
     assert sg.policy_step(pos, table) == (line.steps[0].move, line.steps[0].position)
 
 
-def test_one_line_chooses_its_rows_alone_and_many_lines_sweep(krk8_file, monkeypatch):
+def chosen_rows(table):
+    """The decisive, non-terminal indices of `table`: the rows the policy chooses."""
+    return np.flatnonzero(tablebase._decisive(table.wdl) & (table.dtm > 0))
+
+
+def test_one_line_fills_only_the_blocks_it_touches(krk8_file):
     loaded = sg.Tablebase.load(krk8_file)
+    material = loaded.material
     starts = [int(i) for i in np.flatnonzero(loaded.dtm == loaded.counts()["max_dtm"])]
     policy = loaded.policy()
-    sweep = tablebase._policy_arrays
-    monkeypatch.setattr(tablebase, "_policy_arrays", lambda *args: pytest.fail("one line swept"))
-    first = sg.generate_playout(sg.position_at(starts[0], loaded.material), loaded)
-    assert policy.move is None and policy.rows_alone == first.plies
-    monkeypatch.setattr(tablebase, "_policy_arrays", sweep)
-    lines = [first]
-    while policy.move is None:
-        lines.append(sg.generate_playout(sg.position_at(starts[len(lines)], loaded.material), loaded))
-    assert policy.rows_alone == tablebase._ROWS_BEFORE_SWEEP
-    # The lines played before and after the sweep are the lines it picks.
+    slot = policy.slots[material.key]
+    first = sg.generate_playout(sg.position_at(starts[0], material), loaded)
+    played = [first.initial] + [step.position for step in first.steps[:-1]]
+    touched = {tablebase._block_of(material, sg.index_of(pos, material)) for pos in played}
+    blocks = tablebase._build_blocks(material, 0, material.index_size)
+    move, rows = policy.move[slot], chosen_rows(loaded)
+    filled = {(side, lo, hi) for side, lo, hi in blocks if move[lo:hi].any()}
+    assert filled == touched and len(filled) < len(blocks)
+    for _, lo, hi in touched:
+        block = rows[(rows >= lo) & (rows < hi)]
+        assert block.size and move[block].all()
+    assert np.count_nonzero(move) == sum(int(((rows >= lo) & (rows < hi)).sum()) for _, lo, hi in touched)
+    lines = [first] + [sg.generate_playout(sg.position_at(i, material), loaded) for i in starts[1:4]]
+    # The lines played block by block are the lines the sweep picks.
+    policy.sweep()
+    assert policy.rows == rows.size
     for idx, line in zip(starts, lines):
-        assert sg.generate_playout(sg.position_at(idx, loaded.material), loaded) == line
+        assert sg.generate_playout(sg.position_at(idx, material), loaded) == line
 
 
-def test_rows_chosen_alone_equal_the_sweep(closure, monkeypatch):
+def test_one_miss_fills_one_block(krk8_file, monkeypatch):
+    loaded = sg.Tablebase.load(krk8_file)
+    policy = loaded.policy()
+    calls = []
+    choose = tablebase._choose
+
+    def counting(table, side, idx, *args):
+        calls.append(idx.size)
+        return choose(table, side, idx, *args)
+
+    monkeypatch.setattr(tablebase, "_choose", counting)
+    rows = chosen_rows(loaded)
+    idx = int(rows[rows.size // 2])
+    _, lo, hi = tablebase._block_of(loaded.material, idx)
+    slot = policy.slots[loaded.material.key]
+    policy.choice(slot, idx)
+    assert len(calls) == 1 and 0 < calls[0] <= tablebase._BUILD_BLOCK
+    neighbour = int(rows[(rows >= lo) & (rows < hi) & (rows != idx)][0])
+    policy.choice(slot, neighbour)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "name, spec", [("KRvK", sg.BoardSpec.standard()), ("KPvK", sg.BoardSpec(6, 6))], ids=["8x8", "6x6"]
+)
+def test_block_of_finds_each_build_block(name, spec):
+    # 6x6 cuts a block at the side bit; 8x8 does not.
+    material = sg.MaterialClass.from_string(name, spec)
+    for side, lo, hi in tablebase._build_blocks(material, 0, material.index_size):
+        assert tablebase._block_of(material, lo) == tablebase._block_of(material, hi - 1) == (side, lo, hi)
+
+
+def test_rows_chosen_alone_equal_the_sweep(closure):
+    # A fresh policy fills its blocks only through choice, one miss at a time.
     swept = closure.policy().sweep()
-    monkeypatch.setattr(tablebase, "_ROWS_BEFORE_SWEEP", float("inf"))
     alone = tablebase.Policy(closure.material, swept.tables, swept.slots, closure._table_for)
     rng = random.Random(7)
     for table in [closure, *closure.subtables.values()]:
         slot = swept.slots[table.material.key]
-        rows = [idx for idx, _ in decisive_positions(table)]
-        for idx in rng.sample(rows, min(len(rows), 200)):
+        rows = chosen_rows(table).tolist()
+        for idx in rng.sample(rows, len(rows)):
             assert alone.choice(slot, idx) == swept.choice(slot, idx), (table.material.name, idx)
-    assert alone.move is None
+    assert not alone.swept
+    for name in ("move", "succ_slot", "succ_index"):
+        for a, b in zip(getattr(alone, name), getattr(swept, name)):
+            # A class with no row to choose is never missed, so never filled.
+            assert np.array_equal(np.zeros_like(b) if a is None else a, b), name
 
 
 def test_small_blocks_choose_the_same_moves(kqkr34, monkeypatch):
@@ -235,11 +283,17 @@ def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
     idx = next(i for i in kqk4.decisive_indices().tolist() if kqk4.wdl[i] == sg.Wdl.WIN.value)
     broken.dtm[idx] += 2
     pos = sg.position_at(idx, kqk4.material)
+    policy = broken.policy()
+    slot = policy.slots[kqk4.material.key]
+    with pytest.raises(RuntimeError, match="dtm - 1"):
+        sg.policy_step(pos, broken)
+    assert policy.move[slot][idx] == 0
+    # Nothing was kept, so asking again checks again.
     with pytest.raises(RuntimeError, match="dtm - 1"):
         sg.policy_step(pos, broken)
     with pytest.raises(RuntimeError, match="dtm - 1"):
-        broken.policy().sweep()
-    assert broken.policy().move is None
+        policy.sweep()
+    assert policy.move[slot][idx] == 0 and not policy.swept
     broken.dtm[idx] -= 2
     assert sg.policy_step(pos, broken) == sg.policy_step(pos, kqk4)
 
@@ -322,3 +376,12 @@ def test_a_sweep_holds_the_arrays_and_one_block(name, request):
     arrays = sum(7 * material.index_size for material in tables)  # uint16 + uint8 + uint32
     block = max(tablebase._block_bytes(material) for material in tables)
     assert traced_peak(policy.sweep) <= arrays + block
+
+
+def test_making_a_policy_holds_no_index_long_mask(krk8_file):
+    loaded = sg.Tablebase.load(krk8_file)
+    assert traced_peak(dataclasses.replace(loaded).policy) <= tablebase._block_bytes(loaded.material)
+    # With the move tables cached, finding the mates block by block and
+    # checking them peaks at 0.1 MiB, where a mask over the index alone
+    # held a byte per index (0.5 MiB).
+    assert traced_peak(dataclasses.replace(loaded).policy) <= loaded.material.index_size // 2

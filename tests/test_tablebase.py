@@ -325,3 +325,29 @@ class TestDecisiveSample:
             assert rng.getstate() == state
         # KvK 6x6 has no decisive entry, so the empty table is covered too.
         assert {table.decisive_indices().size == 0 for table in tables} == {False, True}
+
+
+class TestCounts:
+    @pytest.fixture(scope="class")
+    def tables(self, kqk4, kpk4, krk5, kqkr34, krk8, kpk6):
+        solved = [kqk4, kpk4, krk5, kqkr34, krk8, kpk6]
+        return solved + [sub for table in solved for sub in table.subtables.values()]
+
+    def test_equals_the_whole_array_count(self, tables):
+        for table in tables:
+            wdl, dtm = table.wdl, table.dtm
+            decisive = (wdl == 1) | (wdl == 3)
+            assert table.counts() == {
+                "entries": wdl.size,
+                "invalid": int((wdl == 0).sum()),
+                "win": int((wdl == 1).sum()),
+                "draw": int((wdl == 2).sum()),
+                "loss": int((wdl == 3).sum()),
+                "max_dtm": int(dtm[decisive].max()) if decisive.any() else 0,
+            }, table.material.name
+        # KvK has no decisive entry, so its max dtm of 0 is covered too.
+        assert {table.counts()["max_dtm"] == 0 for table in tables} == {False, True}
+
+    def test_counting_holds_one_block(self, krk8):
+        # Five masks over the index held 1.2 MiB here.
+        assert traced_peak(krk8.counts) <= 16 * sg.tablebase._BUILD_BLOCK
