@@ -192,14 +192,14 @@ class LinearEvaluator:
             setattr(self, key, value)
         return self
 
-    def _design(self, X: np.ndarray) -> np.ndarray:
+    def _columns(self, X: np.ndarray) -> np.ndarray:
+        """The first `capacity` columns of the feature matrix `X`, as float64."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] < self.capacity:
             raise ValidationError(
                 f"feature matrix must have at least {self.capacity} columns"
             )
-        ones = np.ones((X.shape[0], 1))
-        return np.concatenate([X[:, : self.capacity], ones], axis=1)
+        return X[:, : self.capacity]
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearEvaluator":
         if not 0 <= self.capacity <= len(self.features):
@@ -209,7 +209,8 @@ class LinearEvaluator:
         y = np.asarray(y, dtype=np.float64)
         if y.size == 0:
             raise ValidationError("empty training dataset")
-        design = self._design(X)
+        columns = self._columns(X)
+        design = np.concatenate([columns, np.ones((columns.shape[0], 1))], axis=1)
         coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         self.weights_ = coef[:-1]
         self.bias_ = float(coef[-1])
@@ -220,8 +221,7 @@ class LinearEvaluator:
     def predict(self, X: np.ndarray) -> np.ndarray:
         if not hasattr(self, "weights_"):
             raise ValidationError("evaluator is not fitted")
-        design = self._design(X)
-        return design[:, :-1] @ self.weights_ + self.bias_
+        return self._columns(X) @ self.weights_ + self.bias_
 
 
 def fit_evaluator(X: np.ndarray, y: np.ndarray, capacity: int,

@@ -7,16 +7,19 @@ by iterated generational passes: generation d is built only from
 generations below d, so the labeled set grows monotonically and the
 result is independent of pass scheduling.
 
-The passes run on a retrograde frontier, and no edge is stored. The
-build keeps a few bytes per index: the value and an open position's
-count of moves. Of the edges it keeps only the exits, the moves that
-leave the class, with the static value each reaches. Pass d reads
-only the predecessors of the positions labeled at d - 1, generated by
-un-moves (``_unmoves``), and the exits that reach a value of dtm
-d - 1: the open predecessors of a loss become wins, and those of a win
-count down their successors not yet won, becoming losses at 0. Each
-edge is generated once over the whole solve. ``_solve_bytes`` bounds
-the memory a solve holds.
+The passes run on a retrograde frontier, and the solve keeps only
+per-index arrays, no edge or move list: the value, an open position's
+count of moves not yet won, and two columns that fold in its exits,
+the moves that leave the class (``exit_win``, 1 + the least dtm of a
+lost exit, and ``exit_floor``, 1 + the greatest dtm of a won exit,
+which is not counted). Pass d reads only the predecessors of the
+positions labeled at d - 1, generated by un-moves (``_unmoves``): the
+open predecessors of a loss become wins, and those of a win count down
+their moves not yet won, becoming losses at max(d, exit_floor) at 0.
+Pass d also labels won the open positions whose exit_win is d. Each
+in-class edge is generated once over the whole solve. ``_solve_bytes``
+bounds the memory a solve holds: a constant per index, the widest
+block and the subclass tables.
 
 Captures and promotions leave the class, so a class is solved on top
 of the subclasses they reach, listed with it in solve order by
@@ -643,23 +646,16 @@ def _closure(material: MaterialClass) -> tuple:
     return tuple(order)
 
 
-def _static_code(wdl, dtm):
-    """Edge code of an out-of-class successor value; dtm is DTM_ABSENT for draws.
-
-    Works on ints and on int64 arrays alike.
-    """
-    return -(2 + (wdl << 17) + dtm)
-
-
 # Vectorized move generation. Each block of indices is decoded into
 # digit columns (one square per piece slot) and expanded into candidate
 # moves per mover slot; occupancy is one uint64 bitboard per row. The
 # build, un-moves and batches of policy rows run over blocks of at most
 # this many indices, so their temporaries stay bounded (``_solve_bytes``
-# allows 48 bytes per row and move; about 15-36 were measured). With no
-# edges stored, these temporaries are a large part of a solve's peak:
-# traced in process (tracemalloc), KRvK 8x8 peaks at 8.0 MiB and KQvK
-# 8x8 at 11.0 MiB.
+# allows 48 bytes per row and move; about 15-36 were measured). With
+# only per-index arrays kept, these temporaries are a large part of a
+# solve's peak: traced in process (tracemalloc), KRvK 8x8 peaks at 7.7
+# MiB and KQvK 8x8 at 10.3 MiB, 2 MiB of each being the exit columns,
+# which neither class writes.
 _BUILD_BLOCK = 4096
 
 
@@ -961,13 +957,16 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     """Classify the indices in [lo, hi), which all have `side` to move.
 
     Returns (invalid count, terminal losses, terminal draws, open
-    indices, successor count per open index, exit indices, exit codes).
-    The counts take in every legal move; in-class successors are only
-    counted, since the solve finds them again by un-moves. Each move that
-    leaves the class (a capture or promotion) is one exit: the open
-    index it leaves from and the static code of the value it reaches,
-    read from the subtables in `registry` (class key -> table). A
-    position with more than `max_moves` moves raises RuntimeError.
+    indices, their counts of moves not won by an exit, folded exits).
+    An exit is a move that leaves the class (a capture or promotion);
+    its value is read from the subtables in `registry` (class key ->
+    table). The folded exits are the open indices with a decisive exit,
+    their ``exit_win`` (1 + the least dtm of a lost exit, else 0) and
+    ``exit_floor`` (1 + the greatest dtm of a won exit, else 0), and the
+    horizon, 1 + the greatest dtm of any decisive exit (0 if none).
+    In-class moves are only counted: the solve finds them again by
+    un-moves. Mate and stalemate are found from the count of every
+    move, and more than `max_moves` of them raises RuntimeError.
     """
     idx = np.arange(lo, hi, dtype=np.int64)
     ok, digits, occ = _legal_rows(material, side, idx)
@@ -976,29 +975,37 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     digits = [d[ok] for d in digits]
 
     counts = np.zeros(idx.size, dtype=np.int64)
-    exit_idx, exit_code = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    won = np.zeros(idx.size, dtype=np.int64)
+    exit_win = np.full(idx.size, DTM_ABSENT, dtype=np.int64)
+    exit_floor = np.zeros(idx.size, dtype=np.int64)
+    horizon = 0
     for _, _, legal, _, exits in _successors(material, side, digits, occ):
         counts += np.count_nonzero(legal, axis=1)
         # Out-of-class successors are fixed values: one gather per exit.
         for sub, rows, _, sub_idx in exits:
             table = registry[sub.key]
-            wdl = table.wdl[sub_idx].astype(np.int64)
+            wdl = table.wdl[sub_idx]
             if (wdl == 0).any():
                 raise ValidationError(f"a successor decodes to an illegal entry of {sub.name}")
-            dtm = np.where(wdl == Wdl.DRAW.value, DTM_ABSENT, table.dtm[sub_idx].astype(np.int64))
-            exit_idx.append(idx[rows])
-            exit_code.append(_static_code(wdl, dtm))
+            after = table.dtm[sub_idx].astype(np.int64) + 1
+            lost, hit = wdl == Wdl.LOSS.value, wdl == Wdl.WIN.value
+            np.minimum.at(exit_win, rows[lost], after[lost])
+            np.maximum.at(exit_floor, rows[hit], after[hit])
+            won += np.bincount(rows[hit], minlength=idx.size)
+            horizon = max(horizon, int(after[lost | hit].max(initial=0)))
 
     if counts.size and counts.max() > max_moves:
         raise RuntimeError(
             f"{material.name}: a position has {counts.max()} moves, bound is {max_moves}"
         )
+    exit_win[exit_win == DTM_ABSENT] = 0
     stuck = counts == 0
     mated = _in_check(material, side, [d[stuck] for d in digits], occ[stuck])
     live = ~stuck
+    folded = (exit_win > 0) | (exit_floor > 0)
     return (
-        invalid, idx[stuck][mated], idx[stuck][~mated], idx[live], counts[live],
-        np.concatenate(exit_idx), np.concatenate(exit_code),
+        invalid, idx[stuck][mated], idx[stuck][~mated], idx[live], (counts - won)[live],
+        (idx[folded], exit_win[folded], exit_floor[folded], horizon),
     )
 
 
@@ -1319,6 +1326,14 @@ def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
     return blocks
 
 
+# The bytes a solve holds per index: the wdl and dtm (3), the count of
+# moves not yet won (1: at most 91 moves on boards up to 8x8), the
+# exit_win and exit_floor columns (4), the indices labeled at the last
+# pass and at the current one (8 between them), and at most 3 of
+# boolean temporaries.
+_INDEX_BYTES = 19
+
+
 def _resolve_budget() -> int:
     """The memory budget in bytes, from STRATEGIA_MEM_BUDGET_MB (MiB, default 2048)."""
     raw = os.environ.get(BUDGET_ENV_VAR, "").strip()
@@ -1330,31 +1345,16 @@ def _resolve_budget() -> int:
 
 
 def _solve_bytes(material: MaterialClass) -> int:
-    """Upper bound on the bytes that solving `material` holds at once.
+    """Upper bound on the bytes that solving `material` and its closure holds at once.
 
-    Per index, the solve holds the wdl and dtm entries and the count of
-    successors not yet won, the indices labeled at the last pass and at
-    the current one (8 bytes per index between them), and at most 3
-    bytes of boolean temporaries. An index has at most as many moves
-    that leave the class as its side's pieces times the enemy pieces
-    they can capture, plus three per promotion kind for each pawn; the
-    build keeps each as an int64 index and an int32 code, 20 bytes
-    while their per-block lists are joined. A build or un-move block
-    holds at most ``_block_bytes``. Every subclass table of the closure
-    stays loaded, at 3 bytes per index.
+    Per index, a solve holds ``_INDEX_BYTES``, and `material` has the
+    most indices of its closure. A build, un-move or policy block of
+    any class of the closure holds at most ``_block_bytes``, and every
+    subclass table stays loaded, at 3 bytes per index.
     """
-    n = material.index_size
-    ctx = _context(material)
-    max_moves = _max_move_bound(material)
-    exits = 0
-    for side in (Color.WHITE, Color.BLACK):
-        movers, enemies, _, _ = _sides(ctx, side)
-        victims = sum(kind != PieceKind.KING for _, kind in enemies)
-        pawns = sum(kind == PieceKind.PAWN for _, kind in movers)
-        exits = max(exits, len(movers) * victims + 3 * pawns * len(material.spec.promotion_kinds))
-    per_index = 3 + np.min_scalar_type(max_moves).itemsize + 8 + 3 + 20 * exits
-    tables = sum(sub.index_size for sub in _closure(material)[:-1])
-    return n * per_index + _block_bytes(material) + 3 * tables
+    closure = _closure(material)
+    tables = sum(sub.index_size for sub in closure[:-1])
+    return _INDEX_BYTES * material.index_size + max(map(_block_bytes, closure)) + 3 * tables
 
 
 def _block_bytes(material: MaterialClass) -> int:
@@ -1413,44 +1413,42 @@ def _solve_single(material, registry, progress) -> Tablebase:
         progress(f"solving {material.name}: {n} indices")
     start = time.perf_counter()
 
-    # Per index: the value, and an open position's count of successors
-    # not yet won.
+    # Per index: the value, an open position's count of moves not yet
+    # won, and its exits as ``_build_side`` folds them.
     wdl = np.zeros(n, dtype=np.uint8)
     dtm = np.full(n, DTM_ABSENT, dtype=np.uint16)
     remaining = np.zeros(n, dtype=np.min_scalar_type(max_moves))
-    invalid = n_mated = n_stalemated = 0
-    draw_code = _static_code(Wdl.DRAW.value, DTM_ABSENT)
-    exit_idx, exit_code = [], []
+    exit_win = np.zeros(n, dtype=np.uint16)
+    exit_floor = np.zeros(n, dtype=np.uint16)
+    invalid = n_mated = n_stalemated = n_open = 0
+    # A static value of dtm t labels at pass t + 1, even across
+    # otherwise quiet passes, so termination waits for the horizon of
+    # every decisive exit, not only of those the columns keep.
+    static_trigger = 0
     for block in _build_blocks(material, 0, n):
-        bad, mated, stalemated, live, counts, to_idx, codes = _build_side(
+        bad, mated, stalemated, live, moves, (rows, win, floor, horizon) = _build_side(
             material, registry, *block, max_moves
         )
         invalid += bad
         n_mated += mated.size
         n_stalemated += stalemated.size
+        n_open += live.size
         wdl[mated], dtm[mated] = Wdl.LOSS.value, 0
         wdl[stalemated] = Wdl.DRAW.value
-        remaining[live] = counts
-        # A drawn exit never labels its position, so only its count is kept.
-        decisive = codes != draw_code
-        exit_idx.append(to_idx[decisive])
-        exit_code.append(codes[decisive].astype(np.int32))
-    exit_code = np.concatenate(exit_code)
-    exit_idx = np.concatenate(exit_idx)
-    n_open = int(np.count_nonzero(remaining))
+        remaining[live] = moves
+        exit_win[rows], exit_floor[rows] = win, floor
+        static_trigger = max(static_trigger, horizon)
     build_s = time.perf_counter() - start
-
-    # A static value of dtm t labels at pass t + 1, even across
-    # otherwise quiet passes, so termination waits for that horizon.
-    static_trigger = int(((-exit_code - 2) & 0x1FFFF).max(initial=-1)) + 1
 
     # Pass d reads only the positions labeled at d - 1. A loss has an
     # even dtm and a win an odd one, so those are all losses when d is
     # odd and all wins when d is even. The open predecessors of a loss
-    # win; each predecessor of a win counts down its successors not yet
-    # won, and one that reaches 0 is lost. Predecessors come from
-    # un-moves (``_unmoves``) and from the exits that reach a static
-    # value of dtm d - 1, one per edge.
+    # win; each predecessor of a win counts down its moves not yet won,
+    # and one that reaches 0 is lost at max(d, exit_floor): it cannot
+    # win in the meantime, having no successor that is not won.
+    # Predecessors come from un-moves (``_unmoves``), one per edge. Up
+    # to the horizon, pass d also labels the open rows whose exit_win,
+    # or whose exit_floor with nothing left to count down, is d.
     one = remaining.dtype.type(1)
     frontier = np.flatnonzero(dtm == 0)
     passes = []
@@ -1460,15 +1458,23 @@ def _solve_single(material, registry, progress) -> Tablebase:
         if depth > n + static_trigger + 2:
             raise RuntimeError("fixpoint failed to terminate")  # pragma: no cover
         winning = depth % 2 == 1
-        code = _static_code((Wdl.LOSS if winning else Wdl.WIN).value, depth - 1)
-        for pred in _frontier_predecessors(material, frontier, exit_idx[exit_code == code]):
+        for side, block in _side_blocks(material, frontier):
+            pred = _unmoves(material, side, block)
+            pred = pred[pred >= 0]
             pred = pred[wdl[pred] == 0]
             if winning:
                 wdl[pred], dtm[pred] = Wdl.WIN.value, depth
             else:
                 np.subtract.at(remaining, pred, one)
                 pred = pred[remaining[pred] == 0]
+                if depth < static_trigger:
+                    pred = pred[exit_floor[pred] <= depth]
                 wdl[pred], dtm[pred] = Wdl.LOSS.value, depth
+        if depth <= static_trigger:
+            hit = exit_win == depth if winning else (exit_floor == depth) & (remaining == 0)
+            hit &= wdl == 0
+            wdl[hit], dtm[hit] = (Wdl.WIN if winning else Wdl.LOSS).value, depth
+            del hit
 
         frontier = np.flatnonzero(dtm == depth)
         labeled = int(frontier.size)
@@ -1502,14 +1508,3 @@ def _solve_single(material, registry, progress) -> Tablebase:
             f"build {build_s:.2f} s, fixpoint {fixpoint_s:.2f} s"
         )
     return Tablebase(material, wdl, dtm, stats=stats)
-
-
-def _frontier_predecessors(material, frontier, statics):
-    """The predecessors of the sorted indices `frontier`, one array per block, then `statics`.
-
-    The blocks are ``_side_blocks``', so each block's un-moves stay bounded.
-    """
-    for side, block in _side_blocks(material, frontier):
-        pred = _unmoves(material, side, block)
-        yield pred[pred >= 0]
-    yield statics

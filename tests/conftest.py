@@ -45,6 +45,11 @@ def kpk6():
 
 
 @pytest.fixture(scope="session")
+def kqkr6():
+    return sg.solve(sg.MaterialClass.from_string("KQvKR", sg.BoardSpec(6, 6)))
+
+
+@pytest.fixture(scope="session")
 def krk8_file(tmp_path_factory, krk8):
     path = tmp_path_factory.mktemp("tables") / "krk8.ctb"
     krk8.save(path)

@@ -7,9 +7,10 @@ as multisets, since the fixpoint reads them without regard to order.
 
 Three vectorized views are held to it on every index of small classes:
 the forward rows that `_successor_values` gives (the policy's view),
-the solver's build (`_build_side`: move counts, terminal classes and
-the static codes of the moves that leave the class), and the in-class
-predecessors that `_unmoves` generates.
+the solver's build (`_build_side`: terminal classes, the count of
+moves not won by a move that leaves the class, and those moves folded
+into `exit_win` and `exit_floor`), and the in-class predecessors that
+`_unmoves` generates.
 """
 
 import numpy as np
@@ -26,7 +27,6 @@ from strategia.tablebase import (
     _in_check,
     _legal_rows,
     _max_move_bound,
-    _static_code,
     _successor_values,
     _unmoves,
 )
@@ -54,6 +54,32 @@ KPK6_PASSES = (
     (0, 140), (172, 0), (0, 112), (174, 0), (0, 144), (28, 0), (0, 32), (10, 0), (0, 6),
     (0, 0),
 )
+# The first pinned class that many decisive captures label: KQvKR 6x6.
+KQKR6_PASSES = (
+    (21312, 0), (0, 2624), (16844, 0), (0, 1952), (27468, 0), (0, 3232), (54776, 0),
+    (0, 5500), (97812, 0), (0, 10056), (141544, 0), (0, 19404), (116076, 0), (0, 22808),
+    (68748, 0), (0, 17856), (65148, 0), (0, 13632), (64796, 0), (0, 11192), (62328, 0),
+    (0, 10668), (33740, 0), (0, 15776), (17764, 0), (0, 20276), (19244, 0), (0, 23544),
+    (21324, 0), (0, 29404), (23996, 0), (0, 36792), (27144, 0), (0, 46116), (26032, 0),
+    (0, 57112), (19060, 0), (0, 49380), (11472, 0), (0, 35800), (5992, 0), (0, 21016),
+    (1684, 0), (0, 6648), (288, 0), (0, 1264), (0, 0),
+)
+
+
+def _static_code(wdl, dtm):
+    """Edge code of an out-of-class successor value; dtm is DTM_ABSENT for draws.
+
+    Works on ints and on int64 arrays alike, and is always below -1, so
+    it never meets an in-class index.
+    """
+    return -(2 + (wdl << 17) + dtm)
+
+
+def _static_value(code):
+    """(wdl, dtm) of the edge code `code`: the inverse of `_static_code`."""
+    raw = -code - 2
+    return raw >> 17, raw & 0x1FFFF
+
 
 EXHAUSTIVE = (
     ("KvK", sg.BoardSpec(2, 2)),
@@ -137,29 +163,42 @@ def built_classes(material, registry, lo, hi):
 
 
 def solver_classes(material, registry, lo, hi, max_moves=None):
-    """Index -> 'loss', 'draw' or (move count, sorted exit codes), as `_build_side` labels [lo, hi)."""
+    """Index -> 'loss', 'draw' or (moves, exit_win, exit_floor), as `_build_side` labels [lo, hi)."""
     if max_moves is None:
         max_moves = _max_move_bound(material)
     out = {}
     for block in _build_blocks(material, lo, hi):
-        invalid, losses, draws, live, counts, exit_idx, exit_code = _build_side(
+        invalid, losses, draws, live, moves, (rows, win, floor, _) = _build_side(
             material, registry, *block, max_moves
         )
         out.update((int(i), "loss") for i in losses)
         out.update((int(i), "draw") for i in draws)
-        exits = {}
-        for idx, code in zip(exit_idx.tolist(), exit_code.tolist()):
-            exits.setdefault(idx, []).append(code)
-        for idx, count in zip(live.tolist(), counts.tolist()):
-            out[idx] = (count, sorted(exits.pop(idx, [])))
+        exits = {int(i): (int(w), int(f)) for i, w, f in zip(rows, win, floor)}
+        assert len(exits) == rows.size
+        assert all(w or f for w, f in exits.values())
+        for idx, count in zip(live.tolist(), moves.tolist()):
+            out[idx] = (count, *exits.pop(idx, (0, 0)))
         assert not exits
         assert invalid == block[2] - block[1] - losses.size - draws.size - live.size
     return out
 
 
 def counted(row):
-    """What the solver's build keeps of a class: a row's length and its static codes."""
-    return row if isinstance(row, str) else (len(row), [code for code in row if code < 0])
+    """What the solver's build keeps of a class: (moves not won by an exit, exit_win, exit_floor).
+
+    exit_win is 1 + the least dtm of a lost exit and exit_floor 1 + the
+    greatest dtm of a won exit, each 0 if there is none.
+    """
+    if isinstance(row, str):
+        return row
+    values = [_static_value(code) for code in row if code < 0]
+    lost = [dtm for wdl, dtm in values if wdl == sg.Wdl.LOSS.value]
+    won = [dtm for wdl, dtm in values if wdl == sg.Wdl.WIN.value]
+    return (
+        len(row) - len(won),
+        1 + min(lost) if lost else 0,
+        1 + max(won) if won else 0,
+    )
 
 
 def assert_builds_match(material, registry, lo, hi, reference):
@@ -269,15 +308,22 @@ def test_row_over_the_move_bound_raises_instead_of_truncating(kqk4):
     ("krk8", 0xE6FCB2C2),
     ("kqk8", 0x5BBF070E),
     ("kpk6", 0x514883FC),
+    ("kqkr6", 0x95587C52),
 ])
 def test_table_checksums_are_pinned(request, fixture, crc):
     assert request.getfixturevalue(fixture).checksum == crc
+
+
+def test_kqkr6_subtable_checksums_are_pinned(kqkr6):
+    crcs = {table.material.name: table.checksum for table in kqkr6.subtables.values()}
+    assert crcs == {"KQvK": 0xF9760C2A, "KvKR": 0x08EF44C1, "KvK": 0xCAA2AB6D}
 
 
 @pytest.mark.parametrize("fixture,passes", [
     ("krk8", KRK8_PASSES),
     ("kqk8", KQK8_PASSES),
     ("kpk6", KPK6_PASSES),
+    ("kqkr6", KQKR6_PASSES),
 ])
 def test_fixpoint_passes_are_pinned(request, fixture, passes):
     assert request.getfixturevalue(fixture).stats.passes == passes

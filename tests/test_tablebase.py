@@ -12,7 +12,7 @@ import pytest
 
 import strategia as sg
 import oracles
-from strategia.tablebase import _solve_bytes, _successor_classes
+from strategia.tablebase import _block_bytes, _closure, _solve_bytes, _successor_classes
 
 STANDARD = sg.BoardSpec.standard()
 
@@ -167,11 +167,13 @@ class TestSolveProperties:
         assert (estimate, budget) == (3, 2)
         assert estimate > budget
 
-    @pytest.mark.parametrize("text, size", [("KRvK", 8), ("KQvK", 8), ("KPvK", 6)],
-                             ids=["KRvK", "KQvK", "KPvK-6x6"])
+    @pytest.mark.parametrize("text, size", [("KRvK", 8), ("KQvK", 8), ("KPvK", 6), ("KQvKR", 6)],
+                             ids=["KRvK", "KQvK", "KPvK-6x6", "KQvKR-6x6"])
     def test_budget_estimate_bounds_the_measured_peak(self, text, size):
-        # KPvK 6x6 solves its subclasses first and keeps captures and
-        # promotions as exits.
+        # KPvK 6x6 solves its subclasses first, and the closure peaks in
+        # the KQvK 6x6 solve, whose blocks are wider than KPvK's. Most
+        # KQvKR 6x6 captures reach a decisive value, which the build
+        # folds into two columns per index.
         baseline = child_peak_rss("import numpy, strategia")
         peak = child_peak_rss(
             "import strategia as sg; "
@@ -179,6 +181,21 @@ class TestSolveProperties:
         )
         spec = sg.BoardSpec(size, size)
         assert peak <= baseline + _solve_bytes(sg.MaterialClass.from_string(text, spec))
+
+    def test_budget_bytes_per_index_are_one_constant(self):
+        # Without solving anything: past the widest block of the closure
+        # and its subclass tables, the bound is one number of bytes per
+        # index, whatever captures and promotions the class has.
+        per_index = set()
+        for text, size in [("KRvK", 8), ("KPvK", 6), ("KQvKR", 6), ("KQvKR", 8)]:
+            material = sg.MaterialClass.from_string(text, sg.BoardSpec(size, size))
+            closure = _closure(material)
+            rest = max(map(_block_bytes, closure)) + 3 * sum(sub.index_size for sub in closure[:-1])
+            term, extra = divmod(_solve_bytes(material) - rest, material.index_size)
+            assert extra == 0, text
+            per_index.add(term)
+        assert len(per_index) == 1
+        assert _solve_bytes(sg.MaterialClass.from_string("KQvKR", STANDARD)) < 1 << 30
 
     def test_probe_material_mismatch(self, kqk4):
         pos = sg.parse_fen("k3/4/4/K3 w - -", sg.BoardSpec(4, 4))
