@@ -13,9 +13,10 @@ count of moves not yet won, and two columns that fold in its exits,
 the moves that leave the class (``exit_win``, 1 + the least dtm of a
 lost exit, and ``exit_floor``, 1 + the greatest dtm of a won exit,
 which is not counted). Pass d reads only the predecessors of the
-positions labeled at d - 1, generated by un-moves (``_unmoves``): the
-open predecessors of a loss become wins, and those of a win count down
-their moves not yet won, becoming losses at max(d, exit_floor) at 0.
+positions labeled at d - 1, the un-move candidates (``_unmoves``) that
+the value column marks ``_OPEN``: the open predecessors of a loss
+become wins, and those of a win count down their moves not yet won,
+becoming losses at max(d, exit_floor) at 0.
 Pass d also labels won the open positions whose exit_win is d. Each
 in-class edge is generated once over the whole solve. ``_solve_bytes``
 bounds the memory a solve holds: a constant per index, the widest
@@ -68,9 +69,11 @@ promotions are indexed in their subclass (``_successors``); the solve
 reads their values in one gather. The policy also needs in-class
 successors: the digit columns with the moved slot set to its
 destination, encoded (``_successor_values``). Un-moves read the same
-tables backwards, plus un-push tables, and keep a predecessor only if
-the square it comes from is empty, a slider's path is clear and the
-side not to move in it is not in check. The scalar
+tables backwards, plus un-push tables, and test only what the row's
+squares tell: a slider's path and a double push's middle square are
+empty. They return candidates, and the solve keeps those it marks
+``_OPEN``, the legal positions not labeled yet, so legality has one
+test, ``_legal_rows``, made once per index by the build. The scalar
 ``legal_transitions`` stays the rules reference, and the tests hold
 the forward moves and the un-moves to it.
 
@@ -699,24 +702,27 @@ class _MoveTables:
             PieceKind.BISHOP: _pad(diag),
             PieceKind.QUEEN: _pad([o + d for o, d in zip(ortho, diag)]),
         }
-        self.between = np.zeros((n, n), dtype=np.uint64)
+        between = np.zeros((n, n), dtype=np.uint64)
         lines = []
-        for between in (geo.between_ortho, geo.between_diag):
+        for pairs in (geo.between_ortho, geo.between_diag):
             line = np.zeros((n, n), dtype=bool)
-            for (src, target), squares in between.items():
+            for (src, target), squares in pairs.items():
                 line[src, target] = True
-                self.between[src, target] = sum(1 << sq for sq in squares)
+                between[src, target] = sum(1 << sq for sq in squares)
             lines.append(line)
-        self.line = {
+        line = {
             PieceKind.ROOK: lines[0],
             PieceKind.BISHOP: lines[1],
             PieceKind.QUEEN: lines[0] | lines[1],
         }
+        # The squares between a slider's square and each target on its
+        # lines, all ones off them: an attack test is one gather.
+        self.ray = {kind: np.where(on, between, ~np.uint64(0)) for kind, on in line.items()}
         # The squares between a slider's square and each of its
         # destinations, 0 for padding: a path test is one row gather.
         self.path = {
-            kind: np.where(self.dest[kind] >= 0, self.between[np.arange(n)[:, None], self.dest[kind]], 0)
-            for kind in self.line
+            kind: np.where(self.dest[kind] >= 0, between[np.arange(n)[:, None], self.dest[kind]], 0)
+            for kind in line
         }
         self.step = {
             PieceKind.KING: _adjacency(geo.king_sets),
@@ -738,12 +744,17 @@ class _MoveTables:
                     self.pawn_undouble[c, geo.pawn_double[c][src]] = src
 
     def attacks(self, kind: int, color: int, src, target, occ):
-        """Whether a `color` piece of `kind` on `src` attacks `target` given `occ`."""
+        """Whether a `color` piece of `kind` on `src` attacks `target` given `occ`.
+
+        `occ` must hold `target`, as every caller's holds the king it
+        tests: a slider on no line with `target` reads a ray of all ones,
+        so the test is exact only when `occ` is not empty.
+        """
+        if kind in self.path:
+            return (self.ray[kind][src, target] & occ) == 0
         if kind == PieceKind.PAWN:
             return self.pawn_step[color][src, target]
-        if kind in self.step:
-            return self.step[kind][src, target]
-        return self.line[kind][src, target] & ((self.between[src, target] & occ) == 0)
+        return self.step[kind][src, target]
 
     def occupancy(self, columns, rows: int) -> np.ndarray:
         """One bitboard per row with the squares of every column set."""
@@ -760,7 +771,7 @@ class _MoveTables:
         """
         dest = self.dest[kind][src]
         ok = (dest >= 0) & ((blocked[:, None] & self.bit[dest]) == 0)
-        if kind in self.line:
+        if kind in self.path:
             ok &= (self.path[kind][src] & occ[:, None]) == 0
         return dest, ok
 
@@ -1010,53 +1021,46 @@ def _build_side(material, registry, side, lo, hi, max_moves):
 
 
 def _unmoves(material, side, idx):
-    """The in-class predecessors of the legal indices `idx`, all with `side` to move.
+    """The in-class predecessor candidates of the legal indices `idx`, all with `side` to move.
 
-    Returns a (rows, candidates) int64 array holding each row's
-    predecessors, -1 elsewhere: the positions that reach the row by a
-    quiet move of the side that just moved. That piece steps back along
-    its step or ray table to an empty square (a slider over empty
-    squares), or a pawn is un-pushed, singly or doubly, to a square off
-    the back ranks. A predecessor must leave the side not to move in it
-    out of check. A move never captures or promotes inside a class, so
-    there is no un-capture or un-promotion, and no two moves of one
-    position reach the same position, so each edge appears once.
+    Returns the candidates of every row in one int64 array, in no set
+    order: the indices that reach a row by a quiet move of the side
+    that just moved, as far as the row's own squares tell. That piece
+    steps back along its step or ray table (a slider over empty
+    squares), or a pawn is un-pushed, singly or doubly (over an empty
+    square), to a square off the back ranks. Legality is not tested
+    here: a candidate whose origin square is taken is not
+    ``_canonical``, and one that leaves the side not to move in check
+    fails ``_legal_rows``, so the solve, which keeps only the
+    candidates it marks ``_OPEN``, never keeps either. A move never
+    captures or promotes inside a class, so there is no un-capture or
+    un-promotion, and no two moves of one position reach the same
+    position, so each edge appears once.
     """
     ctx = _context(material)
     tables = _move_tables(ctx.spec.width, ctx.spec.height)
     _, digits = _decode_columns(material, idx)
     occ = tables.occupancy(digits, idx.size)
     them = 1 - side
-    movers, _, _, king = _sides(ctx, them)
+    movers = _sides(ctx, them)[0]
     stay = [d[:, None] for d in digits]
-    widths = [2 if kind == PieceKind.PAWN else tables.dest[kind].shape[1] for _, kind in movers]
-    out = np.full((idx.size, sum(widths)), -1, dtype=np.int64)
-    col = 0
+    out = []
     for slot, kind in movers:
         dest = digits[slot]
         if kind == PieceKind.PAWN:
             back = np.column_stack([tables.pawn_unpush[them][dest], tables.pawn_undouble[them][dest]])
         else:
             back = tables.dest[kind][dest]
-        back_bit = tables.bit[back]
-        ok = (back >= 0) & ((occ[:, None] & back_bit) == 0)
+        ok = back >= 0
         if kind == PieceKind.PAWN:
             # A double push passes over the square a single push starts from.
-            ok[:, 1] &= (occ & back_bit[:, 0]) == 0
-        elif kind in tables.line:
+            ok[:, 1] &= (occ & tables.bit[back[:, 0]]) == 0
+        elif kind in tables.path:
             ok &= (tables.path[kind][dest] & occ[:, None]) == 0
-
-        # The predecessor's side not to move must not be in check.
-        occ_before = (occ & ~tables.bit[dest])[:, None] | back_bit
-        for other, other_kind in movers:
-            src = back if other == slot else stay[other]
-            ok &= ~tables.attacks(other_kind, them, src, stay[king], occ_before)
-
         moved = list(stay)
         moved[slot] = back
-        np.copyto(out[:, col:col + back.shape[1]], _encode_columns(material, them, moved), where=ok)
-        col += back.shape[1]
-    return out
+        out.append(_encode_columns(material, them, moved)[ok])
+    return np.concatenate(out)
 
 
 def _successor_values(material, side, idx, table_for, slots):
@@ -1330,8 +1334,14 @@ def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
 # moves not yet won (1: at most 91 moves on boards up to 8x8), the
 # exit_win and exit_floor columns (4), the indices labeled at the last
 # pass and at the current one (8 between them), and at most 3 of
-# boolean temporaries.
+# boolean temporaries. The wdl byte also carries ``_OPEN`` while the
+# solve runs, at no extra byte.
 _INDEX_BYTES = 19
+
+# The wdl code of a legal position not labeled yet. Only a solve writes
+# it, and it is not a ``Wdl`` member: every ``_OPEN`` entry left when
+# the passes end is a draw.
+_OPEN = 4
 
 
 def _resolve_budget() -> int:
@@ -1413,8 +1423,9 @@ def _solve_single(material, registry, progress) -> Tablebase:
         progress(f"solving {material.name}: {n} indices")
     start = time.perf_counter()
 
-    # Per index: the value, an open position's count of moves not yet
-    # won, and its exits as ``_build_side`` folds them.
+    # Per index: the value (``_OPEN`` for a live position, 0 for an
+    # illegal one), an open position's count of moves not yet won, and
+    # its exits as ``_build_side`` folds them.
     wdl = np.zeros(n, dtype=np.uint8)
     dtm = np.full(n, DTM_ABSENT, dtype=np.uint16)
     remaining = np.zeros(n, dtype=np.min_scalar_type(max_moves))
@@ -1435,7 +1446,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
         n_open += live.size
         wdl[mated], dtm[mated] = Wdl.LOSS.value, 0
         wdl[stalemated] = Wdl.DRAW.value
-        remaining[live] = moves
+        wdl[live], remaining[live] = _OPEN, moves
         exit_win[rows], exit_floor[rows] = win, floor
         static_trigger = max(static_trigger, horizon)
     build_s = time.perf_counter() - start
@@ -1446,9 +1457,10 @@ def _solve_single(material, registry, progress) -> Tablebase:
     # win; each predecessor of a win counts down its moves not yet won,
     # and one that reaches 0 is lost at max(d, exit_floor): it cannot
     # win in the meantime, having no successor that is not won.
-    # Predecessors come from un-moves (``_unmoves``), one per edge. Up
-    # to the horizon, pass d also labels the open rows whose exit_win,
-    # or whose exit_floor with nothing left to count down, is d.
+    # Predecessors are the un-move candidates (``_unmoves``) still
+    # marked ``_OPEN``, one per edge. Up to the horizon, pass d also
+    # labels the open rows whose exit_win, or whose exit_floor with
+    # nothing left to count down, is d.
     one = remaining.dtype.type(1)
     frontier = np.flatnonzero(dtm == 0)
     passes = []
@@ -1460,8 +1472,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
         winning = depth % 2 == 1
         for side, block in _side_blocks(material, frontier):
             pred = _unmoves(material, side, block)
-            pred = pred[pred >= 0]
-            pred = pred[wdl[pred] == 0]
+            pred = pred[wdl[pred] == _OPEN]
             if winning:
                 wdl[pred], dtm[pred] = Wdl.WIN.value, depth
             else:
@@ -1472,7 +1483,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
                 wdl[pred], dtm[pred] = Wdl.LOSS.value, depth
         if depth <= static_trigger:
             hit = exit_win == depth if winning else (exit_floor == depth) & (remaining == 0)
-            hit &= wdl == 0
+            hit &= wdl == _OPEN
             wdl[hit], dtm[hit] = (Wdl.WIN if winning else Wdl.LOSS).value, depth
             del hit
 
@@ -1489,7 +1500,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
         elif depth >= static_trigger:
             break
 
-    wdl[(wdl == 0) & (remaining > 0)] = Wdl.DRAW.value
+    wdl[wdl == _OPEN] = Wdl.DRAW.value
     legal = n - invalid
     decisive = _decisive(wdl)
     max_dtm = int(dtm[decisive].max()) if decisive.any() else 0

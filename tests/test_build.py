@@ -10,16 +10,21 @@ the forward rows that `_successor_values` gives (the policy's view),
 the solver's build (`_build_side`: terminal classes, the count of
 moves not won by a move that leaves the class, and those moves folded
 into `exit_win` and `exit_floor`), and the in-class predecessors that
-`_unmoves` generates.
+`_unmoves` generates among its candidates. The solve keeps only the
+candidates it marks open, so a solved table must hold no open mark
+and an illegal entry exactly where `_legal_rows` says so. The attack
+test all of them use is held to the independent oracle's walk.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import strategia as sg
 from strategia.tablebase import (
     _BUILD_BLOCK,
+    _OPEN,
     DTM_ABSENT,
     _build_blocks,
     _build_side,
@@ -27,6 +32,7 @@ from strategia.tablebase import (
     _in_check,
     _legal_rows,
     _max_move_bound,
+    _move_tables,
     _successor_values,
     _unmoves,
 )
@@ -220,23 +226,28 @@ def registry_of(table):
     ids=[f"{t}-{s.width}x{s.height}-{len(s.promotion_kinds)}promo" for t, s in EXHAUSTIVE],
 )
 def exhaustive(request):
-    """(class, subtables, scalar class of every index) of one EXHAUSTIVE class."""
+    """(table, scalar class of every index) of one EXHAUSTIVE class."""
     text, spec = request.param
-    material = sg.MaterialClass.from_string(text, spec)
-    registry = registry_of(sg.solve(material))
+    table = sg.solve(sg.MaterialClass.from_string(text, spec))
+    material, registry = table.material, registry_of(table)
     reference = [reference_class(material, registry, idx) for idx in range(material.index_size)]
-    return material, registry, reference
+    return table, reference
 
 
 def test_build_matches_scalar_rules_on_every_index(exhaustive):
-    material, registry, reference = exhaustive
-    assert_builds_match(material, registry, 0, material.index_size, reference.__getitem__)
+    table, reference = exhaustive
+    material = table.material
+    assert_builds_match(material, registry_of(table), 0, material.index_size, reference.__getitem__)
 
 
 def test_unmoves_match_scalar_rules_on_every_index(exhaustive):
     # The predecessors of F are the P whose legal moves include a quiet,
-    # in-class move to F: the in-class entries of P's scalar row.
-    material, _, reference = exhaustive
+    # in-class move to F: the in-class entries of P's scalar row. The
+    # un-moves yield candidates, and the solve keeps the legal ones. A
+    # row's candidates are those of `_unmoves` on that row alone, and a
+    # block yields the candidates of all its rows.
+    table, reference = exhaustive
+    material = table.material
     expected = {}
     for p, row in enumerate(reference):
         if isinstance(row, list):
@@ -247,10 +258,60 @@ def test_unmoves_match_scalar_rules_on_every_index(exhaustive):
         targets = np.array([f for f in range(lo, hi) if reference[f] != "invalid"], dtype=np.int64)
         if targets.size == 0:
             continue
-        preds = _unmoves(material, side, targets)
-        assert preds.shape[0] == targets.size
-        for f, row in zip(targets.tolist(), preds.tolist()):
-            assert sorted(p for p in row if p >= 0) == expected.get(f, []), f
+        rows = [_unmoves(material, side, targets[i:i + 1]) for i in range(targets.size)]
+        assert sorted(_unmoves(material, side, targets).tolist()) == sorted(np.concatenate(rows).tolist())
+        for f, row in zip(targets.tolist(), rows):
+            legal = sorted(p for p in row.tolist() if reference[p] != "invalid")
+            assert legal == expected.get(f, []), f
+
+
+def assert_solved_marks(table):
+    """`table` and each subtable: wdl 0 exactly where `_legal_rows` is false, no `_OPEN`, and a lossless file."""
+    for solved in (table, *table.subtables.values()):
+        material = solved.material
+        for side, lo, hi in _build_blocks(material, 0, material.index_size):
+            ok, _, _ = _legal_rows(material, side, np.arange(lo, hi, dtype=np.int64))
+            assert np.array_equal(solved.wdl[lo:hi] == 0, ~ok), (material.name, lo)
+        assert not (solved.wdl == _OPEN).any(), material.name
+        loaded = sg.Tablebase.from_bytes(solved.file_bytes())
+        assert np.array_equal(loaded.wdl, solved.wdl), material.name
+        assert np.array_equal(loaded.dtm, solved.dtm), material.name
+
+
+def test_solve_marks_every_entry_final_on_exhaustive_classes(exhaustive):
+    assert_solved_marks(exhaustive[0])
+
+
+@pytest.mark.parametrize("fixture", ["krk8", "kqk8", "kpk6", "kqkr6"])
+def test_solve_marks_every_entry_final_on_pinned_classes(request, fixture):
+    assert_solved_marks(request.getfixturevalue(fixture))
+
+
+@pytest.mark.parametrize("width,height", [(8, 8), (3, 5)])
+def test_attacks_match_the_oracle_walk(width, height):
+    # Every (src, target) pair, each under an occupancy of only the two
+    # squares and under seeded random blockers. The target holds the
+    # defending king and the blockers are defending pawns, so the
+    # attacker on src is the only piece that can attack it.
+    tables = _move_tables(width, height)
+    rules = oracles.OracleRules(width, height, ())
+    n = width * height
+    src, target = (a.ravel() for a in np.indices((n, n)))
+    src, target = src[src != target], target[src != target]
+    rng = np.random.default_rng(19)
+    bits = tables.bit[:n]
+    for density in (0.0, 0.25, 0.5):
+        blockers = rng.random((src.size, n)) < density
+        occ = np.bitwise_or.reduce(np.where(blockers, bits, 0), axis=1) | bits[src] | bits[target]
+        for kind in sg.PieceKind:
+            for color in (0, 1):
+                got = tables.attacks(kind, color, src, target, occ)
+                sign = 1 if color == 0 else -1
+                for row, (s, t) in enumerate(zip(src.tolist(), target.tolist())):
+                    board = [-sign * oracles.PAWN if blocked else 0 for blocked in blockers[row].tolist()]
+                    board[s] = sign * getattr(oracles, kind.name)
+                    board[t] = -sign * oracles.KING
+                    assert bool(got[row]) == rules.attacked(board, t, color == 0), (kind.name, color, s, t)
 
 
 @settings(max_examples=300, deadline=None)
