@@ -60,7 +60,7 @@ def _parse_thresholds(path) -> AtypicalityThresholds:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8 text, or not JSON
             raise ValidationError(f"thresholds file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError("thresholds file must hold a JSON object")

@@ -8,19 +8,19 @@ generations below d, so the labeled set grows monotonically and the
 result is independent of pass scheduling.
 
 The passes run on a retrograde frontier, and the solve keeps only
-per-index arrays, no edge or move list: the value, an open position's
-count of moves not yet won, and two columns that fold in its exits,
-the moves that leave the class (``exit_win``, 1 + the least dtm of a
-lost exit, and ``exit_floor``, 1 + the greatest dtm of a won exit,
-which is not counted). Pass d reads only the predecessors of the
+per-index arrays, no edge or move list: the value and an open
+position's count of moves not yet won. An open position's dtm holds
+what its exits, the moves that leave the class, give it (``exit_at``):
+1 + the least dtm of a lost exit, else 1 + the greatest dtm of a won
+exit, which is not counted. Pass d reads only the predecessors of the
 positions labeled at d - 1, the un-move candidates (``_unmoves``) that
 the value column marks ``_OPEN``: the open predecessors of a loss
 become wins, and those of a win count down their moves not yet won,
-becoming losses at max(d, exit_floor) at 0.
-Pass d also labels won the open positions whose exit_win is d. Each
-in-class edge is generated once over the whole solve. ``_solve_bytes``
-bounds the memory a solve holds: a constant per index, the widest
-block and the subclass tables.
+becoming losses at max(d, exit_at) at 0. Pass d also labels the open
+positions whose exit_at is d: won if d is odd, lost if d is even and
+nothing is left to count down. Each in-class edge is generated once
+over the whole solve. ``_solve_bytes`` bounds the memory a solve
+holds: a constant per index, the widest block and the subclass tables.
 
 Captures and promotions leave the class, so a class is solved on top
 of the subclasses they reach, listed with it in solve order by
@@ -656,9 +656,9 @@ def _closure(material: MaterialClass) -> tuple:
 # this many indices, so their temporaries stay bounded (``_solve_bytes``
 # allows 48 bytes per row and move; about 15-36 were measured). With
 # only per-index arrays kept, these temporaries are a large part of a
-# solve's peak: traced in process (tracemalloc), KRvK 8x8 peaks at 7.7
-# MiB and KQvK 8x8 at 10.3 MiB, 2 MiB of each being the exit columns,
-# which neither class writes.
+# solve's peak: traced in process (tracemalloc), with the subclass
+# tables solved beforehand, KRvK 8x8 peaks at 4.5 MiB and KQvK 8x8 at
+# 5.9 MiB.
 _BUILD_BLOCK = 4096
 
 
@@ -968,13 +968,14 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     """Classify the indices in [lo, hi), which all have `side` to move.
 
     Returns (invalid count, terminal losses, terminal draws, open
-    indices, their counts of moves not won by an exit, folded exits).
-    An exit is a move that leaves the class (a capture or promotion);
-    its value is read from the subtables in `registry` (class key ->
-    table). The folded exits are the open indices with a decisive exit,
-    their ``exit_win`` (1 + the least dtm of a lost exit, else 0) and
-    ``exit_floor`` (1 + the greatest dtm of a won exit, else 0), and the
-    horizon, 1 + the greatest dtm of any decisive exit (0 if none).
+    indices, their counts of moves not won by an exit, their
+    ``exit_at``, horizon). An exit is a move that leaves the class (a
+    capture or promotion); its value is read from the subtables in
+    `registry` (class key -> table). ``exit_at`` is the dtm an open
+    index's exits alone give it: 1 + the least dtm of a lost exit (odd,
+    a win), else 1 + the greatest dtm of a won exit (even, a loss no
+    sooner), else 0. The horizon is 1 + the greatest dtm of any
+    decisive exit (0 if none).
     In-class moves are only counted: the solve finds them again by
     un-moves. Mate and stalemate are found from the count of every
     move, and more than `max_moves` of them raises RuntimeError.
@@ -1009,14 +1010,13 @@ def _build_side(material, registry, side, lo, hi, max_moves):
         raise RuntimeError(
             f"{material.name}: a position has {counts.max()} moves, bound is {max_moves}"
         )
-    exit_win[exit_win == DTM_ABSENT] = 0
     stuck = counts == 0
     mated = _in_check(material, side, [d[stuck] for d in digits], occ[stuck])
     live = ~stuck
-    folded = (exit_win > 0) | (exit_floor > 0)
+    exit_at = np.where(exit_win < DTM_ABSENT, exit_win, exit_floor)
     return (
         invalid, idx[stuck][mated], idx[stuck][~mated], idx[live], (counts - won)[live],
-        (idx[folded], exit_win[folded], exit_floor[folded], horizon),
+        exit_at[live], horizon,
     )
 
 
@@ -1332,11 +1332,11 @@ def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
 
 # The bytes a solve holds per index: the wdl and dtm (3), the count of
 # moves not yet won (1: at most 91 moves on boards up to 8x8), the
-# exit_win and exit_floor columns (4), the indices labeled at the last
-# pass and at the current one (8 between them), and at most 3 of
-# boolean temporaries. The wdl byte also carries ``_OPEN`` while the
-# solve runs, at no extra byte.
-_INDEX_BYTES = 19
+# indices labeled at the last pass and at the current one (8 between
+# them), and at most 3 of boolean temporaries. While the solve runs,
+# the wdl byte also carries ``_OPEN`` and an open row's dtm its
+# ``exit_at``, at no extra byte.
+_INDEX_BYTES = 15
 
 # The wdl code of a legal position not labeled yet. Only a solve writes
 # it, and it is not a ``Wdl`` member: every ``_OPEN`` entry left when
@@ -1424,20 +1424,19 @@ def _solve_single(material, registry, progress) -> Tablebase:
     start = time.perf_counter()
 
     # Per index: the value (``_OPEN`` for a live position, 0 for an
-    # illegal one), an open position's count of moves not yet won, and
-    # its exits as ``_build_side`` folds them.
+    # illegal one), and an open position's count of moves not yet won,
+    # with its dtm holding the ``exit_at`` that ``_build_side`` folds
+    # from its exits.
     wdl = np.zeros(n, dtype=np.uint8)
     dtm = np.full(n, DTM_ABSENT, dtype=np.uint16)
     remaining = np.zeros(n, dtype=np.min_scalar_type(max_moves))
-    exit_win = np.zeros(n, dtype=np.uint16)
-    exit_floor = np.zeros(n, dtype=np.uint16)
     invalid = n_mated = n_stalemated = n_open = 0
     # A static value of dtm t labels at pass t + 1, even across
     # otherwise quiet passes, so termination waits for the horizon of
-    # every decisive exit, not only of those the columns keep.
+    # every decisive exit, not only of those ``exit_at`` keeps.
     static_trigger = 0
     for block in _build_blocks(material, 0, n):
-        bad, mated, stalemated, live, moves, (rows, win, floor, horizon) = _build_side(
+        bad, mated, stalemated, live, moves, exit_at, horizon = _build_side(
             material, registry, *block, max_moves
         )
         invalid += bad
@@ -1446,8 +1445,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
         n_open += live.size
         wdl[mated], dtm[mated] = Wdl.LOSS.value, 0
         wdl[stalemated] = Wdl.DRAW.value
-        wdl[live], remaining[live] = _OPEN, moves
-        exit_win[rows], exit_floor[rows] = win, floor
+        wdl[live], dtm[live], remaining[live] = _OPEN, exit_at, moves
         static_trigger = max(static_trigger, horizon)
     build_s = time.perf_counter() - start
 
@@ -1455,14 +1453,16 @@ def _solve_single(material, registry, progress) -> Tablebase:
     # even dtm and a win an odd one, so those are all losses when d is
     # odd and all wins when d is even. The open predecessors of a loss
     # win; each predecessor of a win counts down its moves not yet won,
-    # and one that reaches 0 is lost at max(d, exit_floor): it cannot
-    # win in the meantime, having no successor that is not won.
+    # and one that reaches 0 is lost at max(d, exit_at): it cannot win
+    # in the meantime, having no successor that is not won.
     # Predecessors are the un-move candidates (``_unmoves``) still
     # marked ``_OPEN``, one per edge. Up to the horizon, pass d also
-    # labels the open rows whose exit_win, or whose exit_floor with
-    # nothing left to count down, is d.
+    # labels the open rows whose exit_at is d: all of them when d is
+    # odd, and those with nothing left to count down when d is even.
+    # An open row's dtm is its exit_at, so the frontier leaves out the
+    # rows at dtm d that stay open.
     one = remaining.dtype.type(1)
-    frontier = np.flatnonzero(dtm == 0)
+    frontier = np.flatnonzero(wdl == Wdl.LOSS.value)
     passes = []
     depth = 0
     while n_open:
@@ -1477,17 +1477,19 @@ def _solve_single(material, registry, progress) -> Tablebase:
                 wdl[pred], dtm[pred] = Wdl.WIN.value, depth
             else:
                 np.subtract.at(remaining, pred, one)
-                pred = pred[remaining[pred] == 0]
-                if depth < static_trigger:
-                    pred = pred[exit_floor[pred] <= depth]
+                pred = pred[(remaining[pred] == 0) & (dtm[pred] <= depth)]
                 wdl[pred], dtm[pred] = Wdl.LOSS.value, depth
+        at = dtm == depth
         if depth <= static_trigger:
-            hit = exit_win == depth if winning else (exit_floor == depth) & (remaining == 0)
-            hit &= wdl == _OPEN
-            wdl[hit], dtm[hit] = (Wdl.WIN if winning else Wdl.LOSS).value, depth
+            hit = at & (wdl == _OPEN)
+            if not winning:
+                hit &= remaining == 0
+            wdl[hit] = (Wdl.WIN if winning else Wdl.LOSS).value
             del hit
+            at &= wdl != _OPEN
 
-        frontier = np.flatnonzero(dtm == depth)
+        frontier = np.flatnonzero(at)
+        del at
         labeled = int(frontier.size)
         passes.append((labeled, 0) if winning else (0, labeled))
         if labeled:
@@ -1500,7 +1502,8 @@ def _solve_single(material, registry, progress) -> Tablebase:
         elif depth >= static_trigger:
             break
 
-    wdl[wdl == _OPEN] = Wdl.DRAW.value
+    drawn = wdl == _OPEN
+    wdl[drawn], dtm[drawn] = Wdl.DRAW.value, DTM_ABSENT
     legal = n - invalid
     decisive = _decisive(wdl)
     max_dtm = int(dtm[decisive].max()) if decisive.any() else 0

@@ -9,8 +9,8 @@ Three vectorized views are held to it on every index of small classes:
 the forward rows that `_successor_values` gives (the policy's view),
 the solver's build (`_build_side`: terminal classes, the count of
 moves not won by a move that leaves the class, and those moves folded
-into `exit_win` and `exit_floor`), and the in-class predecessors that
-`_unmoves` generates among its candidates. The solve keeps only the
+into one `exit_at`), and the in-class predecessors that `_unmoves`
+generates among its candidates. The solve keeps only the
 candidates it marks open, so a solved table must hold no open mark
 and an illegal entry exactly where `_legal_rows` says so. The attack
 test all of them use is held to the independent oracle's walk.
@@ -169,42 +169,39 @@ def built_classes(material, registry, lo, hi):
 
 
 def solver_classes(material, registry, lo, hi, max_moves=None):
-    """Index -> 'loss', 'draw' or (moves, exit_win, exit_floor), as `_build_side` labels [lo, hi)."""
+    """Index -> 'loss', 'draw' or (moves, exit_at), as `_build_side` labels [lo, hi)."""
     if max_moves is None:
         max_moves = _max_move_bound(material)
     out = {}
     for block in _build_blocks(material, lo, hi):
-        invalid, losses, draws, live, moves, (rows, win, floor, _) = _build_side(
+        invalid, losses, draws, live, moves, exit_at, _ = _build_side(
             material, registry, *block, max_moves
         )
         out.update((int(i), "loss") for i in losses)
         out.update((int(i), "draw") for i in draws)
-        exits = {int(i): (int(w), int(f)) for i, w, f in zip(rows, win, floor)}
-        assert len(exits) == rows.size
-        assert all(w or f for w, f in exits.values())
-        for idx, count in zip(live.tolist(), moves.tolist()):
-            out[idx] = (count, *exits.pop(idx, (0, 0)))
-        assert not exits
+        out.update(zip(live.tolist(), zip(moves.tolist(), exit_at.tolist())))
         assert invalid == block[2] - block[1] - losses.size - draws.size - live.size
     return out
 
 
 def counted(row):
-    """What the solver's build keeps of a class: (moves not won by an exit, exit_win, exit_floor).
+    """What the solver's build keeps of a class: (moves not won by an exit, exit_at).
 
-    exit_win is 1 + the least dtm of a lost exit and exit_floor 1 + the
-    greatest dtm of a won exit, each 0 if there is none.
+    exit_at is 1 + the least dtm of a lost exit if there is one, else
+    1 + the greatest dtm of a won exit if there is one, else 0.
     """
     if isinstance(row, str):
         return row
     values = [_static_value(code) for code in row if code < 0]
     lost = [dtm for wdl, dtm in values if wdl == sg.Wdl.LOSS.value]
     won = [dtm for wdl, dtm in values if wdl == sg.Wdl.WIN.value]
-    return (
-        len(row) - len(won),
-        1 + min(lost) if lost else 0,
-        1 + max(won) if won else 0,
-    )
+    if lost:
+        exit_at = 1 + min(lost)
+    elif won:
+        exit_at = 1 + max(won)
+    else:
+        exit_at = 0
+    return (len(row) - len(won), exit_at)
 
 
 def assert_builds_match(material, registry, lo, hi, reference):

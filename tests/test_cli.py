@@ -158,19 +158,23 @@ class TestExperimentCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [
-        '{"zorp": 1}',
-        "not json",
-        "[1, 2]",
-        '{"forced_mate_max_dtm": "3"}',
-        '{"forced_mate_max_dtm": true}',
-    ], ids=["unknown-key", "not-json", "not-object", "string-value", "bool-value"])
-    def test_unknown_threshold_key_exits_3(self, kqk4_file, tmp_path, text):
+        b'{"zorp": 1}',
+        b"not json",
+        b"[1, 2]",
+        b'{"forced_mate_max_dtm": "3"}',
+        b'{"forced_mate_max_dtm": true}',
+        b"\xff\xfe",
+    ], ids=["unknown-key", "not-json", "not-object", "string-value", "bool-value", "not-utf8"])
+    def test_unknown_threshold_key_exits_3(self, kqk4_file, tmp_path, capsys, text):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(text)
+        cfg.write_bytes(text)
+        out = tmp_path / "x"
         code = main(["experiment", "--tb", str(kqk4_file), "--sample", "6",
-                     "--seed", "1", "--thresholds", str(cfg),
-                     "--out", str(tmp_path / "x")])
+                     "--seed", "1", "--thresholds", str(cfg), "--out", str(out)])
         assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
 
 class TestEvalprobeCommand:

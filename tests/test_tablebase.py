@@ -12,7 +12,13 @@ import pytest
 
 import strategia as sg
 import oracles
-from strategia.tablebase import _block_bytes, _closure, _solve_bytes, _successor_classes
+from strategia.tablebase import (
+    _INDEX_BYTES,
+    _block_bytes,
+    _closure,
+    _solve_bytes,
+    _successor_classes,
+)
 
 STANDARD = sg.BoardSpec.standard()
 
@@ -156,7 +162,7 @@ class TestSolveProperties:
             sg.solve(mc)
 
     def test_budget_refusal_rounds_the_estimate_up(self, monkeypatch):
-        # KBvK 3x5 needs 2,505,600 bytes: over a 2 MiB budget, so the
+        # KBvK 3x5 needs 2,370,600 bytes: over a 2 MiB budget, so the
         # message must not read "needs about 2 MiB, budget is 2 MiB".
         monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", "2")
         mc = sg.MaterialClass.from_string("KBvK", sg.BoardSpec(3, 5))
@@ -173,7 +179,7 @@ class TestSolveProperties:
         # KPvK 6x6 solves its subclasses first, and the closure peaks in
         # the KQvK 6x6 solve, whose blocks are wider than KPvK's. Most
         # KQvKR 6x6 captures reach a decisive value, which the build
-        # folds into two columns per index.
+        # folds into the dtm of the open row, at no extra byte.
         baseline = child_peak_rss("import numpy, strategia")
         peak = child_peak_rss(
             "import strategia as sg; "
@@ -194,8 +200,21 @@ class TestSolveProperties:
             term, extra = divmod(_solve_bytes(material) - rest, material.index_size)
             assert extra == 0, text
             per_index.add(term)
-        assert len(per_index) == 1
+        assert per_index == {_INDEX_BYTES} == {15}
         assert _solve_bytes(sg.MaterialClass.from_string("KQvKR", STANDARD)) < 1 << 30
+
+    def test_kqkr5_solves_under_an_18_mib_budget(self, monkeypatch):
+        # 18 MiB is above the 17 MiB bound of 15 bytes per index and
+        # below the 20 MiB that 19 bytes per index would need.
+        material = sg.MaterialClass.from_string("KQvKR", sg.BoardSpec(5, 5))
+        monkeypatch.delenv("STRATEGIA_MEM_BUDGET_MB", raising=False)
+        unbudgeted = sg.solve(material)
+        monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", "18")
+        budgeted = sg.solve(material)
+        assert budgeted.checksum == unbudgeted.checksum
+        assert budgeted.stats == unbudgeted.stats
+        assert np.array_equal(budgeted.wdl, unbudgeted.wdl)
+        assert np.array_equal(budgeted.dtm, unbudgeted.dtm)
 
     def test_probe_material_mismatch(self, kqk4):
         pos = sg.parse_fen("k3/4/4/K3 w - -", sg.BoardSpec(4, 4))
