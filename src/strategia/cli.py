@@ -71,13 +71,19 @@ def _parse_thresholds(path) -> AtypicalityThresholds:
     return AtypicalityThresholds(**{**DEFAULT_THRESHOLDS.as_dict(), **raw})
 
 
-def _parse_capacity_range(text: str):
+def _parse_capacity_range(text: str, feature_count: int) -> list:
+    """The capacities lo..hi of `text`, its bound checked against `feature_count` before any is listed."""
     match = re.match(r"^(\d+)\.\.(\d+)$", text)
     if not match:
         raise ValidationError(f"--capacity-sweep must look like 0..16, got {text!r}")
-    lo, hi = int(match.group(1)), int(match.group(2))
+    try:
+        lo, hi = int(match.group(1)), int(match.group(2))
+    except ValueError:  # more digits than int() converts
+        raise ValidationError(f"capacity sweep exceeds feature count {feature_count}") from None
     if lo > hi:
         raise ValidationError("capacity sweep range is empty")
+    if hi > feature_count:
+        raise ValidationError(f"capacity sweep exceeds feature count {feature_count}")
     return list(range(lo, hi + 1))
 
 
@@ -264,11 +270,7 @@ def _cmd_evalprobe(args, argv) -> int:
         features = DEFAULT_FEATURE_CHAIN
     else:
         features = tuple(name.strip() for name in args.features.split(",") if name.strip())
-    capacities = _parse_capacity_range(args.capacity_sweep)
-    if capacities and capacities[-1] > len(features):
-        raise ValidationError(
-            f"capacity sweep exceeds feature count {len(features)}"
-        )
+    capacities = _parse_capacity_range(args.capacity_sweep, len(features))
     rows = capacity_sweep(
         table,
         capacities,

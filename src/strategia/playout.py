@@ -13,11 +13,11 @@ The policy is an array (``Tablebase.policy``) over each class of the
 table's closure: the move of every decisive, non-terminal index and the
 (class slot, index) it reaches. It is filled one block of 4,096 indices
 at a time: a row not chosen yet fills the block that holds it, so a
-line pays for the blocks its plies touch and many lines together pay at
-most one sweep. A playout locates its start once (one class key and one
-``index_of``) and then walks indices, one choice per ply; only the
-chosen successor is built as a ``Position`` (``board.play``) and
-encoded. Experiments play no ``Playout``: ``Policy.walk`` walks all
+line pays for the blocks its plies touch and many playouts together
+fill each block at most once. A playout locates its start once (one
+class key and one ``index_of``) and then walks indices, one choice per
+ply; only the chosen successor is built as a ``Position``
+(``board.play``) and encoded. Experiments play no ``Playout``: ``Policy.walk`` walks all
 their lines together and builds no ``Position`` per ply (see
 ``dynamics``).
 """

@@ -43,12 +43,12 @@ The playout policy (``Tablebase.policy``) is memoized on the table and
 never touched by a lookup. Making it checks, once, that every (LOSS, 0)
 entry of the closure's loaded tables is checkmate (``_check_mates``).
 It reads the value of every move of a decisive, non-terminal index
-(``_successor_values``) and keeps the policy's move with the (class
-slot, index) it reaches (``_choose``): into arrays one ``_build_blocks``
-block at a time (``Policy._fill_block``), the block that holds a row
-the first time a line asks for it or every block in a sweep, or a ply
-at a time for many lines together (``Policy.walk``). ``_side_blocks``
-cuts every batch of rows into same-side blocks.
+(``_successor_values``) and picks the policy's move with the (class
+slot, index) it reaches (``_choose``). A line keeps the picks in arrays,
+filling the ``_build_blocks`` block that holds a row the first time it
+asks for the row (``Policy._fill_block``); many lines walked together a
+ply at a time keep none (``Policy.walk``). ``_side_blocks`` cuts every
+batch of rows into same-side blocks.
 
 One codec holds the index layout: ``_decode_columns`` splits indices
 into the side to move and one square (digit) per piece slot,
@@ -98,6 +98,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .board import (
+    DEFAULT_PROMOTION_KINDS,
     BoardSpec,
     Color,
     Move,
@@ -444,8 +445,8 @@ class Tablebase:
         Making it checks every (LOSS, 0) entry of the closure's loaded
         tables; a false mate raises RuntimeError and memoizes nothing.
         Getting it chooses nothing: a ``Policy.choice`` of a row not
-        chosen yet fills the one block that holds it, and only
-        ``Policy.sweep`` fills every block. Lookups never touch it.
+        chosen yet fills the one block that holds it, and ``Policy.walk``
+        fills none. Lookups never touch it.
         """
         closure = _closure(self.material)
         tables = tuple(
@@ -518,7 +519,16 @@ class Tablebase:
         return self._checksum
 
     def file_bytes(self) -> bytes:
+        """The table file: header, records and CRC trailer.
+
+        The header records the board's width and height and no rule
+        switch, so a table solved with other than the default promotion
+        kinds raises ValidationError: it would load as a table of the
+        default kinds, which its values are not.
+        """
         mc = self.material
+        if mc.spec.promotion_kinds != DEFAULT_PROMOTION_KINDS:
+            raise ValidationError(f"{mc.name}: a table file cannot record non-default promotion kinds")
         header = bytearray()
         header += MAGIC
         header += struct.pack("<BBBB", FORMAT_VERSION, mc.spec.width, mc.spec.height, mc.num_pieces)
@@ -1113,9 +1123,9 @@ class Policy:
     and allocates a slot's arrays on its first fill, so a slot never
     filled holds none. A move key is never 0, so 0 marks a row not
     chosen yet. A miss in ``choice`` fills the block that holds its
-    row; ``sweep`` fills every block and counts the chosen rows in
-    ``rows``. Every row is checked when it is chosen, and a block whose
-    check fails keeps nothing.
+    row, so each block is filled at most once; ``walk`` fills none.
+    Every row is checked when it is chosen, and a block whose check
+    fails keeps nothing.
     """
 
     def __init__(self, material, tables: tuple, slots: dict, table_for):
@@ -1127,29 +1137,6 @@ class Policy:
         self.slots = slots  # class key -> slot
         self._table_for = table_for
         self.move, self.succ_slot, self.succ_index = ([None] * len(tables) for _ in range(3))
-        self.rows = 0
-        self.swept = False
-
-    def sweep(self, *, progress: Optional[Callable[[str], None]] = None) -> "Policy":
-        """Fill every block of every loaded table (``_fill_block``); a no-op once done.
-
-        Reports the class, the rows chosen and the seconds through `progress`.
-        """
-        if self.swept:
-            return self
-        start = time.perf_counter()
-        for slot, table in enumerate(self.tables):
-            if table is not None:
-                for block in _build_blocks(table.material, 0, table.material.index_size):
-                    self._fill_block(slot, *block)
-        self.rows = sum(int(np.count_nonzero(move)) for move in self.move if move is not None)
-        self.swept = True
-        if progress:
-            progress(
-                f"policy {self.material.name}: {self.rows} rows "
-                f"in {time.perf_counter() - start:.2f} s"
-            )
-        return self
 
     def _fill_block(self, slot: int, side: int, lo: int, hi: int) -> None:
         """Choose the decisive, non-terminal rows of [lo, hi) in `slot` not chosen yet (``_choose``)."""

@@ -263,13 +263,20 @@ def test_unmoves_match_scalar_rules_on_every_index(exhaustive):
 
 
 def assert_solved_marks(table):
-    """`table` and each subtable: wdl 0 exactly where `_legal_rows` is false, no `_OPEN`, and a lossless file."""
+    """`table` and each subtable: wdl 0 exactly where `_legal_rows` is false, no `_OPEN`, and a lossless file.
+
+    A file records no promotion kinds, so a class of other kinds refuses to make one.
+    """
     for solved in (table, *table.subtables.values()):
         material = solved.material
         for side, lo, hi in _build_blocks(material, 0, material.index_size):
             ok, _, _ = _legal_rows(material, side, np.arange(lo, hi, dtype=np.int64))
             assert np.array_equal(solved.wdl[lo:hi] == 0, ~ok), (material.name, lo)
         assert not (solved.wdl == _OPEN).any(), material.name
+        if material.spec.promotion_kinds != sg.BoardSpec().promotion_kinds:
+            with pytest.raises(sg.ValidationError, match="promotion kinds"):
+                solved.file_bytes()
+            continue
         loaded = sg.Tablebase.from_bytes(solved.file_bytes())
         assert np.array_equal(loaded.wdl, solved.wdl), material.name
         assert np.array_equal(loaded.dtm, solved.dtm), material.name

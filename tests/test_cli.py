@@ -193,6 +193,17 @@ class TestEvalprobeCommand:
                      "--seed", "3", "--out", str(tmp_path / "s.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("digits", [31, 5000])
+    def test_a_huge_bound_is_refused_before_the_range_is_built(self, kqk4_file, tmp_path, capsys, digits):
+        out = tmp_path / "s.csv"
+        code = main(["evalprobe", "--tb", str(kqk4_file), "--features", "default",
+                     "--capacity-sweep", "0.." + "1" + "0" * (digits - 1), "--seed", "3",
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "exceeds feature count" in err[0]
+        assert not out.exists()
+
     def test_bad_range_exits_3(self, kqk4_file, tmp_path):
         code = main(["evalprobe", "--tb", str(kqk4_file), "--features", "default",
                      "--capacity-sweep", "16..0", "--seed", "3",

@@ -119,7 +119,8 @@ def test_cli_path_and_experiment_name_each_solved_subclass(kpk4, kpk4_file, tmp_
 def test_cli_experiment_reports_the_policy_sweep_after_the_solves_and_path_runs_none(
     kpk4_file, tmp_path, capsys
 ):
-    # One line chooses its rows alone; an experiment plays many and sweeps.
+    # A line fills the blocks it touches and reports none; an experiment
+    # walks its lines together and reports the walk in one line.
     runs = {
         "path": ["path", "--tb", str(kpk4_file), "--fen", PROMOTING_FEN,
                  "--out", str(tmp_path / "p.csv")],

@@ -68,9 +68,27 @@ def decisive_positions(table):
             yield idx, sg.position_at(idx, table.material)
 
 
+def chosen_rows(table):
+    """The decisive, non-terminal indices of `table`: the rows the policy chooses."""
+    return np.flatnonzero(tablebase._decisive(table.wdl) & (table.dtm > 0))
+
+
+def fill_every_block(policy):
+    """`policy` after one ``choice`` miss per ``_build_blocks`` block: the block's first chosen row."""
+    for slot, table in enumerate(policy.tables):
+        if table is None:
+            continue
+        for _, lo, hi in tablebase._build_blocks(table.material, 0, table.material.index_size):
+            # Found block by block, so the fill holds no index-long temporary.
+            rows = np.flatnonzero(tablebase._decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0))
+            if rows.size:
+                policy.choice(slot, lo + int(rows[0]))
+    return policy
+
+
 def assert_successors_match(tb, table):
-    """The swept policy's successor (table, index) equals the scalar lookup of the reference successor."""
-    policy = tb.policy().sweep()
+    """The policy's successor (table, index) equals the scalar lookup of the reference successor."""
+    policy = tb.policy()
     checked = 0
     for idx, pos in decisive_positions(table):
         _, succ = reference_policy(pos, tb)
@@ -150,7 +168,8 @@ def test_a_table_loaded_without_its_subclasses_plays_out(krk8_file):
     playout = sg.generate_playout(sg.position_at(idx, loaded.material), loaded)
     assert playout.plies == loaded.counts()["max_dtm"]
     assert playout.terminal is sg.Outcome.CHECKMATE
-    assert loaded.policy().sweep().rows > 0
+    policy = fill_every_block(loaded.policy())
+    assert np.count_nonzero(policy.move[policy.slots[loaded.material.key]]) == chosen_rows(loaded).size > 0
     assert loaded.subtables == {}
 
 
@@ -169,19 +188,13 @@ def test_lookups_never_build_the_policy(kpk4, monkeypatch):
 def test_playouts_and_policy_steps_share_one_build(kpk4, monkeypatch):
     table = dataclasses.replace(kpk4)
     pos = sg.parse_fen(PROMOTING_FEN, SPEC4)
-    messages = []
-    policy = table.policy().sweep(progress=messages.append)
-    assert len(messages) == 1 and messages[0].startswith(f"policy KPvK: {policy.rows} rows in ")
-    monkeypatch.setattr(tablebase.Policy, "_fill_block", lambda *args: pytest.fail("built twice"))
-    monkeypatch.setattr(tablebase, "_choose", lambda *args: pytest.fail("a row chosen alone"))
-    assert table.policy() is policy and policy.sweep() is policy
     line = sg.generate_playout(pos, table)
+    policy = table.policy()
+    monkeypatch.setattr(tablebase.Policy, "_fill_block", lambda *args: pytest.fail("built twice"))
+    monkeypatch.setattr(tablebase, "_choose", lambda *args: pytest.fail("a row chosen twice"))
+    assert sg.generate_playout(pos, table) == line
     assert sg.policy_step(pos, table) == (line.steps[0].move, line.steps[0].position)
-
-
-def chosen_rows(table):
-    """The decisive, non-terminal indices of `table`: the rows the policy chooses."""
-    return np.flatnonzero(tablebase._decisive(table.wdl) & (table.dtm > 0))
+    assert table.policy() is policy
 
 
 def test_one_line_fills_only_the_blocks_it_touches(krk8_file):
@@ -202,11 +215,11 @@ def test_one_line_fills_only_the_blocks_it_touches(krk8_file):
         assert block.size and move[block].all()
     assert np.count_nonzero(move) == sum(int(((rows >= lo) & (rows < hi)).sum()) for _, lo, hi in touched)
     lines = [first] + [sg.generate_playout(sg.position_at(i, material), loaded) for i in starts[1:4]]
-    # The lines played block by block are the lines the sweep picks.
-    policy.sweep()
-    assert policy.rows == rows.size
+    # The lines played block by block are the lines of a policy filled in full.
+    full = dataclasses.replace(loaded)
+    assert np.count_nonzero(fill_every_block(full.policy()).move[slot]) == rows.size
     for idx, line in zip(starts, lines):
-        assert sg.generate_playout(sg.position_at(idx, material), loaded) == line
+        assert sg.generate_playout(sg.position_at(idx, material), full) == line
 
 
 def test_one_miss_fills_one_block(krk8_file, monkeypatch):
@@ -241,31 +254,38 @@ def test_block_of_finds_each_build_block(name, spec):
         assert tablebase._block_of(material, lo) == tablebase._block_of(material, hi - 1) == (side, lo, hi)
 
 
-def test_rows_chosen_alone_equal_the_sweep(closure):
-    # A fresh policy fills its blocks only through choice, one miss at a time.
-    swept = closure.policy().sweep()
-    alone = tablebase.Policy(closure.material, swept.tables, swept.slots, closure._table_for)
+def test_misses_in_any_order_and_the_walk_choose_alike(closure):
+    # Fresh policies of copies of the table fill their blocks only
+    # through choice, one miss at a time.
+    ordered, shuffled, walked = (dataclasses.replace(closure).policy() for _ in range(3))
+    fill_every_block(ordered)
     rng = random.Random(7)
     for table in [closure, *closure.subtables.values()]:
-        slot = swept.slots[table.material.key]
-        rows = chosen_rows(table).tolist()
-        for idx in rng.sample(rows, len(rows)):
-            assert alone.choice(slot, idx) == swept.choice(slot, idx), (table.material.name, idx)
-    assert not alone.swept
+        slot = ordered.slots[table.material.key]
+        rows = chosen_rows(table)
+        for idx in rng.sample(rows.tolist(), rows.size):
+            assert shuffled.choice(slot, idx) == ordered.choice(slot, idx), (table.material.name, idx)
+        if rows.size:
+            # The walk's first ply from each row is the row's choice.
+            slots, indices, keys = walked.walk(np.full(rows.size, slot), rows)
+            assert np.array_equal(keys[0], ordered.move[slot][rows]), table.material.name
+            assert np.array_equal(slots[1], ordered.succ_slot[slot][rows]), table.material.name
+            assert np.array_equal(indices[1], ordered.succ_index[slot][rows]), table.material.name
     for name in ("move", "succ_slot", "succ_index"):
-        for a, b in zip(getattr(alone, name), getattr(swept, name)):
-            # A class with no row to choose is never missed, so never filled.
-            assert np.array_equal(np.zeros_like(b) if a is None else a, b), name
+        # The walk fills nothing, and a class with no row to choose is never missed.
+        assert all(a is None for a in getattr(walked, name)), name
+        for a, b in zip(getattr(shuffled, name), getattr(ordered, name)):
+            assert (a is None and b is None) or np.array_equal(a, b), name
 
 
 def test_small_blocks_choose_the_same_moves(kqkr34, monkeypatch):
-    # Blocks of 16 rows make the walk and the sweep choose in many blocks.
+    # Blocks of 16 rows make the walk and the misses choose in many blocks.
     def run():
         table = dataclasses.replace(kqkr34)
         report = sg.sample_experiment(table, 40, seed=1)
         records = io.StringIO()
         report.write_records_csv(records)
-        policy = table.policy().sweep()
+        policy = fill_every_block(table.policy())
         return report.json_text(), records.getvalue(), policy
 
     want = run()
@@ -275,7 +295,8 @@ def test_small_blocks_choose_the_same_moves(kqkr34, monkeypatch):
     for name in ("move", "succ_slot", "succ_index"):
         for a, b in zip(getattr(got[2], name), getattr(want[2], name)):
             assert (a is None and b is None) or np.array_equal(a, b), name
-    assert got[2].rows == want[2].rows > 0
+    nonzero = [sum(np.count_nonzero(move) for move in p.move if move is not None) for p in (got[2], want[2])]
+    assert nonzero[0] == nonzero[1] > 0
 
 
 def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
@@ -292,8 +313,8 @@ def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
     with pytest.raises(RuntimeError, match="dtm - 1"):
         sg.policy_step(pos, broken)
     with pytest.raises(RuntimeError, match="dtm - 1"):
-        policy.sweep()
-    assert policy.move[slot][idx] == 0 and not policy.swept
+        policy.walk([slot], [idx])
+    assert policy.move[slot][idx] == 0
     broken.dtm[idx] -= 2
     assert sg.policy_step(pos, broken) == sg.policy_step(pos, kqk4)
 
@@ -370,12 +391,13 @@ def test_a_win_at_dtm_0_raises(kqk4):
 
 @pytest.mark.parametrize("name", ["krk8", "kpk6"])
 def test_a_sweep_holds_the_arrays_and_one_block(name, request):
-    # A fresh table of the same values, so no other test's sweep is memoized.
+    # Filling every block, one miss each, on a fresh table of the same
+    # values, so no other test's fill is memoized.
     policy = dataclasses.replace(request.getfixturevalue(name)).policy()
     tables = [t.material for t in policy.tables if t is not None]
     arrays = sum(7 * material.index_size for material in tables)  # uint16 + uint8 + uint32
     block = max(tablebase._block_bytes(material) for material in tables)
-    assert traced_peak(policy.sweep) <= arrays + block
+    assert traced_peak(lambda: fill_every_block(policy)) <= arrays + block
 
 
 def test_making_a_policy_holds_no_index_long_mask(krk8_file):

@@ -9,6 +9,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import strategia as sg
 import oracles
@@ -98,6 +99,44 @@ class TestSolveAgainstOracle:
             value = krk5.probe(pos)
             dtm = None if value.wdl is sg.Wdl.DRAW else value.dtm
             assert (names[value.wdl.value], dtm) == expected[idx]
+
+
+# Boards of at most 12 squares, where an oracle solve of a closure takes seconds.
+SMALL_BOARDS = [(w, h) for w in range(2, 7) for h in range(2, 7) if 4 <= w * h <= 12]
+
+
+@st.composite
+def small_closures(draw):
+    """(class text, board spec) of 3 or 4 pieces, with pawns on one side only.
+
+    A pawn class gets one promotion kind, which halves its closure; a
+    class without pawns keeps the default kinds.
+    """
+    pieces = draw(st.lists(st.tuples(st.sampled_from("PNBRQ"), st.booleans()), min_size=1, max_size=2))
+    pawn_sides = {white for kind, white in pieces if kind == "P"}
+    assume(len(pawn_sides) <= 1)
+    width, height = draw(st.sampled_from([b for b in SMALL_BOARDS if b[1] >= 3 or not pawn_sides]))
+    spec = sg.BoardSpec(width, height)
+    if pawn_sides:
+        promotion = draw(st.sampled_from(sorted(spec.promotion_kinds)))
+        spec = sg.BoardSpec(width, height, promotion_kinds={promotion})
+    white = "".join(kind for kind, is_white in pieces if is_white)
+    black = "".join(kind for kind, is_white in pieces if not is_white)
+    return f"K{white}vK{black}", spec
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(small_closures())
+@example(("KQvKR", sg.BoardSpec(3, 4)))  # captures by both sides
+@example(("KRvKN", sg.BoardSpec(3, 4)))
+# Black can have both a promotion to a subclass entry that White wins
+# and a capture to one that White loses: its exit_at takes the loss.
+@example(("KQvKP", sg.BoardSpec(3, 4, promotion_kinds={sg.PieceKind.QUEEN})))
+def test_every_table_of_a_drawn_closure_matches_the_oracle(case):
+    text, spec = case
+    table = sg.solve(sg.MaterialClass.from_string(text, spec))
+    for solved in (table, *table.subtables.values()):
+        assert_table_matches_oracle(solved)
 
 
 class TestSolveProperties:
@@ -289,6 +328,16 @@ class TestPersistence:
         assert changed.checksum == zlib.crc32(changed._body_bytes())
         assert changed.checksum != kqk4.checksum
         assert kqk4.checksum == 0x0F4255FA
+
+    def test_non_default_promotion_kinds_refuse_to_save(self, tmp_path):
+        # The file records no promotion kinds: loaded, this table would
+        # read as KPvK with all four, and its lines would break.
+        spec = sg.BoardSpec(4, 4, promotion_kinds={sg.PieceKind.ROOK, sg.PieceKind.KNIGHT})
+        table = sg.solve(sg.MaterialClass.from_string("KPvK", spec))
+        path = tmp_path / "kpk4-rn.ctb"
+        with pytest.raises(sg.ValidationError, match="KPvK: a table file cannot record non-default promotion kinds"):
+            table.save(path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_checksum_corruption_detected(self, kqk4, tmp_path):
         path = tmp_path / "kqk4.ctb"
