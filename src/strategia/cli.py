@@ -44,14 +44,18 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 EXIT_IO = 5
 
-_BOARD_RE = re.compile(r"^(\d+)x(\d+)$")
+_BOARD_RE = re.compile(r"^([0-9]+)x([0-9]+)$")
 
 
 def _parse_board(text: str) -> BoardSpec:
     match = _BOARD_RE.match(text)
     if not match:
         raise ValidationError(f"--board must look like 8x8, got {text!r}")
-    return BoardSpec(int(match.group(1)), int(match.group(2)))
+    try:
+        width, height = int(match.group(1)), int(match.group(2))
+    except ValueError:  # more digits than int() converts
+        raise ValidationError("--board must look like 8x8, got a side too long to read") from None
+    return BoardSpec(width, height)
 
 
 def _parse_thresholds(path) -> AtypicalityThresholds:

@@ -60,7 +60,7 @@ def _parse_placement(field: tuple[str, int], spec: BoardSpec) -> tuple:
         rank = spec.height - 1 - i
         file = 0
         for ch in rank_text:
-            if ch.isdigit():
+            if "0" <= ch <= "9":  # run lengths are ASCII digits only
                 run = int(ch)
                 if run == 0:
                     raise ParseError("zero-length empty run", offset)

@@ -54,17 +54,23 @@ One codec holds the index layout: ``_decode_columns`` splits indices
 into the side to move and one square (digit) per piece slot,
 ``_encode_columns`` is its inverse and sorts duplicate pieces, and
 ``_canonical`` checks for distinct squares and ascending duplicates.
-Every encode and decode goes through them. ``position_at`` takes
-legality from ``board.validate_position``.
+Every encode and decode goes through them, and they read the layout
+(the powers of the board size, the duplicate groups) off the
+``MaterialClass`` itself, as move generation reads each side's slots.
+``position_at`` takes legality from ``board.validate_position``.
 
 Moves are generated with numpy over blocks of at most ``_BUILD_BLOCK``
 indices with one side to move, not one position at a time. A block is
 decoded into digit columns; indices that are not ``_canonical``, pawns
 on a back rank and a side not to move in check are masked out. Each
-mover slot reads its candidate destinations from step, ray and
+mover slot reads its candidate destinations from destination and
 between-square tables derived from ``board.geometry()``, against one
 uint64 occupancy bitboard per row, and a move survives only if no
-remaining enemy piece attacks the mover's king afterwards. Captures and
+remaining enemy piece attacks the mover's king afterwards. One test,
+``_in_check``, decides king safety for the build, the legality mask
+and the mate check, and it reads every attacker off one table,
+``ray``: the squares between the attacker and its target, all ones
+where it does not attack. Captures and
 promotions are indexed in their subclass (``_successors``); the solve
 reads their values in one gather. The policy also needs in-class
 successors: the digit columns with the moved slot set to its
@@ -217,8 +223,8 @@ class MaterialClass:
         return _material_key(self.spec, self.pieces)
 
     def __hash__(self) -> int:
-        # Hashes on every table-context lookup; the cached key avoids
-        # rehashing the spec and each piece's enums.
+        # Hashes on every ``_closure`` and ``_sub_layout`` lookup; the
+        # cached key avoids rehashing the spec and each piece's enums.
         return hash(self.key)
 
     @property
@@ -227,7 +233,50 @@ class MaterialClass:
 
     @property
     def index_size(self) -> int:
-        return 2 * self.spec.num_squares ** len(self.pieces)
+        return 2 * self._half
+
+    # The index layout that the codec and move generation read.
+
+    @functools.cached_property
+    def _half(self) -> int:
+        """The indices with one side to move: S**k."""
+        return self.spec.num_squares ** len(self.pieces)
+
+    @functools.cached_property
+    def _powers(self) -> tuple:
+        """The weight S**i of slot i's square in an index."""
+        return tuple(self.spec.num_squares ** i for i in range(len(self.pieces)))
+
+    @functools.cached_property
+    def _runs(self) -> tuple:
+        """(cell, start, stop) of each run of equal pieces, in slot order."""
+        runs = []
+        for i, piece in enumerate(self.pieces):
+            if runs and runs[-1][0] == piece.cell:
+                runs[-1][2] = i + 1
+            else:
+                runs.append([piece.cell, i, i + 1])
+        return tuple(map(tuple, runs))
+
+    @functools.cached_property
+    def _dup_groups(self) -> tuple:
+        """(start, stop) of each run of two or more equal pieces."""
+        return tuple((start, stop) for _, start, stop in self._runs if stop - start > 1)
+
+    @functools.cached_property
+    def _slots(self) -> tuple:
+        """Per color (White, Black): the (slot, kind value) pairs of its pieces."""
+        return tuple(
+            tuple((i, p.kind.value) for i, p in enumerate(self.pieces) if p.color is color)
+            for color in (Color.WHITE, Color.BLACK)
+        )
+
+    @functools.cached_property
+    def _kings(self) -> tuple:
+        """Per color (White, Black): the slot of its king."""
+        return tuple(
+            next(i for i, kind in slots if kind == PieceKind.KING) for slots in self._slots
+        )
 
 
 def _class_name(pieces) -> str:
@@ -246,61 +295,6 @@ def material_key_of(pos: Position) -> tuple:
     return _material_key(pos.spec, pieces)
 
 
-class _Ctx:
-    """Cached per-class indexing context."""
-
-    __slots__ = (
-        "material", "spec", "S", "k", "half", "powers", "cells",
-        "slot_layout", "dup_groups", "pawn_slots", "white_slots", "black_slots",
-        "white_king_slot", "black_king_slot",
-    )
-
-    def __init__(self, material: MaterialClass):
-        self.material = material
-        self.spec = material.spec
-        self.S = self.spec.num_squares
-        self.k = len(material.pieces)
-        self.half = self.S ** self.k
-        self.powers = tuple(self.S ** i for i in range(self.k))
-        self.cells = tuple(p.cell for p in material.pieces)
-
-        layout = []
-        groups = []
-        for i, cell in enumerate(self.cells):
-            if i > 0 and cell == self.cells[i - 1]:
-                continue
-            end = i + 1
-            while end < self.k and self.cells[end] == cell:
-                end += 1
-            layout.append((cell, i, end))
-            if end - i > 1:
-                groups.append((i, end))
-        self.slot_layout = tuple(layout)
-        self.dup_groups = tuple(groups)
-        self.pawn_slots = tuple(
-            i for i, p in enumerate(material.pieces) if p.kind is PieceKind.PAWN
-        )
-        self.white_slots = tuple(
-            (i, p.kind.value) for i, p in enumerate(material.pieces) if p.color is Color.WHITE
-        )
-        self.black_slots = tuple(
-            (i, p.kind.value) for i, p in enumerate(material.pieces) if p.color is Color.BLACK
-        )
-        self.white_king_slot = next(
-            i for i, p in enumerate(material.pieces)
-            if p.kind is PieceKind.KING and p.color is Color.WHITE
-        )
-        self.black_king_slot = next(
-            i for i, p in enumerate(material.pieces)
-            if p.kind is PieceKind.KING and p.color is Color.BLACK
-        )
-
-
-@functools.lru_cache(maxsize=64)
-def _context(material: MaterialClass) -> _Ctx:
-    return _Ctx(material)
-
-
 def index_of(pos: Position, material: MaterialClass) -> int:
     """Dense index of a position within its class.
 
@@ -308,11 +302,11 @@ def index_of(pos: Position, material: MaterialClass) -> int:
     with castle rights are refused; an ep_square is accepted but not
     encoded (it cannot change the value in any indexable class).
     """
-    ctx = _context(material)
-    if (pos.spec.width, pos.spec.height) != (ctx.spec.width, ctx.spec.height):
+    spec = material.spec
+    if (pos.spec.width, pos.spec.height) != (spec.width, spec.height):
         raise MaterialMismatchError(
             f"position is on {pos.spec.width}x{pos.spec.height}, "
-            f"table is {ctx.spec.width}x{ctx.spec.height}"
+            f"table is {spec.width}x{spec.height}"
         )
     if pos.castle_rights.any():
         raise ValidationError("positions with castle rights are not indexable")
@@ -321,7 +315,7 @@ def index_of(pos: Position, material: MaterialClass) -> int:
         if cell:
             buckets.setdefault(cell, []).append(sq)
     digits = []
-    for cell, start, end in ctx.slot_layout:
+    for cell, start, end in material._runs:
         squares = buckets.pop(cell, ())
         if len(squares) != end - start:
             raise MaterialMismatchError(
@@ -348,8 +342,8 @@ def position_at(idx: int, material: MaterialClass) -> Optional[Position]:
     if not _canonical(material, digits):
         return None
     board = [0] * material.spec.num_squares
-    for square, cell in zip(digits, _context(material).cells):
-        board[square] = cell
+    for square, piece in zip(digits, material.pieces):
+        board[square] = piece.cell
     pos = Position(
         spec=material.spec,
         placement=tuple(board),
@@ -682,10 +676,15 @@ def _pad(lists, width: Optional[int] = None) -> np.ndarray:
     return out
 
 
-def _adjacency(sets) -> np.ndarray:
-    out = np.zeros((len(sets), len(sets)), dtype=bool)
-    for sq, targets in enumerate(sets):
-        out[sq, list(targets)] = True
+def _ray(between: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(S, S) bitboards: the squares `between` each square and its `targets`, all ones elsewhere.
+
+    `targets` is a padded per-square table of the squares a piece
+    attacks; a step's target has no square between, so its entry is 0.
+    """
+    out = np.full(between.shape, ~np.uint64(0))
+    src, col = np.nonzero(targets >= 0)
+    out[src, targets[src, col]] = between[src, targets[src, col]]
     return out
 
 
@@ -694,7 +693,8 @@ class _MoveTables:
 
     Every table is read off ``board.geometry()``, so the rules keep one
     definition. Destination tables pad with -1, and ``bit[-1]`` is 0, so
-    a padding destination never touches an occupancy bitboard.
+    a padding destination never touches an occupancy bitboard. One
+    attack table, ``ray``, serves every kind of attacker.
     """
 
     def __init__(self, width: int, height: int):
@@ -713,35 +713,26 @@ class _MoveTables:
             PieceKind.QUEEN: _pad([o + d for o, d in zip(ortho, diag)]),
         }
         between = np.zeros((n, n), dtype=np.uint64)
-        lines = []
         for pairs in (geo.between_ortho, geo.between_diag):
-            line = np.zeros((n, n), dtype=bool)
             for (src, target), squares in pairs.items():
-                line[src, target] = True
                 between[src, target] = sum(1 << sq for sq in squares)
-            lines.append(line)
-        line = {
-            PieceKind.ROOK: lines[0],
-            PieceKind.BISHOP: lines[1],
-            PieceKind.QUEEN: lines[0] | lines[1],
-        }
-        # The squares between a slider's square and each target on its
-        # lines, all ones off them: an attack test is one gather.
-        self.ray = {kind: np.where(on, between, ~np.uint64(0)) for kind, on in line.items()}
         # The squares between a slider's square and each of its
         # destinations, 0 for padding: a path test is one row gather.
         self.path = {
             kind: np.where(self.dest[kind] >= 0, between[np.arange(n)[:, None], self.dest[kind]], 0)
-            for kind in line
+            for kind in (PieceKind.ROOK, PieceKind.BISHOP, PieceKind.QUEEN)
         }
-        self.step = {
-            PieceKind.KING: _adjacency(geo.king_sets),
-            PieceKind.KNIGHT: _adjacency(geo.knight_sets),
-        }
-        self.pawn_step = tuple(_adjacency(geo.pawn_cap_sets[c]) for c in (0, 1))
+        self.pawn_caps = tuple(_pad(geo.pawn_caps[c], 2) for c in (0, 1))
+        # Per (kind, color) of attacker: the squares between its square
+        # and each target it attacks, all ones elsewhere, so an attack
+        # test is one gather. A pawn attacks its capture squares, and
+        # every other piece its destinations, whatever its color.
+        rays = {kind: _ray(between, dest) for kind, dest in self.dest.items()}
+        self.ray = {(kind, c): table for kind, table in rays.items() for c in (0, 1)}
+        for c in (0, 1):
+            self.ray[PieceKind.PAWN, c] = _ray(between, self.pawn_caps[c])
         self.pawn_push = tuple(np.asarray(geo.pawn_push[c]) for c in (0, 1))
         self.pawn_double = tuple(np.asarray(geo.pawn_double[c]) for c in (0, 1))
-        self.pawn_caps = tuple(_pad(geo.pawn_caps[c], 2) for c in (0, 1))
         self.promo_rank = geo.pawn_promo_rank
         # The square a pawn was pushed (or double-pushed) from, -1 where
         # none; an origin on a back rank holds no pawn.
@@ -757,14 +748,10 @@ class _MoveTables:
         """Whether a `color` piece of `kind` on `src` attacks `target` given `occ`.
 
         `occ` must hold `target`, as every caller's holds the king it
-        tests: a slider on no line with `target` reads a ray of all ones,
-        so the test is exact only when `occ` is not empty.
+        tests: a piece that does not attack `target` reads a ray of all
+        ones, so the test is exact only when `occ` is not empty.
         """
-        if kind in self.path:
-            return (self.ray[kind][src, target] & occ) == 0
-        if kind == PieceKind.PAWN:
-            return self.pawn_step[color][src, target]
-        return self.step[kind][src, target]
+        return (self.ray[kind, color][src, target] & occ) == 0
 
     def occupancy(self, columns, rows: int) -> np.ndarray:
         """One bitboard per row with the squares of every column set."""
@@ -823,8 +810,8 @@ def _move_tables(width: int, height: int) -> _MoveTables:
 
 def _decode_columns(material: MaterialClass, idx) -> tuple:
     """(side to move, one square column per piece slot) of the indices `idx`."""
-    ctx = _context(material)
-    return idx // ctx.half, [(idx // power) % ctx.S for power in ctx.powers]
+    n = material.spec.num_squares
+    return idx // material._half, [(idx // power) % n for power in material._powers]
 
 
 def _encode_columns(material: MaterialClass, side, digits: list):
@@ -834,26 +821,24 @@ def _encode_columns(material: MaterialClass, side, digits: list):
     `digits` is first sorted ascending in place; array digits may be of
     any shapes that broadcast together.
     """
-    ctx = _context(material)
-    for lo, hi in ctx.dup_groups:
+    for lo, hi in material._dup_groups:
         group = digits[lo:hi]
         if isinstance(group[0], np.ndarray):
             digits[lo:hi] = np.sort(np.broadcast_arrays(*group), axis=0)
         else:
             digits[lo:hi] = sorted(group)
-    terms = [side * ctx.half] + [digit * power for digit, power in zip(digits, ctx.powers)]
+    terms = [side * material._half] + [digit * power for digit, power in zip(digits, material._powers)]
     # Adding the smaller terms first broadcasts to the widest shape once.
     return sum(sorted(terms, key=np.size))
 
 
 def _canonical(material: MaterialClass, digits: list):
     """Whether `digits` hold distinct squares with each duplicate group ascending."""
-    ctx = _context(material)
     ok = True
-    for a in range(ctx.k):
-        for b in range(a + 1, ctx.k):
+    for a in range(len(digits)):
+        for b in range(a + 1, len(digits)):
             ok = ok & (digits[a] != digits[b])
-    for lo, hi in ctx.dup_groups:
+    for lo, hi in material._dup_groups:
         for j in range(lo, hi - 1):
             ok = ok & (digits[j] < digits[j + 1])
     return ok
@@ -874,13 +859,6 @@ def _sub_layout(material: MaterialClass, victim: Optional[int], promo_slot: int,
     return sub, tuple(slot for slot, _ in pieces)
 
 
-def _sides(ctx: _Ctx, side: int) -> tuple:
-    """(mover slots, enemy slots, own king slot, enemy king slot) with `side` to move."""
-    if side == Color.WHITE:
-        return ctx.white_slots, ctx.black_slots, ctx.white_king_slot, ctx.black_king_slot
-    return ctx.black_slots, ctx.white_slots, ctx.black_king_slot, ctx.white_king_slot
-
-
 def _successors(material, side, digits, occ):
     """The legal moves of rows with `side` to move, one mover slot at a time.
 
@@ -892,32 +870,29 @@ def _successors(material, side, digits, occ):
     leave the class as (subclass, rows, cols, subclass index), one entry
     per (victim, promotion kind) that occurs.
     """
-    ctx = _context(material)
-    tables = _move_tables(ctx.spec.width, ctx.spec.height)
-    movers, enemies, my_king, their_king = _sides(ctx, side)
+    tables = _move_tables(material.spec.width, material.spec.height)
     them = 1 - side
-    victims = [slot for slot, kind in enemies if kind != PieceKind.KING]
+    movers = material._slots[side]
+    victims = [slot for slot, kind in material._slots[them] if kind != PieceKind.KING]
     enemy_occ = tables.occupancy([digits[slot] for slot in victims], occ.size)
     blocked = tables.occupancy([digits[slot] for slot, _ in movers], occ.size)
-    blocked |= tables.bit[digits[their_king]]
+    blocked |= tables.bit[digits[material._kings[them]]]
+    stay = [d[:, None] for d in digits]
     for slot, kind in movers:
         src = digits[slot]
         if kind == PieceKind.PAWN:
             dest, legal, col_kind = tables.pawn_moves(
-                side, src, occ, enemy_occ, ctx.spec.promotion_kinds
+                side, src, occ, enemy_occ, material.spec.promotion_kinds
             )
         else:
             dest, legal = tables.piece_moves(kind, src, occ, blocked)
             col_kind = np.zeros(dest.shape[1], dtype=np.int64)
 
-        # Drop moves that leave the mover's king attacked.
+        # Drop moves that leave the mover's king attacked; a piece the
+        # move captures attacks nothing.
         occ_after = (occ & ~tables.bit[src])[:, None] | tables.bit[dest]
-        king_after = dest if kind == PieceKind.KING else digits[my_king][:, None]
-        for other, other_kind in enemies:
-            attacked = tables.attacks(other_kind, them, digits[other][:, None], king_after, occ_after)
-            if other_kind != PieceKind.KING:
-                attacked = attacked & (dest != digits[other][:, None])
-            legal &= ~attacked
+        king = dest if kind == PieceKind.KING else None
+        legal &= ~_in_check(material, side, stay, occ_after, king=king, captured=dest)
 
         # Captures and promotions leave the class: index them in their
         # subclass, one (victim, promotion kind) at a time.
@@ -949,28 +924,38 @@ def _legal_rows(material, side, idx):
     `idx` all have `side` to move. A legal index is ``_canonical``, has
     no pawn on a back rank and leaves the side not to move out of check.
     """
-    ctx = _context(material)
-    tables = _move_tables(ctx.spec.width, ctx.spec.height)
+    spec = material.spec
+    tables = _move_tables(spec.width, spec.height)
     _, digits = _decode_columns(material, idx)
     ok = _canonical(material, digits)
-    for slot in ctx.pawn_slots:
-        rank = digits[slot] // ctx.spec.width
-        ok &= (rank != 0) & (rank != ctx.spec.height - 1)
+    for slot, piece in enumerate(material.pieces):
+        if piece.kind is PieceKind.PAWN:
+            rank = digits[slot] // spec.width
+            ok &= (rank != 0) & (rank != spec.height - 1)
     occ = tables.occupancy(digits, idx.size)
-    movers, _, _, their_king = _sides(ctx, side)
-    for slot, kind in movers:
-        ok &= ~tables.attacks(kind, side, digits[slot], digits[their_king], occ)
+    ok &= ~_in_check(material, 1 - side, digits, occ)
     return ok, digits, occ
 
 
-def _in_check(material, side, digits, occ):
-    """Whether the king of `side` is attacked, per row of digit columns and occupancy."""
-    ctx = _context(material)
-    tables = _move_tables(ctx.spec.width, ctx.spec.height)
-    _, enemies, my_king, _ = _sides(ctx, side)
-    check = np.zeros(occ.size, dtype=bool)
-    for other, other_kind in enemies:
-        check |= tables.attacks(other_kind, 1 - side, digits[other], digits[my_king], occ)
+def _in_check(material, side, digits, occ, king=None, captured=None):
+    """Whether the king of `side` is attacked, per row of digit columns and occupancy.
+
+    The one king-safety test: every attacker is read off the ``ray``
+    table. `king`, if given, is the king's square in place of its digit
+    column, as after a king move, and a piece of the other side standing
+    on `captured` attacks nothing, as it has just been taken. The digit
+    columns, `king`, `captured` and `occ` broadcast together, and `occ`
+    must hold the king (``_MoveTables.attacks``).
+    """
+    tables = _move_tables(material.spec.width, material.spec.height)
+    if king is None:
+        king = digits[material._kings[side]]
+    check = np.zeros(np.shape(occ), dtype=bool)
+    for slot, kind in material._slots[1 - side]:
+        attacked = tables.attacks(kind, 1 - side, digits[slot], king, occ)
+        if captured is not None:
+            attacked &= digits[slot] != captured
+        check |= attacked
     return check
 
 
@@ -1036,7 +1021,7 @@ def _unmoves(material, side, idx):
     Returns the candidates of every row in one int64 array, in no set
     order: the indices that reach a row by a quiet move of the side
     that just moved, as far as the row's own squares tell. That piece
-    steps back along its step or ray table (a slider over empty
+    steps back along its destination table (a slider over empty
     squares), or a pawn is un-pushed, singly or doubly (over an empty
     square), to a square off the back ranks. Legality is not tested
     here: a candidate whose origin square is taken is not
@@ -1047,15 +1032,13 @@ def _unmoves(material, side, idx):
     un-promotion, and no two moves of one position reach the same
     position, so each edge appears once.
     """
-    ctx = _context(material)
-    tables = _move_tables(ctx.spec.width, ctx.spec.height)
+    tables = _move_tables(material.spec.width, material.spec.height)
     _, digits = _decode_columns(material, idx)
     occ = tables.occupancy(digits, idx.size)
     them = 1 - side
-    movers = _sides(ctx, them)[0]
     stay = [d[:, None] for d in digits]
     out = []
-    for slot, kind in movers:
+    for slot, kind in material._slots[them]:
         dest = digits[slot]
         if kind == PieceKind.PAWN:
             back = np.column_stack([tables.pawn_unpush[them][dest], tables.pawn_undouble[them][dest]])
@@ -1084,13 +1067,12 @@ def _successor_values(material, side, idx, table_for, slots):
     MaterialMismatchError for a missing one; it is asked only for the
     classes that the moves reach.
     """
-    ctx = _context(material)
     ok, digits, occ = _legal_rows(material, side, idx)
     _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
     own = table_for(material.key)
     parts = []
     for slot, dest, legal, col_kind, exits in _successors(material, side, digits, occ):
-        key = (digits[slot][:, None] * ctx.S + dest) * 8 + col_kind
+        key = (digits[slot][:, None] * material.spec.num_squares + dest) * 8 + col_kind
         # In-class successors: the moved slot takes its destination.
         moved = [d[:, None] for d in digits]
         moved[slot] = dest
@@ -1289,7 +1271,7 @@ def _side_blocks(material: MaterialClass, idx: np.ndarray):
     The indices are cut at the side bit, and each side's into blocks
     of at most ``_BUILD_BLOCK``, so a block's temporaries stay bounded.
     """
-    cut = int(np.searchsorted(idx, _context(material).half))
+    cut = int(np.searchsorted(idx, material._half))
     for side, part in enumerate((idx[:cut], idx[cut:])):
         for start in range(0, part.size, _BUILD_BLOCK):
             yield side, part[start:start + _BUILD_BLOCK]
@@ -1301,7 +1283,7 @@ def _block_of(material: MaterialClass, idx: int) -> tuple:
     The blocks tile each side's half of the index from its start, every
     ``_BUILD_BLOCK`` indices, so each has one side to move.
     """
-    half = _context(material).half
+    half = material._half
     side, offset = divmod(idx, half)
     start = idx - offset % _BUILD_BLOCK
     return side, start, min(start + _BUILD_BLOCK, (side + 1) * half)
@@ -1336,8 +1318,12 @@ def _resolve_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR, "").strip()
     if not raw:
         return DEFAULT_BUDGET_MB << 20
-    if raw.isdigit() and int(raw) > 0:
-        return int(raw) << 20
+    try:
+        mib = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than int() converts
+        mib = 0
+    if mib > 0:
+        return mib << 20
     raise ValidationError(f"{BUDGET_ENV_VAR} must be a positive number of MiB, got {raw!r}")
 
 

@@ -42,7 +42,11 @@ class TestSolveCommand:
         assert code == 4
         assert not out.exists()
 
-    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    @pytest.mark.parametrize("raw", [
+        "abc", "-5",
+        pytest.param("\u00b2", id="superscript-2"),
+        pytest.param("9" * 5000, id="5000-digits"),
+    ])
     def test_malformed_budget_variable_exits_3(self, tmp_path, monkeypatch, capsys, raw):
         monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", raw)
         out = tmp_path / "x.ctb"
@@ -61,8 +65,12 @@ class TestSolveCommand:
         assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_board_flag_exits_3(self, tmp_path):
-        code = main(["solve", "--board", "8by8", "--material", "KQvK",
+    @pytest.mark.parametrize("board", [
+        "8by8",
+        pytest.param("9" * 5000 + "x8", id="5000-digit-side"),
+    ])
+    def test_bad_board_flag_exits_3(self, tmp_path, board):
+        code = main(["solve", "--board", board, "--material", "KQvK",
                      "--out", str(tmp_path / "x.ctb")])
         assert code == 3
 

@@ -45,6 +45,16 @@ class TestParse:
         with pytest.raises(sg.ParseError):
             sg.parse_fen("8/8/4x3/8/4K3/8/8/8 w - -", STANDARD)
 
+    @pytest.mark.parametrize("fen,spec", [
+        # str.isdigit accepts a superscript two, which int() refuses.
+        pytest.param("4/4/4/k\u00b2QK b - -", sg.BoardSpec(4, 4), id="superscript-2"),
+        # int() reads a fullwidth eight as 8.
+        pytest.param("8/8/4k3/8/4K3/8/8/\uff18 w - -", STANDARD, id="fullwidth-8"),
+    ])
+    def test_non_ascii_digit_is_not_a_run_length(self, fen, spec):
+        with pytest.raises(sg.ParseError):
+            sg.parse_fen(fen, spec)
+
     def test_missing_fields(self):
         with pytest.raises(sg.ParseError):
             sg.parse_fen("8/8/4k3/8/4K3/8/8/8 w -", STANDARD)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import strategia as sg
-from strategia.tablebase import _canonical, _context, _decode_columns, _encode_columns
+from strategia.tablebase import _canonical, _decode_columns, _encode_columns
 
 STANDARD = sg.BoardSpec.standard()
 
@@ -146,7 +146,7 @@ class TestIndexCodec:
         side, digits = _decode_columns(codec_class, idx)
         idx = idx[_canonical(codec_class, digits)]
         side, digits = _decode_columns(codec_class, idx)
-        for lo, hi in _context(codec_class).dup_groups:
+        for lo, hi in codec_class._dup_groups:
             digits[lo:hi] = digits[lo:hi][::-1]
         assert np.array_equal(_encode_columns(codec_class, side, digits), idx)
 

@@ -187,7 +187,11 @@ class TestSolveProperties:
         value = kqk4.probe(pos)
         assert value.wdl is sg.Wdl.DRAW and value.dtm is None
 
-    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    @pytest.mark.parametrize("raw", [
+        "abc", "-5",
+        pytest.param("\u00b2", id="superscript-2"),
+        pytest.param("9" * 5000, id="5000-digits"),
+    ])
     def test_malformed_budget_variable_rejected(self, monkeypatch, raw):
         monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", raw)
         mc = sg.MaterialClass.from_string("KvK", sg.BoardSpec(4, 4))
