@@ -151,7 +151,7 @@ def parse_square(name: str, width: int, height: int) -> int:
     if len(name) != 2:
         raise ValidationError(f"bad square name {name!r}")
     file = "abcdefgh".find(name[0])
-    if not name[1].isdigit():
+    if name[1] not in "0123456789":  # ASCII only: int() also reads other scripts' digits
         raise ValidationError(f"bad square name {name!r}")
     rank = int(name[1]) - 1
     if not (0 <= file < width and 0 <= rank < height):

@@ -77,7 +77,7 @@ def _parse_thresholds(path) -> AtypicalityThresholds:
 
 def _parse_capacity_range(text: str, feature_count: int) -> list:
     """The capacities lo..hi of `text`, its bound checked against `feature_count` before any is listed."""
-    match = re.match(r"^(\d+)\.\.(\d+)$", text)
+    match = re.match(r"^([0-9]+)\.\.([0-9]+)$", text)
     if not match:
         raise ValidationError(f"--capacity-sweep must look like 0..16, got {text!r}")
     try:

@@ -19,7 +19,16 @@ from pathlib import Path
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:
-    _write_staged([(path, blob)])
+    _write_staged([(path, (blob,))])
+
+
+def atomic_write_chunks(path, chunks) -> None:
+    """Write the bytes that the iterable `chunks` yields, in order, as one artifact.
+
+    Only one chunk need be held at a time. An exception from `chunks`
+    leaves neither the artifact nor a temp file.
+    """
+    _write_staged([(path, chunks)])
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -28,24 +37,27 @@ def atomic_write_text(path, text: str) -> None:
 
 def atomic_write_group(files) -> None:
     """Write several (path, text) artifacts together, as UTF-8."""
-    _write_staged([(path, text.encode("utf-8")) for path, text in files])
+    _write_staged([(path, (text.encode("utf-8"),)) for path, text in files])
 
 
 def _write_staged(files) -> None:
-    """Write (path, bytes) artifacts through temp files renamed into place.
+    """Write (path, chunks) artifacts through temp files renamed into place.
 
-    All temp files are written in full before the first rename, so any
-    write failure leaves no new artifacts; the renames themselves are
-    then the only remaining steps. Temp files never outlive the call.
+    Each artifact is the bytes its iterable of chunks yields, written
+    as they come. All temp files are written in full before the first
+    rename, so any write failure leaves no new artifacts; the renames
+    themselves are then the only remaining steps. Temp files never
+    outlive the call.
     """
     staged = []
     try:
-        for path, blob in files:
+        for path, chunks in files:
             path = Path(path)
             tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
             staged.append((tmp, path))
             with open(tmp, "wb") as handle:
-                handle.write(blob)
+                for chunk in chunks:
+                    handle.write(chunk)
         for tmp, path in staged:
             os.replace(tmp, path)
     finally:

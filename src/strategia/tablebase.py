@@ -19,8 +19,12 @@ become wins, and those of a win count down their moves not yet won,
 becoming losses at max(d, exit_at) at 0. Pass d also labels the open
 positions whose exit_at is d: won if d is odd, lost if d is even and
 nothing is left to count down. Each in-class edge is generated once
-over the whole solve. ``_solve_bytes`` bounds the memory a solve
-holds: a constant per index, the widest block and the subclass tables.
+over the whole solve. A pass scans the columns once, ``_CHUNK``
+indices at a time, and takes each chunk's frontier from them: the
+rows at dtm d - 1 that are not ``_OPEN``. ``_solve_bytes`` bounds the
+memory a solve holds: a constant per index, one chunk's temporaries,
+the widest block and the subclass tables. A table file is written,
+and its CRC taken, one block of records at a time (``Tablebase.save``).
 
 Captures and promotions leave the class, so a class is solved on top
 of the subclasses they reach, listed with it in solve order by
@@ -120,7 +124,7 @@ from .errors import (
     TablebaseFormatError,
     ValidationError,
 )
-from .runio import atomic_write_bytes
+from .runio import atomic_write_chunks
 
 MAGIC = b"CTB1"
 FORMAT_VERSION = 1
@@ -499,26 +503,35 @@ class Tablebase:
             "max_dtm": max_dtm,
         }
 
+    def _body_chunks(self):
+        """The body's ``_RECORD`` bytes, one ``_build_blocks`` block at a time."""
+        for _, lo, hi in _build_blocks(self.material, 0, self.wdl.size):
+            rec = np.empty(hi - lo, dtype=_RECORD)
+            rec["wdl"] = self.wdl[lo:hi]
+            rec["dtm"] = self.dtm[lo:hi]
+            yield rec.tobytes()
+
     def _body_bytes(self) -> bytes:
-        rec = np.empty(self.wdl.size, dtype=_RECORD)
-        rec["wdl"] = self.wdl
-        rec["dtm"] = self.dtm
-        return rec.tobytes()
+        return b"".join(self._body_chunks())
 
     @property
     def checksum(self) -> int:
         """CRC32 of the body bytes, as stored in the file trailer."""
         if self._checksum is None:
-            self._checksum = zlib.crc32(self._body_bytes())
+            crc = 0
+            for chunk in self._body_chunks():
+                crc = zlib.crc32(chunk, crc)
+            self._checksum = crc
         return self._checksum
 
-    def file_bytes(self) -> bytes:
-        """The table file: header, records and CRC trailer.
+    def _file_chunks(self):
+        """The table file in order: the header, the ``_body_chunks`` and the CRC trailer.
 
         The header records the board's width and height and no rule
         switch, so a table solved with other than the default promotion
         kinds raises ValidationError: it would load as a table of the
-        default kinds, which its values are not.
+        default kinds, which its values are not. The CRC runs across
+        the chunks as they are yielded.
         """
         mc = self.material
         if mc.spec.promotion_kinds != DEFAULT_PROMOTION_KINDS:
@@ -529,13 +542,25 @@ class Tablebase:
         for piece in mc.pieces:
             header += struct.pack("<BB", piece.kind.value, piece.color.value)
         header += struct.pack("<Q", self.wdl.size)
-        body = self._body_bytes()
-        self._checksum = zlib.crc32(body)
-        return bytes(header) + body + struct.pack("<I", self._checksum)
+        yield bytes(header)
+        crc = 0
+        for chunk in self._body_chunks():
+            crc = zlib.crc32(chunk, crc)
+            yield chunk
+        self._checksum = crc
+        yield struct.pack("<I", crc)
+
+    def file_bytes(self) -> bytes:
+        """The table file: header, records and CRC trailer (``_file_chunks``)."""
+        return b"".join(self._file_chunks())
 
     def save(self, path) -> None:
-        """Write the table file through a temp file renamed into place."""
-        atomic_write_bytes(path, self.file_bytes())
+        """Write the table file chunk by chunk through a temp file renamed into place.
+
+        The save holds one ``_build_blocks`` block of records at a time,
+        never a copy of the body.
+        """
+        atomic_write_chunks(path, self._file_chunks())
 
     @classmethod
     def load(cls, path) -> "Tablebase":
@@ -1299,13 +1324,17 @@ def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
     return blocks
 
 
-# The bytes a solve holds per index: the wdl and dtm (3), the count of
-# moves not yet won (1: at most 91 moves on boards up to 8x8), the
-# indices labeled at the last pass and at the current one (8 between
-# them), and at most 3 of boolean temporaries. While the solve runs,
-# the wdl byte also carries ``_OPEN`` and an open row's dtm its
-# ``exit_at``, at no extra byte.
-_INDEX_BYTES = 15
+# The bytes a solve holds per index: the wdl and dtm (3) and the count
+# of moves not yet won (1: at most 91 moves on boards up to 8x8). While
+# the solve runs, the wdl byte also carries ``_OPEN`` and an open row's
+# dtm its ``exit_at``, at no extra byte.
+_INDEX_BYTES = 4
+
+# The passes and the final relabel scan the columns this many indices
+# at a time. A chunk's temporaries are its frontier (int64, 8 bytes per
+# index) and two boolean masks: ``_CHUNK_BYTES`` per index.
+_CHUNK = 1 << 18
+_CHUNK_BYTES = 10
 
 # The wdl code of a legal position not labeled yet. Only a solve writes
 # it, and it is not a ``Wdl`` member: every ``_OPEN`` entry left when
@@ -1331,13 +1360,19 @@ def _solve_bytes(material: MaterialClass) -> int:
     """Upper bound on the bytes that solving `material` and its closure holds at once.
 
     Per index, a solve holds ``_INDEX_BYTES``, and `material` has the
-    most indices of its closure. A build, un-move or policy block of
-    any class of the closure holds at most ``_block_bytes``, and every
-    subclass table stays loaded, at 3 bytes per index.
+    most indices of its closure. A pass holds one chunk's temporaries,
+    ``_CHUNK_BYTES`` per index of a ``_CHUNK``, and a build, un-move or
+    policy block of any class of the closure at most ``_block_bytes``.
+    Every subclass table stays loaded, at 3 bytes per index. Saving the
+    table adds only one block of records (``Tablebase.save``).
     """
     closure = _closure(material)
     tables = sum(sub.index_size for sub in closure[:-1])
-    return _INDEX_BYTES * material.index_size + max(map(_block_bytes, closure)) + 3 * tables
+    n = material.index_size
+    return (
+        _INDEX_BYTES * n + _CHUNK_BYTES * min(_CHUNK, n)
+        + max(map(_block_bytes, closure)) + 3 * tables
+    )
 
 
 def _block_bytes(material: MaterialClass) -> int:
@@ -1432,18 +1467,57 @@ def _solve_single(material, registry, progress) -> Tablebase:
     # marked ``_OPEN``, one per edge. Up to the horizon, pass d also
     # labels the open rows whose exit_at is d: all of them when d is
     # odd, and those with nothing left to count down when d is even.
-    # An open row's dtm is its exit_at, so the frontier leaves out the
-    # rows at dtm d that stay open.
+    #
+    # Pass d scans the columns once, ``_CHUNK`` indices at a time. In
+    # each chunk it first makes those static labels, then takes the
+    # frontier, the rows at dtm d - 1 that are not ``_OPEN`` (an open
+    # row's dtm is its exit_at), and un-moves it. Both orders give the
+    # labels of pass d: a static label and an un-move label of one row
+    # agree, and a row whose count reaches 0 later in the pass is lost
+    # at d all the same. The frontier's size is the count of pass
+    # d - 1, so whether to stop after pass d - 1 is known only once
+    # pass d has run; that pass then labels nothing, as no row is open
+    # or its frontier is empty past the horizon.
+    #
+    # One chunk's two masks, allocated once and reused by every chunk.
+    masks = np.empty((2, min(_CHUNK, n)), dtype=bool)
+
+    def frontier(depth):
+        """(side, block) of each chunk's rows labeled at pass depth - 1, after the chunk's static labels of pass `depth`."""
+        for lo in range(0, n, _CHUNK):
+            chunk_wdl, chunk_dtm = wdl[lo:lo + _CHUNK], dtm[lo:lo + _CHUNK]
+            at, live = masks[:, :chunk_wdl.size]
+            if depth <= static_trigger:
+                np.equal(chunk_dtm, depth, out=at)
+                at &= np.equal(chunk_wdl, _OPEN, out=live)
+                if depth % 2 == 0:
+                    at &= np.equal(remaining[lo:lo + _CHUNK], 0, out=live)
+                np.copyto(chunk_wdl, (Wdl.WIN if depth % 2 else Wdl.LOSS).value, where=at)
+            np.equal(chunk_dtm, depth - 1, out=at)
+            at &= np.not_equal(chunk_wdl, _OPEN, out=live)
+            rows = np.flatnonzero(at)
+            rows += lo
+            yield from _side_blocks(material, rows)
+
+    # glibc gives the free top of its heap back to the kernel once more
+    # than a threshold is free there, a threshold it sets to twice the
+    # largest mapped block it has freed. The passes free no temporary
+    # as long as the index, so their un-move temporaries would be paged
+    # in afresh for every block (a million page faults on KQvKR 7x7).
+    # Freeing half of ``_block_bytes`` of mapped, untouched memory here
+    # lets the heap keep one block's temporaries.
+    np.empty(_block_bytes(material) // 2, dtype=np.uint8)
     one = remaining.dtype.type(1)
-    frontier = np.flatnonzero(wdl == Wdl.LOSS.value)
     passes = []
     depth = 0
     while n_open:
         depth += 1
-        if depth > n + static_trigger + 2:
+        if depth > n + static_trigger + 3:
             raise RuntimeError("fixpoint failed to terminate")  # pragma: no cover
         winning = depth % 2 == 1
-        for side, block in _side_blocks(material, frontier):
+        labeled = 0
+        for side, block in frontier(depth):
+            labeled += block.size
             pred = _unmoves(material, side, block)
             pred = pred[wdl[pred] == _OPEN]
             if winning:
@@ -1452,34 +1526,28 @@ def _solve_single(material, registry, progress) -> Tablebase:
                 np.subtract.at(remaining, pred, one)
                 pred = pred[(remaining[pred] == 0) & (dtm[pred] <= depth)]
                 wdl[pred], dtm[pred] = Wdl.LOSS.value, depth
-        at = dtm == depth
-        if depth <= static_trigger:
-            hit = at & (wdl == _OPEN)
-            if not winning:
-                hit &= remaining == 0
-            wdl[hit] = (Wdl.WIN if winning else Wdl.LOSS).value
-            del hit
-            at &= wdl != _OPEN
-
-        frontier = np.flatnonzero(at)
-        del at
-        labeled = int(frontier.size)
-        passes.append((labeled, 0) if winning else (0, labeled))
+        if depth == 1:
+            continue  # the frontier of pass 1 is the mates
+        # ``labeled`` counts pass depth - 1, a pass of wins when depth is even.
+        passes.append((0, labeled) if winning else (labeled, 0))
         if labeled:
             n_open -= labeled
-            if progress and depth % 8 == 0:
+            if progress and (depth - 1) % 8 == 0:
                 n_win, n_loss = passes[-1]
                 progress(
-                    f"  pass {depth}: {n_win} wins, {n_loss} losses, {n_open} open"
+                    f"  pass {depth - 1}: {n_win} wins, {n_loss} losses, {n_open} open"
                 )
-        elif depth >= static_trigger:
+        elif depth - 1 >= static_trigger:
             break
 
-    drawn = wdl == _OPEN
-    wdl[drawn], dtm[drawn] = Wdl.DRAW.value, DTM_ABSENT
+    for lo in range(0, n, _CHUNK):
+        chunk_wdl, chunk_dtm = wdl[lo:lo + _CHUNK], dtm[lo:lo + _CHUNK]
+        drawn = np.equal(chunk_wdl, _OPEN, out=masks[0, :chunk_wdl.size])
+        np.copyto(chunk_wdl, Wdl.DRAW.value, where=drawn)
+        np.copyto(chunk_dtm, DTM_ABSENT, where=drawn)
     legal = n - invalid
-    decisive = _decisive(wdl)
-    max_dtm = int(dtm[decisive].max()) if decisive.any() else 0
+    # Every decisive row but a mate has the dtm of the pass that labeled it.
+    max_dtm = max((d for d, counts in enumerate(passes, 1) if any(counts)), default=0)
     stats = SolveStats(
         legal=legal,
         invalid=invalid,
@@ -1491,7 +1559,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
     if progress:
         fixpoint_s = time.perf_counter() - start - build_s
         progress(
-            f"  {material.name}: {legal} legal, max dtm {max_dtm}, {depth} passes, "
+            f"  {material.name}: {legal} legal, max dtm {max_dtm}, {len(passes)} passes, "
             f"build {build_s:.2f} s, fixpoint {fixpoint_s:.2f} s"
         )
     return Tablebase(material, wdl, dtm, stats=stats)

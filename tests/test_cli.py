@@ -212,6 +212,16 @@ class TestEvalprobeCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and "exceeds feature count" in err[0]
         assert not out.exists()
 
+    def test_non_ascii_digits_are_not_a_range(self, kqk4_file, tmp_path, capsys):
+        # Arabic-Indic threes: a regex \d and int() would read them as 3..3.
+        out = tmp_path / "s.csv"
+        code = main(["evalprobe", "--tb", str(kqk4_file), "--features", "default",
+                     "--capacity-sweep", "\u0663..\u0663", "--seed", "3", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--capacity-sweep" in err[0]
+        assert not out.exists()
+
     def test_bad_range_exits_3(self, kqk4_file, tmp_path):
         code = main(["evalprobe", "--tb", str(kqk4_file), "--features", "default",
                      "--capacity-sweep", "16..0", "--seed", "3",

@@ -55,6 +55,22 @@ class TestParse:
         with pytest.raises(sg.ParseError):
             sg.parse_fen(fen, spec)
 
+    @pytest.mark.parametrize("name", [
+        pytest.param("a\u00b2", id="superscript-2"),
+        pytest.param("a\uff18", id="fullwidth-8"),
+    ])
+    def test_non_ascii_rank_is_not_a_square(self, name):
+        with pytest.raises(sg.ValidationError, match="bad square name"):
+            STANDARD.parse_square(name)
+
+    @pytest.mark.parametrize("ep", [
+        pytest.param("e\u00b2", id="superscript-2"),
+        pytest.param("e\uff16", id="fullwidth-6"),
+    ])
+    def test_non_ascii_rank_is_not_an_en_passant_square(self, ep):
+        with pytest.raises(sg.ParseError, match="bad en passant square"):
+            sg.parse_fen(f"4k3/8/8/3Pp3/8/8/8/4K3 w - {ep}", STANDARD)
+
     def test_missing_fields(self):
         with pytest.raises(sg.ParseError):
             sg.parse_fen("8/8/4k3/8/4K3/8/8/8 w -", STANDARD)

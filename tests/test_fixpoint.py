@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import strategia as sg
+from strategia import tablebase
 from strategia.tablebase import DTM_ABSENT, SolveStats, _max_move_bound
 from test_build import build_range
 
@@ -103,6 +104,21 @@ def test_frontier_matches_the_pass_loop_on_every_table_of_the_closure(closure):
         assert np.array_equal(table.wdl, wdl), name
         assert np.array_equal(table.dtm, dtm), name
         assert table.stats == stats, name
+
+
+def test_passes_in_small_chunks_match_one_chunk(closure, monkeypatch):
+    # Every table of these closures fits in one chunk of the passes. In
+    # chunks of 1009 indices, each pass makes a chunk's static labels and
+    # takes its frontier after the un-moves of earlier chunks have
+    # labeled rows of later ones.
+    monkeypatch.setattr(tablebase, "_CHUNK", 1009)
+    chunked = sg.solve(closure.material)
+    for table in [closure, *closure.subtables.values()]:
+        again = chunked if table.material == closure.material else chunked.subtables[table.material.key]
+        name = table.material.name
+        assert np.array_equal(again.wdl, table.wdl), name
+        assert np.array_equal(again.dtm, table.dtm), name
+        assert again.stats == table.stats, name
 
 
 def test_a_static_value_labels_after_a_quiet_pass():

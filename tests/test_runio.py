@@ -32,3 +32,13 @@ def test_a_failed_rename_leaves_neither_target_nor_temp_file(tmp_path, monkeypat
     with pytest.raises(OSError, match="rename refused"):
         write(tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_chunk_iterator_that_raises_leaves_neither_target_nor_temp_file(tmp_path):
+    def chunks():
+        yield b"header"
+        raise RuntimeError("no more chunks")
+
+    with pytest.raises(RuntimeError, match="no more chunks"):
+        runio.atomic_write_chunks(tmp_path / "t.ctb", chunks())
+    assert list(tmp_path.iterdir()) == []

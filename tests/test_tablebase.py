@@ -14,6 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import strategia as sg
 import oracles
 from strategia.tablebase import (
+    _CHUNK,
+    _CHUNK_BYTES,
     _INDEX_BYTES,
     _block_bytes,
     _closure,
@@ -205,7 +207,7 @@ class TestSolveProperties:
             sg.solve(mc)
 
     def test_budget_refusal_rounds_the_estimate_up(self, monkeypatch):
-        # KBvK 3x5 needs 2,370,600 bytes: over a 2 MiB budget, so the
+        # KBvK 3x5 needs 2,363,850 bytes: over a 2 MiB budget, so the
         # message must not read "needs about 2 MiB, budget is 2 MiB".
         monkeypatch.setenv("STRATEGIA_MEM_BUDGET_MB", "2")
         mc = sg.MaterialClass.from_string("KBvK", sg.BoardSpec(3, 5))
@@ -231,24 +233,42 @@ class TestSolveProperties:
         spec = sg.BoardSpec(size, size)
         assert peak <= baseline + _solve_bytes(sg.MaterialClass.from_string(text, spec))
 
+    @pytest.mark.parametrize("text, size", [("KRvK", 8), ("KQvK", 8), ("KPvK", 6), ("KQvKR", 6)],
+                             ids=["KRvK", "KQvK", "KPvK-6x6", "KQvKR-6x6"])
+    def test_budget_estimate_bounds_the_solve_command_with_its_save(self, tmp_path, text, size):
+        # The command saves the table and counts it while the solve's
+        # columns are still held: the save streams one block of records
+        # at a time, so it must fit in the solve's bound too.
+        path = tmp_path / "table.ctb"
+        baseline = child_peak_rss("import numpy, strategia.cli")
+        peak = child_peak_rss(
+            "import strategia.cli as cli; raise SystemExit(cli.main(["
+            f"'solve', '--board', '{size}x{size}', '--material', {text!r}, '--out', {str(path)!r}]))"
+        )
+        assert path.exists()
+        spec = sg.BoardSpec(size, size)
+        assert peak <= baseline + _solve_bytes(sg.MaterialClass.from_string(text, spec))
+
     def test_budget_bytes_per_index_are_one_constant(self):
-        # Without solving anything: past the widest block of the closure
-        # and its subclass tables, the bound is one number of bytes per
-        # index, whatever captures and promotions the class has.
+        # Without solving anything: past one chunk's temporaries, the
+        # widest block of the closure and its subclass tables, the bound
+        # is one number of bytes per index, whatever captures and
+        # promotions the class has.
         per_index = set()
         for text, size in [("KRvK", 8), ("KPvK", 6), ("KQvKR", 6), ("KQvKR", 8)]:
             material = sg.MaterialClass.from_string(text, sg.BoardSpec(size, size))
             closure = _closure(material)
             rest = max(map(_block_bytes, closure)) + 3 * sum(sub.index_size for sub in closure[:-1])
+            rest += _CHUNK_BYTES * min(_CHUNK, material.index_size)
             term, extra = divmod(_solve_bytes(material) - rest, material.index_size)
             assert extra == 0, text
             per_index.add(term)
-        assert per_index == {_INDEX_BYTES} == {15}
+        assert per_index == {_INDEX_BYTES} == {4}
         assert _solve_bytes(sg.MaterialClass.from_string("KQvKR", STANDARD)) < 1 << 30
 
     def test_kqkr5_solves_under_an_18_mib_budget(self, monkeypatch):
-        # 18 MiB is above the 17 MiB bound of 15 bytes per index and
-        # below the 20 MiB that 19 bytes per index would need.
+        # 18 MiB is above the 11 MiB bound of 4 bytes per index and one
+        # chunk, and below the 20 MiB that 19 bytes per index would need.
         material = sg.MaterialClass.from_string("KQvKR", sg.BoardSpec(5, 5))
         monkeypatch.delenv("STRATEGIA_MEM_BUDGET_MB", raising=False)
         unbudgeted = sg.solve(material)
