@@ -10,9 +10,9 @@ evaluation are deterministic given dataset order and seed.
 
 Features are computed in numpy batches of rows, not one position at a
 time: a dataset's table indices are decoded into one square column per
-piece slot with the solver's decode, and mobility counts moves with the
-solver's move tables (``tablebase._MoveTables``), so the rules keep one
-vectorized form. ``extract_features`` feeds one position's pieces
+piece slot with the solver's decode, and mobility counts the bits of
+the solver's target bitboards (``tablebase._MoveTables``), so the rules
+keep one vectorized form. ``extract_features`` feeds one position's pieces
 through the same column code.
 """
 
@@ -66,9 +66,9 @@ def _feature_matrix(spec: BoardSpec, pieces, squares, side, names) -> np.ndarray
     `squares[i]` holds the square of `pieces[i]` in every row and `side`
     the side to move (0 White, 1 Black). The defender is the side with
     fewer standard-value points (Black on ties); mobility counts a
-    side's pseudo-legal moves with the solver's move masks, ignoring
-    king safety, never landing on a king, counting a promotion once and
-    omitting en passant and castling.
+    side's pseudo-legal moves as the bits of the solver's target
+    bitboards, ignoring king safety, never landing on a king, counting
+    a promotion once and omitting en passant and castling.
     """
     width, height = spec.width, spec.height
     tables = _move_tables(width, height)
@@ -88,14 +88,14 @@ def _feature_matrix(spec: BoardSpec, pieces, squares, side, names) -> np.ndarray
             if p.color is not color and p.kind is not PieceKind.KING
         ]
         enemy_occ = tables.occupancy(victims, rows)
-        blocked = tables.occupancy([sq for _, sq in own], rows) | tables.bit[kings[color.other()]]
+        blocked = occ & ~enemy_occ  # its own pieces and the enemy king
         total = np.zeros(rows, dtype=np.int64)
         for kind, src in own:
             if kind is PieceKind.PAWN:
-                _, ok, _ = tables.pawn_moves(color, src, occ, enemy_occ, (PieceKind.QUEEN,))
+                targets = tables.pawn_targets(color, src, occ, enemy_occ)
             else:
-                _, ok = tables.piece_moves(kind, src, occ, blocked)
-            total += ok.sum(axis=1)
+                targets = tables.targets(kind, color, src, occ) & ~blocked
+            total += np.bitwise_count(targets)
         return total
 
     white_king, black_king = kings[Color.WHITE], kings[Color.BLACK]

@@ -66,26 +66,27 @@ Every encode and decode goes through them, and they read the layout
 Moves are generated with numpy over blocks of at most ``_BUILD_BLOCK``
 indices with one side to move, not one position at a time. A block is
 decoded into digit columns; indices that are not ``_canonical``, pawns
-on a back rank and a side not to move in check are masked out. Each
-mover slot reads its candidate destinations from destination and
-between-square tables derived from ``board.geometry()``, against one
-uint64 occupancy bitboard per row, and a move survives only if no
-remaining enemy piece attacks the mover's king afterwards. One test,
-``_in_check``, decides king safety for the build, the legality mask
-and the mate check, and it reads every attacker off one table,
-``ray``: the squares between the attacker and its target, all ones
-where it does not attack. Captures and
-promotions are indexed in their subclass (``_successors``); the solve
-reads their values in one gather. The policy also needs in-class
-successors: the digit columns with the moved slot set to its
-destination, encoded (``_successor_values``). Un-moves read the same
-tables backwards, plus un-push tables, and test only what the row's
-squares tell: a slider's path and a double push's middle square are
-empty. They return candidates, and the solve keeps those it marks
-``_OPEN``, the legal positions not labeled yet, so legality has one
-test, ``_legal_rows``, made once per index by the build. The scalar
-``legal_transitions`` stays the rules reference, and the tests hold
-the forward moves and the un-moves to it.
+on a back rank and a side not to move in check (``_in_check``) are
+masked out. Each mover slot's legal moves are one uint64 bitboard of
+destinations per row (``_successors``): the squares its piece attacks
+(``_MoveTables.targets``, read off ``board.geometry()``) or a pawn's
+pushes and captures, less its own side's squares. King safety comes
+from the row's checks and pins, read off one table, ``ray``: the
+squares between an attacker and its target, all ones where it does
+not attack. The king keeps the squares the enemy does not attack, and
+every other piece those on each checker's line and on its own pin
+line. The build counts the moves with ``np.bitwise_count``. Captures
+and promotions are indexed in their subclass; the solve reads their
+values in one gather. The policy expands the bitboards into candidate
+columns and encodes the in-class successors: the digit columns with
+the moved slot set to its destination (``_successor_values``).
+Un-moves read the destination tables backwards, plus un-push tables,
+and test only what the row's squares tell: a slider's path and a
+double push's middle square are empty. They return candidates, and the
+solve keeps those it marks ``_OPEN``, the legal positions not labeled
+yet, so legality has one test, ``_legal_rows``, made once per index by
+the build. The scalar ``legal_transitions`` stays the rules reference,
+and the tests hold the forward moves and the un-moves to it.
 
 The index encodes only piece squares and the side to move. Castle
 rights are unrepresentable and refused; en passant state is value
@@ -679,15 +680,15 @@ def _closure(material: MaterialClass) -> tuple:
 
 
 # Vectorized move generation. Each block of indices is decoded into
-# digit columns (one square per piece slot) and expanded into candidate
-# moves per mover slot; occupancy is one uint64 bitboard per row. The
+# digit columns (one square per piece slot); occupancy and each mover
+# slot's destinations are one uint64 bitboard per row. The
 # build, un-moves and batches of policy rows run over blocks of at most
 # this many indices, so their temporaries stay bounded (``_solve_bytes``
 # allows 48 bytes per row and move; about 15-36 were measured). With
 # only per-index arrays kept, these temporaries are a large part of a
 # solve's peak: traced in process (tracemalloc), with the subclass
-# tables solved beforehand, KRvK 8x8 peaks at 4.5 MiB and KQvK 8x8 at
-# 5.9 MiB.
+# tables solved beforehand, KRvK 8x8 peaks at 5.0 MiB and KQvK 8x8 at
+# 6.4 MiB.
 _BUILD_BLOCK = 4096
 
 
@@ -701,33 +702,43 @@ def _pad(lists, width: Optional[int] = None) -> np.ndarray:
     return out
 
 
+_ALL = ~np.uint64(0)
+_ONE = np.uint64(1)
+
+
 def _ray(between: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """(S, S) bitboards: the squares `between` each square and its `targets`, all ones elsewhere.
 
     `targets` is a padded per-square table of the squares a piece
     attacks; a step's target has no square between, so its entry is 0.
     """
-    out = np.full(between.shape, ~np.uint64(0))
+    out = np.full(between.shape, _ALL)
     src, col = np.nonzero(targets >= 0)
     out[src, targets[src, col]] = between[src, targets[src, col]]
     return out
 
 
+def _bitboards(lists) -> np.ndarray:
+    """Per-square square lists as one uint64 bitboard per square."""
+    return np.array([sum(1 << sq for sq in items) for items in lists], dtype=np.uint64)
+
+
 class _MoveTables:
-    """Destination, between-square and attack tables of one board size.
+    """Destination, target and attack tables of one board size.
 
     Every table is read off ``board.geometry()``, so the rules keep one
-    definition. Destination tables pad with -1, and ``bit[-1]`` is 0, so
-    a padding destination never touches an occupancy bitboard. One
-    attack table, ``ray``, serves every kind of attacker.
+    definition. ``targets`` gives the squares a piece attacks as one
+    uint64 bitboard per row. Destination tables pad with -1, and
+    ``bit[-1]`` is 0, so a padding destination never touches a bitboard.
+    One attack table, ``ray``, serves every kind of attacker.
     """
 
     def __init__(self, width: int, height: int):
         geo = geometry(width, height)
-        n = width * height
+        n = self.size = width * height
         self.width = width
         self.bit = np.zeros(n + 1, dtype=np.uint64)
-        self.bit[:n] = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+        self.bit[:n] = np.left_shift(_ONE, np.arange(n, dtype=np.uint64))
         ortho = [sum(rays, ()) for rays in geo.ortho_rays]
         diag = [sum(rays, ()) for rays in geo.diag_rays]
         self.dest = {
@@ -754,11 +765,32 @@ class _MoveTables:
         # every other piece its destinations, whatever its color.
         rays = {kind: _ray(between, dest) for kind, dest in self.dest.items()}
         self.ray = {(kind, c): table for kind, table in rays.items() for c in (0, 1)}
+        # The squares a stepper attacks, one bitboard per square.
+        self.step = {}
         for c in (0, 1):
             self.ray[PieceKind.PAWN, c] = _ray(between, self.pawn_caps[c])
+            self.step[PieceKind.PAWN, c] = _bitboards(geo.pawn_caps[c])
+            self.step[PieceKind.KING, c] = _bitboards(geo.king_steps)
+            self.step[PieceKind.KNIGHT, c] = _bitboards(geo.knight_steps)
+        # Per slider: each direction's ray from every square as a
+        # bitboard (0 where it is empty), and for a direction toward lower
+        # squares the shifts of its or-smear, 1, 2 and 4 steps.
+        self.lines = {}
+        for kind, rays in ((PieceKind.ROOK, geo.ortho_rays), (PieceKind.BISHOP, geo.diag_rays)):
+            lines = {}
+            for sq in range(n):
+                for ray in rays[sq]:
+                    lines.setdefault(ray[0] - sq, np.zeros(n, dtype=np.uint64))[sq] = sum(1 << t for t in ray)
+            self.lines[kind] = [
+                (table, None if step > 0 else tuple(np.uint64(-step << i) for i in range(3)))
+                for step, table in lines.items()
+            ]
+        self.lines[PieceKind.QUEEN] = self.lines[PieceKind.ROOK] + self.lines[PieceKind.BISHOP]
         self.pawn_push = tuple(np.asarray(geo.pawn_push[c]) for c in (0, 1))
         self.pawn_double = tuple(np.asarray(geo.pawn_double[c]) for c in (0, 1))
         self.promo_rank = geo.pawn_promo_rank
+        # Each color's promotion rank as a bitboard.
+        self.promotions = tuple(np.uint64((1 << width) - 1 << rank * width) for rank in self.promo_rank)
         # The square a pawn was pushed (or double-pushed) from, -1 where
         # none; an origin on a back rank holds no pawn.
         self.pawn_unpush = np.full((2, n), -1, dtype=np.int64)
@@ -769,6 +801,10 @@ class _MoveTables:
                 if geo.pawn_double[c][src] >= 0:
                     self.pawn_undouble[c, geo.pawn_double[c][src]] = src
 
+    def between(self, kind: int, color: int, src, target):
+        """The ``ray`` entry of a `color` piece of `kind` on `src` and `target`, one gather."""
+        return self.ray[kind, color].take(src * self.size + target)
+
     def attacks(self, kind: int, color: int, src, target, occ):
         """Whether a `color` piece of `kind` on `src` attacks `target` given `occ`.
 
@@ -776,7 +812,58 @@ class _MoveTables:
         tests: a piece that does not attack `target` reads a ray of all
         ones, so the test is exact only when `occ` is not empty.
         """
-        return (self.ray[kind, color][src, target] & occ) == 0
+        return (self.between(kind, color, src, target) & occ) == 0
+
+    def targets(self, kind: int, color: int, src, occ) -> np.ndarray:
+        """The squares a `color` piece of `kind` on `src` attacks given `occ`, one bitboard per row.
+
+        A slider's ray in each direction stops at its first blocker,
+        which it attacks, of either color. Toward higher squares that is
+        the lowest set bit of ``b = ray & occ``, and ``b ^ (b - 1)`` holds
+        the squares up to it (all of them if `b` is empty). Toward lower
+        squares it is the highest, and or-smearing `b` along the
+        direction's step reaches every square past it, as no ray is
+        longer than 7 squares.
+        """
+        if kind not in self.lines:
+            return self.step[kind, color][src]
+        out = np.zeros(occ.size, dtype=np.uint64)
+        for table, shifts in self.lines[kind]:
+            ray = table[src]
+            b = ray & occ
+            if shifts is None:
+                b ^= b - _ONE
+                out |= ray & b
+            else:
+                for shift in shifts:
+                    b |= b >> shift
+                out |= ray & ~(b >> shifts[0])
+        return out
+
+    def pawn_targets(self, color: int, src, occ, enemy) -> np.ndarray:
+        """The squares `color` pawns on `src` move to, one bitboard per row.
+
+        A push and a double push land on empty squares, the double push
+        only past an empty one, and a capture takes a piece in `enemy`.
+        """
+        push = self.bit[self.pawn_push[color][src]] & ~occ
+        double = self.bit[self.pawn_double[color][src]] & ~occ
+        double[push == 0] = 0
+        return push | double | (self.step[PieceKind.PAWN, color][src] & enemy)
+
+    def columns(self, kind: int, color: int, src, promotion_kinds) -> tuple:
+        """(dest, promotion kind) of each candidate move column of pieces of `kind` on `src`.
+
+        A pawn's columns: push, double push, two captures, then push and
+        two captures once per promotion kind.
+        """
+        if kind != PieceKind.PAWN:
+            dest = self.dest[kind][src]
+            return dest, np.zeros(dest.shape[1], dtype=np.int64)
+        plain = [self.pawn_push[color][src], self.pawn_double[color][src], *self.pawn_caps[color][src].T]
+        kinds = sorted(promotion_kinds)
+        dest = np.column_stack(plain + [plain[0], *plain[2:]] * len(kinds))
+        return dest, np.array([0] * 4 + [k.value for k in kinds for _ in range(3)])
 
     def occupancy(self, columns, rows: int) -> np.ndarray:
         """One bitboard per row with the squares of every column set."""
@@ -784,42 +871,6 @@ class _MoveTables:
         for squares in columns:
             occ |= self.bit[squares]
         return occ
-
-    def piece_moves(self, kind: int, src, occ, blocked):
-        """(dest, pseudo-legal mask) for non-pawn pieces of `kind` on `src`.
-
-        `blocked` holds the squares no move may land on: the mover's own
-        pieces and the enemy king. Sliders also stop at any piece in `occ`.
-        """
-        dest = self.dest[kind][src]
-        ok = (dest >= 0) & ((blocked[:, None] & self.bit[dest]) == 0)
-        if kind in self.path:
-            ok &= (self.path[kind][src] & occ[:, None]) == 0
-        return dest, ok
-
-    def pawn_moves(self, color: int, src, occ, enemy_occ, promotion_kinds):
-        """(dest, pseudo-legal mask, promotion kind per column) for pawns on `src`.
-
-        Columns: push, double push, two captures, then push and two
-        captures once per promotion kind.
-        """
-        push = self.pawn_push[color][src]
-        double = self.pawn_double[color][src]
-        caps = self.pawn_caps[color][src]
-        push_ok = (occ & self.bit[push]) == 0
-        push_promo = push // self.width == self.promo_rank[color]
-        double_ok = push_ok & (double >= 0) & ((occ & self.bit[double]) == 0)
-        cap_ok = (enemy_occ[:, None] & self.bit[caps]) != 0
-        cap_promo = caps // self.width == self.promo_rank[color]
-        plain = np.column_stack([push, double, caps])
-        plain_ok = np.column_stack([push_ok & ~push_promo, double_ok, cap_ok & ~cap_promo])
-        promo = np.column_stack([push, caps])
-        promo_ok = np.column_stack([push_ok & push_promo, cap_ok & cap_promo])
-        kinds = sorted(promotion_kinds)
-        dest = np.hstack([plain] + [promo] * len(kinds))
-        ok = np.hstack([plain_ok] + [promo_ok] * len(kinds))
-        col_kind = np.array([0] * 4 + [k.value for k in kinds for _ in range(3)])
-        return dest, ok, col_kind
 
 
 @functools.lru_cache(maxsize=None)
@@ -836,7 +887,12 @@ def _move_tables(width: int, height: int) -> _MoveTables:
 def _decode_columns(material: MaterialClass, idx) -> tuple:
     """(side to move, one square column per piece slot) of the indices `idx`."""
     n = material.spec.num_squares
-    return idx // material._half, [(idx // power) % n for power in material._powers]
+    digits = []
+    for _ in material.pieces:
+        rest = idx // n
+        digits.append(idx - rest * n)  # idx % n, without numpy's slower modulo
+        idx = rest
+    return idx, digits
 
 
 def _encode_columns(material: MaterialClass, side, digits: list):
@@ -889,58 +945,73 @@ def _successors(material, side, digits, occ):
 
     `digits` holds one square column per piece slot and `occ` one
     occupancy bitboard per row; every row must be a legal position.
-    Yields (slot, dest, legal, col_kind, exits) per mover slot: the
-    (rows, candidates) destinations and legal mask, and the promotion
-    kind of each candidate column. `exits` lists the legal moves that
-    leave the class as (subclass, rows, cols, subclass index), one entry
-    per (victim, promotion kind) that occurs.
+    Yields (slot, targets, exits) per mover slot: one bitboard per row
+    of the squares the slot's piece may move to, where a pawn's move
+    onto its promotion rank stands for one move per promotion kind.
+    `exits` lists the legal moves that leave the class as (subclass,
+    rows, destination, promotion kind, subclass index), one entry per
+    (victim, promotion kind) that occurs.
+
+    The king keeps the squares the enemy does not attack with the king
+    off `occ`, so it cannot hide behind itself on a slider's line. Every
+    other piece keeps those on each checker's line (the squares between
+    it and the king, and its own) and on its pin line, read off ``ray``.
     """
     tables = _move_tables(material.spec.width, material.spec.height)
     them = 1 - side
+    rows = occ.size
+    king = digits[material._kings[side]]
     movers = material._slots[side]
     victims = [slot for slot, kind in material._slots[them] if kind != PieceKind.KING]
-    enemy_occ = tables.occupancy([digits[slot] for slot in victims], occ.size)
-    blocked = tables.occupancy([digits[slot] for slot, _ in movers], occ.size)
-    blocked |= tables.bit[digits[material._kings[them]]]
-    stay = [d[:, None] for d in digits]
+    enemy = tables.occupancy([digits[slot] for slot in victims], rows)
+    blocked = occ & ~enemy  # the mover's own pieces and the enemy king
+    evade = np.full(rows, _ALL)
+    pins = {slot: np.full(rows, _ALL) for slot, kind in movers if kind != PieceKind.KING}
+    for slot, kind in material._slots[them]:
+        # In a legal position the enemy king neither checks nor pins.
+        if kind == PieceKind.KING:
+            continue
+        between = tables.between(kind, them, digits[slot], king)
+        inside = between & occ
+        line = between | tables.bit[digits[slot]]
+        evade &= np.where(inside == 0, line, _ALL)
+        for mover, pin in pins.items():
+            pin &= np.where(inside == tables.bit[digits[mover]], line, _ALL)
     for slot, kind in movers:
         src = digits[slot]
-        if kind == PieceKind.PAWN:
-            dest, legal, col_kind = tables.pawn_moves(
-                side, src, occ, enemy_occ, material.spec.promotion_kinds
-            )
+        if kind == PieceKind.KING:
+            clear = occ & ~tables.bit[src]
+            attacked = np.zeros(rows, dtype=np.uint64)
+            for enemy_slot, enemy_kind in material._slots[them]:
+                attacked |= tables.targets(enemy_kind, them, digits[enemy_slot], clear)
+            targets = tables.targets(kind, side, src, occ) & ~(blocked | attacked)
+        elif kind == PieceKind.PAWN:
+            targets = tables.pawn_targets(side, src, occ, enemy) & evade & pins[slot]
         else:
-            dest, legal = tables.piece_moves(kind, src, occ, blocked)
-            col_kind = np.zeros(dest.shape[1], dtype=np.int64)
-
-        # Drop moves that leave the mover's king attacked; a piece the
-        # move captures attacks nothing.
-        occ_after = (occ & ~tables.bit[src])[:, None] | tables.bit[dest]
-        king = dest if kind == PieceKind.KING else None
-        legal &= ~_in_check(material, side, stay, occ_after, king=king, captured=dest)
+            targets = tables.targets(kind, side, src, occ) & ~blocked & evade & pins[slot]
 
         # Captures and promotions leave the class: index them in their
         # subclass, one (victim, promotion kind) at a time.
-        quiet = legal.copy()
-        captures = []
-        for victim in victims:
-            hit = legal & (dest == digits[victim][:, None])
-            quiet &= ~hit
-            captures.append((victim, hit))
         exits = []
-        for victim, hit in [(None, quiet)] + captures:
-            for promo_kind in np.unique(col_kind).tolist():
-                if victim is None and promo_kind == 0:
-                    continue
-                rows, cols = np.nonzero(hit & (col_kind == promo_kind))
-                if rows.size == 0:
+        for victim in ([None] if kind == PieceKind.PAWN else []) + victims:
+            dest = tables.pawn_push[side][src] if victim is None else digits[victim]
+            hit = (targets & tables.bit[dest]) != 0
+            groups = [(0, hit)]
+            if kind == PieceKind.PAWN:
+                promoting = dest // tables.width == tables.promo_rank[side]
+                groups = [(k.value, hit & promoting) for k in material.spec.promotion_kinds]
+                if victim is not None:
+                    groups.append((0, hit & ~promoting))
+            for promo_kind, hit in groups:
+                at = np.flatnonzero(hit)
+                if at.size == 0:
                     continue
                 sub, order = _sub_layout(material, victim, slot, promo_kind)
-                columns = [d[rows] for d in digits]
-                columns[slot] = dest[rows, cols]
+                columns = [d[at] for d in digits]
+                columns[slot] = dest[at]
                 sub_idx = _encode_columns(sub, them, [columns[s] for s in order])
-                exits.append((sub, rows, cols, sub_idx))
-        yield slot, dest, legal, col_kind, exits
+                exits.append((sub, at, columns[slot], promo_kind, sub_idx))
+        yield slot, targets, exits
 
 
 def _legal_rows(material, side, idx):
@@ -962,25 +1033,16 @@ def _legal_rows(material, side, idx):
     return ok, digits, occ
 
 
-def _in_check(material, side, digits, occ, king=None, captured=None):
+def _in_check(material, side, digits, occ):
     """Whether the king of `side` is attacked, per row of digit columns and occupancy.
 
-    The one king-safety test: every attacker is read off the ``ray``
-    table. `king`, if given, is the king's square in place of its digit
-    column, as after a king move, and a piece of the other side standing
-    on `captured` attacks nothing, as it has just been taken. The digit
-    columns, `king`, `captured` and `occ` broadcast together, and `occ`
-    must hold the king (``_MoveTables.attacks``).
+    Every attacker is read off the ``ray`` table (``_MoveTables.attacks``).
     """
     tables = _move_tables(material.spec.width, material.spec.height)
-    if king is None:
-        king = digits[material._kings[side]]
-    check = np.zeros(np.shape(occ), dtype=bool)
+    king = digits[material._kings[side]]
+    check = np.zeros(occ.size, dtype=bool)
     for slot, kind in material._slots[1 - side]:
-        attacked = tables.attacks(kind, 1 - side, digits[slot], king, occ)
-        if captured is not None:
-            attacked &= digits[slot] != captured
-        check |= attacked
+        check |= tables.attacks(kind, 1 - side, digits[slot], king, occ)
     return check
 
 
@@ -1006,15 +1068,19 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     idx, occ = idx[ok], occ[ok]
     digits = [d[ok] for d in digits]
 
+    promotions = _move_tables(material.spec.width, material.spec.height).promotions[side]
+    extra = len(material.spec.promotion_kinds) - 1
     counts = np.zeros(idx.size, dtype=np.int64)
     won = np.zeros(idx.size, dtype=np.int64)
     exit_win = np.full(idx.size, DTM_ABSENT, dtype=np.int64)
     exit_floor = np.zeros(idx.size, dtype=np.int64)
     horizon = 0
-    for _, _, legal, _, exits in _successors(material, side, digits, occ):
-        counts += np.count_nonzero(legal, axis=1)
+    for slot, targets, exits in _successors(material, side, digits, occ):
+        counts += np.bitwise_count(targets)
+        if material.pieces[slot].kind is PieceKind.PAWN:
+            counts += extra * np.bitwise_count(targets & promotions)
         # Out-of-class successors are fixed values: one gather per exit.
-        for sub, rows, _, sub_idx in exits:
+        for sub, rows, _, _, sub_idx in exits:
             table = registry[sub.key]
             wdl = table.wdl[sub_idx]
             if (wdl == 0).any():
@@ -1094,9 +1160,17 @@ def _successor_values(material, side, idx, table_for, slots):
     """
     ok, digits, occ = _legal_rows(material, side, idx)
     _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
+    tables = _move_tables(material.spec.width, material.spec.height)
     own = table_for(material.key)
     parts = []
-    for slot, dest, legal, col_kind, exits in _successors(material, side, digits, occ):
+    for slot, targets, exits in _successors(material, side, digits, occ):
+        # A column is legal where its destination is a target; a pawn's
+        # column promotes exactly where it lands on the promotion rank.
+        kind = material.pieces[slot].kind
+        dest, col_kind = tables.columns(kind, side, digits[slot], material.spec.promotion_kinds)
+        legal = (targets[:, None] & tables.bit[dest]) != 0
+        if kind is PieceKind.PAWN:
+            legal &= (col_kind != 0) == (dest // tables.width == tables.promo_rank[side])
         key = (digits[slot][:, None] * material.spec.num_squares + dest) * 8 + col_kind
         # In-class successors: the moved slot takes its destination.
         moved = [d[:, None] for d in digits]
@@ -1106,7 +1180,8 @@ def _successor_values(material, side, idx, table_for, slots):
         # Values of illegal candidates are read from index 0 and never used.
         in_class = np.where(legal, succ, 0)
         wdl, dtm = own.wdl[in_class], own.dtm[in_class]
-        for sub, rows, cols, sub_idx in exits:
+        for sub, rows, to, promo_kind, sub_idx in exits:
+            cols = np.argmax((dest[rows] == to[:, None]) & (col_kind == promo_kind), axis=1)
             table = table_for(sub.key)
             to_slot[rows, cols] = slots[sub.key]
             succ[rows, cols] = sub_idx
@@ -1285,8 +1360,8 @@ def _check_mates(table) -> None:
         ok, digits, occ = _legal_rows(material, side, idx)
         _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
         mated = _in_check(material, side, digits, occ)
-        for _, _, legal, _, _ in _successors(material, side, digits, occ):
-            mated &= ~legal.any(axis=1)
+        for _, targets, _ in _successors(material, side, digits, occ):
+            mated &= targets == 0
         _refuse(material, idx, mated, RuntimeError, "a (LOSS, 0) entry is not checkmate")
 
 

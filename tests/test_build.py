@@ -13,7 +13,8 @@ into one `exit_at`), and the in-class predecessors that `_unmoves`
 generates among its candidates. The solve keeps only the
 candidates it marks open, so a solved table must hold no open mark
 and an illegal entry exactly where `_legal_rows` says so. The attack
-test all of them use is held to the independent oracle's walk.
+test and the target bitboards all of them use are held to the
+independent oracle's walk.
 """
 
 import numpy as np
@@ -98,6 +99,7 @@ EXHAUSTIVE = (
     ("KPvK", sg.BoardSpec(4, 4, promotion_kinds=ROOK_KNIGHT)),
     ("KRPvK", sg.BoardSpec(3, 4)),  # promotion to a rook: duplicate rooks in the subclass
     ("KNvKP", sg.BoardSpec(3, 5)),  # a black pawn: pushes and double pushes down the board
+    ("KPvKQ", sg.BoardSpec(3, 4)),  # a pawn facing a slider: pinned pushes, captures of the pinner
 )
 
 
@@ -291,12 +293,15 @@ def test_solve_marks_every_entry_final_on_pinned_classes(request, fixture):
     assert_solved_marks(request.getfixturevalue(fixture))
 
 
-@pytest.mark.parametrize("width,height", [(8, 8), (3, 5)])
+@pytest.mark.parametrize("width,height", [(8, 8), (3, 5), (2, 7)])
 def test_attacks_match_the_oracle_walk(width, height):
     # Every (src, target) pair, each under an occupancy of only the two
     # squares and under seeded random blockers. The target holds the
     # defending king and the blockers are defending pawns, so the
-    # attacker on src is the only piece that can attack it.
+    # attacker on src is the only piece that can attack it. Both the
+    # attack test and the target bitboard (bit t) are held to the walk;
+    # on a board two files wide a diagonal steps by one square, as a
+    # rank does.
     tables = _move_tables(width, height)
     rules = oracles.OracleRules(width, height, ())
     n = width * height
@@ -310,12 +315,15 @@ def test_attacks_match_the_oracle_walk(width, height):
         for kind in sg.PieceKind:
             for color in (0, 1):
                 got = tables.attacks(kind, color, src, target, occ)
+                hit = (tables.targets(kind, color, src, occ) & bits[target]) != 0
                 sign = 1 if color == 0 else -1
                 for row, (s, t) in enumerate(zip(src.tolist(), target.tolist())):
                     board = [-sign * oracles.PAWN if blocked else 0 for blocked in blockers[row].tolist()]
                     board[s] = sign * getattr(oracles, kind.name)
                     board[t] = -sign * oracles.KING
-                    assert bool(got[row]) == rules.attacked(board, t, color == 0), (kind.name, color, s, t)
+                    attacked = rules.attacked(board, t, color == 0)
+                    assert bool(got[row]) == attacked, (kind.name, color, s, t)
+                    assert bool(hit[row]) == attacked, (kind.name, color, s, t)
 
 
 @settings(max_examples=300, deadline=None)
