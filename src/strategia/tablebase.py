@@ -7,24 +7,25 @@ by iterated generational passes: generation d is built only from
 generations below d, so the labeled set grows monotonically and the
 result is independent of pass scheduling.
 
-The passes run on a retrograde frontier, and the solve keeps only
-per-index arrays, no edge or move list: the value and an open
-position's count of moves not yet won. An open position's dtm holds
-what its exits, the moves that leave the class, give it (``exit_at``):
-1 + the least dtm of a lost exit, else 1 + the greatest dtm of a won
-exit, which is not counted. Pass d reads only the predecessors of the
-positions labeled at d - 1, the un-move candidates (``_unmoves``) that
-the value column marks ``_OPEN``: the open predecessors of a loss
-become wins, and those of a win count down their moves not yet won,
-becoming losses at max(d, exit_at) at 0. Pass d also labels the open
-positions whose exit_at is d: won if d is odd, lost if d is even and
-nothing is left to count down. Each in-class edge is generated once
-over the whole solve. A pass scans the columns once, ``_CHUNK``
-indices at a time, and takes each chunk's frontier from them: the
-rows at dtm d - 1 that are not ``_OPEN``. ``_solve_bytes`` bounds the
-memory a solve holds: a constant per index, one chunk's temporaries,
-the widest block and the subclass tables. A table file is written,
-and its CRC taken, one block of records at a time (``Tablebase.save``).
+The passes run on a retrograde frontier, and the solve keeps only two
+per-index columns, no edge or move list: the value and the dtm. An
+open position's value byte is ``_OPEN`` | its count of moves not yet
+won (7 bits), and its dtm holds what its exits, the moves that leave
+the class, give it (``exit_at``): 1 + the least dtm of a lost exit,
+else 1 + the greatest dtm of a won exit, which is not counted. Pass d
+reads only the predecessors of the positions labeled at d - 1, the
+un-move candidates (``_unmoves``) that are still open: the open
+predecessors of a loss become wins, and those of a win count down
+their moves not yet won, becoming losses at max(d, exit_at) at 0.
+Pass d also labels the open positions whose exit_at is d: won if d is
+odd, lost if d is even and nothing is left to count down. Each
+in-class edge is generated once over the whole solve, in int32. A
+pass scans the columns once, ``_CHUNK`` indices at a time, and takes
+each chunk's frontier from them: the rows at dtm d - 1 that are not
+open. ``_solve_bytes`` bounds the memory a solve holds: a constant per
+index, one chunk's temporaries, the widest block and the subclass
+tables. A table file is written, and its CRC taken, one block of
+records at a time (``Tablebase.save``).
 
 Captures and promotions leave the class, so a class is solved on top
 of the subclasses they reach, listed with it in solve order by
@@ -83,9 +84,9 @@ the moved slot set to its destination (``_successor_values``).
 Un-moves read the destination tables backwards, plus un-push tables,
 and test only what the row's squares tell: a slider's path and a
 double push's middle square are empty. They return candidates, and the
-solve keeps those it marks ``_OPEN``, the legal positions not labeled
-yet, so legality has one test, ``_legal_rows``, made once per index by
-the build. The scalar ``legal_transitions`` stays the rules reference,
+solve keeps those still open, the legal positions not labeled yet, so
+legality has one test, ``_legal_rows``, made once per index by the
+build. The scalar ``legal_transitions`` stays the rules reference,
 and the tests hold the forward moves and the un-moves to it.
 
 The index encodes only piece squares and the side to move. Castle
@@ -693,10 +694,10 @@ _BUILD_BLOCK = 4096
 
 
 def _pad(lists, width: Optional[int] = None) -> np.ndarray:
-    """Per-square square lists as an (S, width) int64 array padded with -1."""
+    """Per-square square lists as an (S, width) int32 array padded with -1."""
     if width is None:
         width = max(1, max(len(items) for items in lists))
-    out = np.full((len(lists), width), -1, dtype=np.int64)
+    out = np.full((len(lists), width), -1, dtype=np.int32)
     for sq, items in enumerate(lists):
         out[sq, : len(items)] = items
     return out
@@ -793,8 +794,8 @@ class _MoveTables:
         self.promotions = tuple(np.uint64((1 << width) - 1 << rank * width) for rank in self.promo_rank)
         # The square a pawn was pushed (or double-pushed) from, -1 where
         # none; an origin on a back rank holds no pawn.
-        self.pawn_unpush = np.full((2, n), -1, dtype=np.int64)
-        self.pawn_undouble = np.full((2, n), -1, dtype=np.int64)
+        self.pawn_unpush = np.full((2, n), -1, dtype=np.int32)
+        self.pawn_undouble = np.full((2, n), -1, dtype=np.int32)
         for c in (0, 1):
             for src in range(width, n - width):
                 self.pawn_unpush[c, geo.pawn_push[c][src]] = src
@@ -880,8 +881,10 @@ def _move_tables(width: int, height: int) -> _MoveTables:
 
 # The index codec. Only these three functions know the digit layout:
 # side * S**k + sum(square of slot i * S**i), with each duplicate-piece
-# group in ascending square order. Each works on ints and on int64
-# arrays alike.
+# group in ascending square order. Each works on ints and on int32 or
+# int64 arrays alike, and an array's arithmetic stays in its dtype: a
+# class has at most 5 pieces on at most 8x8 squares, so every index is
+# below 2 * 64**5 = 2**31 and fits in int32.
 
 
 def _decode_columns(material: MaterialClass, idx) -> tuple:
@@ -1109,19 +1112,21 @@ def _build_side(material, registry, side, lo, hi, max_moves):
 def _unmoves(material, side, idx):
     """The in-class predecessor candidates of the legal indices `idx`, all with `side` to move.
 
-    Returns the candidates of every row in one int64 array, in no set
-    order: the indices that reach a row by a quiet move of the side
-    that just moved, as far as the row's own squares tell. That piece
-    steps back along its destination table (a slider over empty
-    squares), or a pawn is un-pushed, singly or doubly (over an empty
-    square), to a square off the back ranks. Legality is not tested
-    here: a candidate whose origin square is taken is not
-    ``_canonical``, and one that leaves the side not to move in check
-    fails ``_legal_rows``, so the solve, which keeps only the
-    candidates it marks ``_OPEN``, never keeps either. A move never
+    Returns the candidates of every row in one intp array, the dtype a
+    gather reads, in no set order: the indices that reach a row by a
+    quiet move of the side that just moved, as far as the row's own
+    squares tell. That piece steps back along its destination table (a
+    slider over empty squares), or a pawn is un-pushed, singly or
+    doubly (over an empty square), to a square off the back ranks.
+    Legality is not tested here: a candidate whose origin square is
+    taken is not ``_canonical``, and one that leaves the side not to
+    move in check fails ``_legal_rows``, so the solve, which keeps only
+    the candidates still open, never keeps either. A move never
     captures or promotes inside a class, so there is no un-capture or
     un-promotion, and no two moves of one position reach the same
-    position, so each edge appears once.
+    position, so each edge appears once. The decode and encode run in
+    the dtype of `idx`; the solve's passes give int32, which is faster
+    than int64 there.
     """
     tables = _move_tables(material.spec.width, material.spec.height)
     _, digits = _decode_columns(material, idx)
@@ -1140,11 +1145,13 @@ def _unmoves(material, side, idx):
             # A double push passes over the square a single push starts from.
             ok[:, 1] &= (occ & tables.bit[back[:, 0]]) == 0
         elif kind in tables.path:
-            ok &= (tables.path[kind][dest] & occ[:, None]) == 0
+            path = tables.path[kind][dest]
+            path &= occ[:, None]
+            ok &= path == 0
         moved = list(stay)
         moved[slot] = back
         out.append(_encode_columns(material, them, moved)[ok])
-    return np.concatenate(out)
+    return np.concatenate(out, dtype=np.intp)
 
 
 def _successor_values(material, side, idx, table_for, slots):
@@ -1399,22 +1406,26 @@ def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
     return blocks
 
 
-# The bytes a solve holds per index: the wdl and dtm (3) and the count
-# of moves not yet won (1: at most 91 moves on boards up to 8x8). While
-# the solve runs, the wdl byte also carries ``_OPEN`` and an open row's
-# dtm its ``exit_at``, at no extra byte.
-_INDEX_BYTES = 4
+# The bytes a solve holds per index: the wdl and dtm (3). While the
+# solve runs, an open row's wdl byte holds ``_OPEN`` | its count of
+# moves not yet won, which takes 7 bits (at most 91 moves on boards up
+# to 8x8, ``_max_move_bound``), and its dtm its ``exit_at``, at no
+# extra byte.
+_INDEX_BYTES = 3
 
 # The passes and the final relabel scan the columns this many indices
-# at a time. A chunk's temporaries are its frontier (int64, 8 bytes per
-# index) and two boolean masks: ``_CHUNK_BYTES`` per index.
+# at a time. A chunk's temporaries are two boolean masks and its
+# frontier as ``np.flatnonzero`` gives it (int64): ``_CHUNK_BYTES`` per
+# index. The frontier is cast to int32 one ``_side_blocks`` block at a
+# time, within ``_block_bytes``.
 _CHUNK = 1 << 18
 _CHUNK_BYTES = 10
 
-# The wdl code of a legal position not labeled yet. Only a solve writes
-# it, and it is not a ``Wdl`` member: every ``_OPEN`` entry left when
-# the passes end is a draw.
-_OPEN = 4
+# The top bit of the wdl byte of a legal position not labeled yet; the
+# low 7 bits hold its count of moves not yet won. Only a solve writes
+# it, and no ``Wdl`` code has it: every open entry left when the
+# passes end is a draw.
+_OPEN = 0x80
 
 
 def _resolve_budget() -> int:
@@ -1480,12 +1491,20 @@ def _solve_missing(closure, tables: dict, progress) -> dict:
     """`tables` (class key -> table) after solving, in order, each class of `closure` it lacks.
 
     The budget is read once, and every class to solve is checked
-    against it before any is solved, the last class of `closure` first.
-    A solved table's ``subtables`` are the tables solved before it.
+    against it before any is solved, the last class of `closure` first;
+    a class whose ``_max_move_bound`` does not fit an open row's 7-bit
+    count raises RuntimeError at the same check. A solved table's
+    ``subtables`` are the tables solved before it.
     """
     missing = [material for material in closure if material.key not in tables]
     budget = _resolve_budget()
     for material in reversed(missing):
+        max_moves = _max_move_bound(material)
+        if max_moves >= _OPEN:
+            raise RuntimeError(
+                f"{material.name}: a position may have {max_moves} moves, "
+                f"more than the {_OPEN - 1} an open row's count holds"
+            )
         estimate = _solve_bytes(material)
         if estimate > budget:
             raise BudgetExceededError(
@@ -1506,13 +1525,12 @@ def _solve_single(material, registry, progress) -> Tablebase:
         progress(f"solving {material.name}: {n} indices")
     start = time.perf_counter()
 
-    # Per index: the value (``_OPEN`` for a live position, 0 for an
-    # illegal one), and an open position's count of moves not yet won,
-    # with its dtm holding the ``exit_at`` that ``_build_side`` folds
+    # Per index: the value (0 for an illegal position, and ``_OPEN`` |
+    # its count of moves not yet won for a live one), with an open
+    # position's dtm holding the ``exit_at`` that ``_build_side`` folds
     # from its exits.
     wdl = np.zeros(n, dtype=np.uint8)
     dtm = np.full(n, DTM_ABSENT, dtype=np.uint16)
-    remaining = np.zeros(n, dtype=np.min_scalar_type(max_moves))
     invalid = n_mated = n_stalemated = n_open = 0
     # A static value of dtm t labels at pass t + 1, even across
     # otherwise quiet passes, so termination waits for the horizon of
@@ -1528,31 +1546,34 @@ def _solve_single(material, registry, progress) -> Tablebase:
         n_open += live.size
         wdl[mated], dtm[mated] = Wdl.LOSS.value, 0
         wdl[stalemated] = Wdl.DRAW.value
-        wdl[live], dtm[live], remaining[live] = _OPEN, exit_at, moves
+        wdl[live], dtm[live] = _OPEN | moves, exit_at
         static_trigger = max(static_trigger, horizon)
     build_s = time.perf_counter() - start
 
     # Pass d reads only the positions labeled at d - 1. A loss has an
     # even dtm and a win an odd one, so those are all losses when d is
     # odd and all wins when d is even. The open predecessors of a loss
-    # win; each predecessor of a win counts down its moves not yet won,
-    # and one that reaches 0 is lost at max(d, exit_at): it cannot win
-    # in the meantime, having no successor that is not won.
-    # Predecessors are the un-move candidates (``_unmoves``) still
-    # marked ``_OPEN``, one per edge. Up to the horizon, pass d also
-    # labels the open rows whose exit_at is d: all of them when d is
-    # odd, and those with nothing left to count down when d is even.
+    # win; each predecessor of a win counts down its moves not yet won
+    # in its wdl byte, and one that reaches 0 (a byte of ``_OPEN``) is
+    # lost at max(d, exit_at): it cannot win in the meantime, having no
+    # successor that is not won. Predecessors are the un-move candidates
+    # (``_unmoves``, of int32 frontier blocks) still open, one per edge.
+    # Up to the horizon, pass d also labels the open rows whose exit_at
+    # is d: all of them when d is odd, and those with nothing left to
+    # count down when d is even.
     #
     # Pass d scans the columns once, ``_CHUNK`` indices at a time. In
     # each chunk it first makes those static labels, then takes the
-    # frontier, the rows at dtm d - 1 that are not ``_OPEN`` (an open
-    # row's dtm is its exit_at), and un-moves it. Both orders give the
-    # labels of pass d: a static label and an un-move label of one row
-    # agree, and a row whose count reaches 0 later in the pass is lost
-    # at d all the same. The frontier's size is the count of pass
-    # d - 1, so whether to stop after pass d - 1 is known only once
-    # pass d has run; that pass then labels nothing, as no row is open
-    # or its frontier is empty past the horizon.
+    # frontier, the rows at dtm d - 1 that are not open (an open row's
+    # dtm is its exit_at), and un-moves it. Both orders give the labels
+    # of pass d: a static label and an un-move label of one row agree,
+    # and a row whose count reaches 0 later in the pass is lost at d all
+    # the same. An exit_at is at most the horizon, so once d - 1 is past
+    # it no open row is at dtm d - 1, and the frontier is the rows at
+    # dtm d - 1 alone. The frontier's size is the count of pass d - 1,
+    # so whether to stop after pass d - 1 is known only once pass d has
+    # run; that pass then labels nothing, as no row is open or its
+    # frontier is empty past the horizon.
     #
     # One chunk's two masks, allocated once and reused by every chunk.
     masks = np.empty((2, min(_CHUNK, n)), dtype=bool)
@@ -1564,15 +1585,18 @@ def _solve_single(material, registry, progress) -> Tablebase:
             at, live = masks[:, :chunk_wdl.size]
             if depth <= static_trigger:
                 np.equal(chunk_dtm, depth, out=at)
-                at &= np.equal(chunk_wdl, _OPEN, out=live)
-                if depth % 2 == 0:
-                    at &= np.equal(remaining[lo:lo + _CHUNK], 0, out=live)
+                if depth % 2:
+                    at &= np.greater_equal(chunk_wdl, _OPEN, out=live)
+                else:
+                    at &= np.equal(chunk_wdl, _OPEN, out=live)
                 np.copyto(chunk_wdl, (Wdl.WIN if depth % 2 else Wdl.LOSS).value, where=at)
             np.equal(chunk_dtm, depth - 1, out=at)
-            at &= np.not_equal(chunk_wdl, _OPEN, out=live)
+            if depth - 1 <= static_trigger:
+                at &= np.less(chunk_wdl, _OPEN, out=live)
             rows = np.flatnonzero(at)
             rows += lo
-            yield from _side_blocks(material, rows)
+            for side, block in _side_blocks(material, rows):
+                yield side, block.astype(np.int32)
 
     # glibc gives the free top of its heap back to the kernel once more
     # than a threshold is free there, a threshold it sets to twice the
@@ -1582,7 +1606,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
     # Freeing half of ``_block_bytes`` of mapped, untouched memory here
     # lets the heap keep one block's temporaries.
     np.empty(_block_bytes(material) // 2, dtype=np.uint8)
-    one = remaining.dtype.type(1)
+    one = np.uint8(1)  # np.subtract.at is 25x slower with a Python int
     passes = []
     depth = 0
     while n_open:
@@ -1594,12 +1618,13 @@ def _solve_single(material, registry, progress) -> Tablebase:
         for side, block in frontier(depth):
             labeled += block.size
             pred = _unmoves(material, side, block)
-            pred = pred[wdl[pred] == _OPEN]
+            pred = pred[wdl[pred] >= _OPEN]
             if winning:
                 wdl[pred], dtm[pred] = Wdl.WIN.value, depth
             else:
-                np.subtract.at(remaining, pred, one)
-                pred = pred[(remaining[pred] == 0) & (dtm[pred] <= depth)]
+                np.subtract.at(wdl, pred, one)
+                pred = pred[wdl[pred] == _OPEN]
+                pred = pred[dtm[pred] <= depth]
                 wdl[pred], dtm[pred] = Wdl.LOSS.value, depth
         if depth == 1:
             continue  # the frontier of pass 1 is the mates
@@ -1617,7 +1642,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
 
     for lo in range(0, n, _CHUNK):
         chunk_wdl, chunk_dtm = wdl[lo:lo + _CHUNK], dtm[lo:lo + _CHUNK]
-        drawn = np.equal(chunk_wdl, _OPEN, out=masks[0, :chunk_wdl.size])
+        drawn = np.greater_equal(chunk_wdl, _OPEN, out=masks[0, :chunk_wdl.size])
         np.copyto(chunk_wdl, Wdl.DRAW.value, where=drawn)
         np.copyto(chunk_dtm, DTM_ABSENT, where=drawn)
     legal = n - invalid

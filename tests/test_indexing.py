@@ -161,6 +161,25 @@ class TestIndexCodec:
             assert _encode_columns(codec_class, side, digits) == encoded[i]
 
 
+def test_int32_indices_decode_and_encode_at_the_top_of_the_largest_index():
+    # A class has at most 5 pieces on at most 8x8, so its indices fit in
+    # int32, which the solve's un-moves compute in. KQRvKR 8x8 has the
+    # most: 2 * 64**5 = 2**31.
+    mc = sg.MaterialClass.from_string("KQRvKR", STANDARD)
+    assert mc.index_size == 2 ** 31
+    tops = [0, 2 ** 30, 2 ** 31 - 1]
+    idx = np.array(tops, dtype=np.int32)
+    side, digits = _decode_columns(mc, idx)
+    assert side.dtype == np.int32 and all(d.dtype == np.int32 for d in digits)
+    for i, top in enumerate(tops):
+        expected_side, expected_digits = _decode_columns(mc, top)
+        assert side[i] == expected_side
+        assert [int(d[i]) for d in digits] == expected_digits
+    again = _encode_columns(mc, side, digits)
+    assert again.dtype == np.int32
+    assert again.tolist() == tops
+
+
 def _random_class_position(rng, mc):
     spec = mc.spec
     while True:

@@ -13,12 +13,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import strategia as sg
 import oracles
+from strategia import tablebase
 from strategia.tablebase import (
     _CHUNK,
     _CHUNK_BYTES,
     _INDEX_BYTES,
+    _OPEN,
     _block_bytes,
     _closure,
+    _max_move_bound,
     _solve_bytes,
     _successor_classes,
 )
@@ -218,6 +221,19 @@ class TestSolveProperties:
         assert (estimate, budget) == (3, 2)
         assert estimate > budget
 
+    def test_the_widest_class_counts_its_moves_in_seven_bits(self):
+        # An open row's wdl byte holds its count of moves not yet won
+        # under the top bit. Three queens and a king on 8x8 have the
+        # most moves of any class: 3 * 27 + 10.
+        assert _max_move_bound(sg.MaterialClass.from_string("KQQQvK", STANDARD)) == 91 < _OPEN
+
+    def test_a_move_bound_over_seven_bits_is_refused_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(tablebase, "_max_move_bound", lambda material: 128)
+        messages = []
+        with pytest.raises(RuntimeError, match="KQvK: a position may have 128 moves"):
+            sg.solve(sg.MaterialClass.from_string("KQvK", sg.BoardSpec(4, 4)), progress=messages.append)
+        assert messages == []
+
     @pytest.mark.parametrize("text, size", [("KRvK", 8), ("KQvK", 8), ("KPvK", 6), ("KQvKR", 6)],
                              ids=["KRvK", "KQvK", "KPvK-6x6", "KQvKR-6x6"])
     def test_budget_estimate_bounds_the_measured_peak(self, text, size):
@@ -263,11 +279,11 @@ class TestSolveProperties:
             term, extra = divmod(_solve_bytes(material) - rest, material.index_size)
             assert extra == 0, text
             per_index.add(term)
-        assert per_index == {_INDEX_BYTES} == {4}
+        assert per_index == {_INDEX_BYTES} == {3}
         assert _solve_bytes(sg.MaterialClass.from_string("KQvKR", STANDARD)) < 1 << 30
 
     def test_kqkr5_solves_under_an_18_mib_budget(self, monkeypatch):
-        # 18 MiB is above the 11 MiB bound of 4 bytes per index and one
+        # 18 MiB is above the 9.8 MiB bound of 3 bytes per index and one
         # chunk, and below the 20 MiB that 19 bytes per index would need.
         material = sg.MaterialClass.from_string("KQvKR", sg.BoardSpec(5, 5))
         monkeypatch.delenv("STRATEGIA_MEM_BUDGET_MB", raising=False)
