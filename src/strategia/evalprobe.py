@@ -136,6 +136,39 @@ def _check_sample_size(sample_size: Optional[int]) -> None:
         raise ValidationError(f"sample size must be at least 1, got {sample_size}")
 
 
+def _check_capacity(capacity, feature_count: int) -> None:
+    """Refuse a capacity that is not an integer (a bool is not) in 0..`feature_count`."""
+    if isinstance(capacity, bool) or not isinstance(capacity, (int, np.integer)):
+        raise ValidationError(f"capacity must be an integer, got {capacity!r}")
+    if not 0 <= capacity <= feature_count:
+        raise ValidationError(f"capacity {capacity} outside 0..{feature_count}")
+
+
+def _dataset(tb: Tablebase, names: Sequence[str], sample_size: Optional[int], seed: int,
+             bias: bool):
+    """`build_dtm_dataset`, with a last column of ones after the features when `bias` is set."""
+    _check_sample_size(sample_size)
+    if sample_size is None:
+        decisive = tb.decisive_indices()
+    else:
+        decisive = tb.decisive_sample(random.Random(seed), sample_size)
+    if not decisive.size:
+        raise ValidationError("table has no decisive entries")
+    pieces = list(tb.material.pieces)
+    X = np.empty((decisive.size, len(names) + bias), dtype=np.float64)
+    if bias:
+        X[:, -1] = 1.0
+    for lo in range(0, decisive.size, _BUILD_BLOCK):
+        rows = decisive[lo:lo + _BUILD_BLOCK]
+        side, squares = _decode_columns(tb.material, rows)
+        X[lo:lo + rows.size, :len(names)] = _feature_matrix(
+            tb.material.spec, pieces, squares, side, names
+        )
+    dtm = tb.dtm[decisive].astype(np.float64)
+    y = np.where(tb.wdl[decisive] == Wdl.WIN.value, dtm, -dtm)
+    return X, y, decisive
+
+
 def build_dtm_dataset(
     tb: Tablebase,
     names: Sequence[str] = DEFAULT_FEATURE_CHAIN,
@@ -148,25 +181,12 @@ def build_dtm_dataset(
     of (table, names, sample_size, seed); the subsample is
     ``Tablebase.decisive_sample`` drawn by ``Random(seed)``. The targets
     are signed dtm: +dtm for wins, -dtm for losses, from the side to
-    move's view. The feature rows are filled ``_BUILD_BLOCK`` rows at a
-    time, so their temporaries stay bounded.
+    move's view. X has one column per name. The feature rows are filled
+    ``_BUILD_BLOCK`` rows at a time, so their temporaries stay bounded;
+    ``capacity_sweep`` builds its train rows the same way into a buffer
+    with one more column, of ones, that its fits use as the bias column.
     """
-    _check_sample_size(sample_size)
-    if sample_size is None:
-        decisive = tb.decisive_indices()
-    else:
-        decisive = tb.decisive_sample(random.Random(seed), sample_size)
-    if not decisive.size:
-        raise ValidationError("table has no decisive entries")
-    pieces = list(tb.material.pieces)
-    X = np.empty((decisive.size, len(names)), dtype=np.float64)
-    for lo in range(0, decisive.size, _BUILD_BLOCK):
-        rows = decisive[lo:lo + _BUILD_BLOCK]
-        side, squares = _decode_columns(tb.material, rows)
-        X[lo:lo + rows.size] = _feature_matrix(tb.material.spec, pieces, squares, side, names)
-    dtm = tb.dtm[decisive].astype(np.float64)
-    y = np.where(tb.wdl[decisive] == Wdl.WIN.value, dtm, -dtm)
-    return X, y, decisive
+    return _dataset(tb, names, sample_size, seed, bias=False)
 
 
 class LinearEvaluator:
@@ -202,15 +222,16 @@ class LinearEvaluator:
         return X[:, : self.capacity]
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearEvaluator":
-        if not 0 <= self.capacity <= len(self.features):
-            raise ValidationError(
-                f"capacity {self.capacity} outside 0..{len(self.features)}"
-            )
+        _check_capacity(self.capacity, len(self.features))
         y = np.asarray(y, dtype=np.float64)
         if y.size == 0:
             raise ValidationError("empty training dataset")
         columns = self._columns(X)
         design = np.concatenate([columns, np.ones((columns.shape[0], 1))], axis=1)
+        return self._fit_design(design, y)
+
+    def _fit_design(self, design: np.ndarray, y: np.ndarray) -> "LinearEvaluator":
+        """Fit on `design`: the first `capacity` features, then a column of ones."""
         coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         self.weights_ = coef[:-1]
         self.bias_ = float(coef[-1])
@@ -281,24 +302,39 @@ def capacity_sweep(
     """Fit one model per capacity on a shared train set; report train/eval error.
 
     Returns rows of (capacity, train_mae, eval_mae, wdl_misclassification,
-    train_size, eval_size). The eval sample is drawn with a shifted seed
-    so it differs from the train sample when subsampling. One dataset is
-    alive at a time: every model is fitted and its train MAE taken
-    before the train set is dropped and the eval set built. Both
-    sample sizes are checked before any dataset is built.
+    train_size, eval_size), equal to what ``fit_evaluator`` on
+    ``build_dtm_dataset``'s train set gives. The eval sample is drawn
+    with a shifted seed so it differs from the train sample when
+    subsampling. Both sample sizes and every capacity are checked
+    before any dataset is built.
+
+    The train rows are built once, with a last column of ones, and no
+    design is copied out of them. Each distinct capacity is fitted once,
+    greatest first: capacity c overwrites column c with ones, which no
+    smaller capacity reads, and is fitted on the view of the first
+    c + 1 columns. So least squares reads the values of
+    ``LinearEvaluator.fit``'s design in its column order, and its own
+    copy of the design is the only other one. One dataset is alive at
+    a time: every model is fitted and its train MAE taken before the
+    train set is dropped and the eval set built.
     """
     _check_sample_size(train_sample)
     _check_sample_size(eval_sample)
-    X, y, _ = build_dtm_dataset(tb, features, train_sample, seed)
-    fitted = []
+    capacities = list(capacities)
     for capacity in capacities:
-        model = fit_evaluator(X, y, capacity, features)
-        fitted.append((model, mae(model.predict(X), y)))
+        _check_capacity(capacity, len(features))
+    X, y = _dataset(tb, features, train_sample, seed, bias=True)[:2]
+    fitted = {}
+    for capacity in sorted(set(capacities), reverse=True):
+        X[:, capacity] = 1.0
+        model = LinearEvaluator(features, capacity)._fit_design(X[:, :capacity + 1], y)
+        fitted[capacity] = (model, mae(model.predict(X), y))
     train_size = int(y.size)
     del X, y
-    X, y, _ = build_dtm_dataset(tb, features, eval_sample, seed + 1)
+    X, y = build_dtm_dataset(tb, features, eval_sample, seed + 1)[:2]
     rows = []
-    for capacity, (model, train_mae) in zip(capacities, fitted):
+    for capacity in capacities:
+        model, train_mae = fitted[capacity]
         eval_pred = model.predict(X)
         rows.append(
             (

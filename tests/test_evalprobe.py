@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 import strategia as sg
+from strategia import evalprobe
 from strategia.evalprobe import (
     DEFAULT_FEATURE_CHAIN,
     LinearEvaluator,
@@ -107,6 +110,12 @@ class TestLinearEvaluator:
         with pytest.raises(sg.ValidationError):
             LinearEvaluator(features=("a", "b"), capacity=3).fit(X, np.zeros(4))
 
+    @pytest.mark.parametrize("capacity", [1.5, True])
+    def test_capacity_must_be_an_integer(self, capacity):
+        X = np.zeros((4, 2))
+        with pytest.raises(sg.ValidationError, match="capacity"):
+            LinearEvaluator(features=("a", "b"), capacity=capacity).fit(X, np.zeros(4))
+
     def test_get_set_params(self):
         model = LinearEvaluator(capacity=4)
         params = model.get_params()
@@ -181,22 +190,54 @@ class TestCapacitySweep:
             assert mae(model.predict(X), y) > 0
         assert all(b <= a + 1e-9 for a, b in zip(mses, mses[1:]))
 
-    def test_sweep_scores_each_fit_on_the_eval_set(self, krk5):
-        rows = capacity_sweep(krk5, [0, 3, 16], train_sample=900, eval_sample=700, seed=4)
-        X_train, y_train, _ = build_dtm_dataset(krk5, sample_size=900, seed=4)
-        X_eval, y_eval, _ = build_dtm_dataset(krk5, sample_size=700, seed=5)
-        expected = []
-        for capacity in [0, 3, 16]:
-            model = fit_evaluator(X_train, y_train, capacity)
-            predicted = model.predict(X_eval)
-            expected.append((capacity, mae(model.predict(X_train), y_train), mae(predicted, y_eval),
-                             wdl_misclassification(predicted, y_eval), 900, 700))
-        assert rows == expected
+    def test_sweep_scores_each_fit_on_the_eval_set(self, krk5, kqk4):
+        # A non-monotone order with a repeat, on samples and on every
+        # decisive entry: each row must be the one fit_evaluator gives
+        # on build_dtm_dataset's rows, bit for bit.
+        capacities = [16, 0, 7, 7, 3, 15]
+        for tb, train, evaluate, seed in ((krk5, 900, 700, 4), (kqk4, None, None, 2)):
+            rows = capacity_sweep(tb, capacities, train_sample=train, eval_sample=evaluate, seed=seed)
+            X_train, y_train, _ = build_dtm_dataset(tb, sample_size=train, seed=seed)
+            X_eval, y_eval, _ = build_dtm_dataset(tb, sample_size=evaluate, seed=seed + 1)
+            expected = []
+            for capacity in capacities:
+                model = fit_evaluator(X_train, y_train, capacity)
+                predicted = model.predict(X_eval)
+                expected.append((capacity, mae(model.predict(X_train), y_train),
+                                 mae(predicted, y_eval), wdl_misclassification(predicted, y_eval),
+                                 y_train.size, y_eval.size))
+            assert rows == expected
 
     @pytest.mark.parametrize("train,evaluate", [(0, 10), (10, 0)])
     def test_a_bad_sample_size_is_refused_before_any_fit(self, kqk4, train, evaluate):
         with pytest.raises(sg.ValidationError, match="sample size"):
             capacity_sweep(kqk4, [99], train_sample=train, eval_sample=evaluate)
+
+    @pytest.mark.parametrize("capacities", [[0, 17], [2.5], [True], [3, -1]])
+    def test_a_bad_capacity_is_refused_before_any_dataset(self, kqk4, monkeypatch, capacities):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a dataset was built")
+
+        monkeypatch.setattr(evalprobe, "_dataset", unreachable)
+        monkeypatch.setattr(evalprobe, "build_dtm_dataset", unreachable)
+        with pytest.raises(sg.ValidationError, match="capacity"):
+            capacity_sweep(kqk4, capacities, train_sample=50, eval_sample=50)
+
+    def test_sweep_holds_one_design_beside_its_dataset(self):
+        # tracemalloc counts numpy's buffers but not the copy lstsq
+        # makes inside LAPACK's wrapper. A sweep that copied a design
+        # out of the train rows for each fit would hold the rows, the
+        # design and more: over 2.1 train buffers on this class.
+        tb = sg.solve(sg.MaterialClass.from_string("KRvK", sg.BoardSpec(6, 6)))
+        build_dtm_dataset(tb, sample_size=10)  # the move tables are cached
+        train_buffer = tb.decisive_indices().size * (len(DEFAULT_FEATURE_CHAIN) + 1) * 8
+        tracemalloc.start()
+        try:
+            capacity_sweep(tb, range(17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * train_buffer
 
     def test_sweep_csv_shape(self, kqk4, tmp_path):
         rows = capacity_sweep(kqk4, range(0, 5), train_sample=500, eval_sample=300, seed=1)
