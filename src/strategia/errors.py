@@ -41,5 +41,9 @@ class TablebaseFormatError(StrategiaError):
     """A tablebase file is corrupt, truncated, or of an unsupported version."""
 
 
+class TableValueError(TablebaseFormatError, RuntimeError):
+    """A table's values break the rules: a false mate or a broken dtm recurrence."""
+
+
 class UnknownFeatureError(StrategiaError):
     """An evaluator feature name is not registered."""

@@ -124,6 +124,7 @@ from .errors import (
     BudgetExceededError,
     MaterialMismatchError,
     TablebaseFormatError,
+    TableValueError,
     ValidationError,
 )
 from .runio import atomic_write_chunks
@@ -419,14 +420,7 @@ class Tablebase:
 
     def _table_for(self, key: tuple) -> "Tablebase":
         """This table or the subtable of class `key`; MaterialMismatchError names a missing one."""
-        table = self if key == self.material.key else self.subtables.get(key)
-        if table is None:
-            width, height, codes = key
-            pieces = [Piece(PieceKind(kind), Color(color)) for kind, color in codes]
-            raise MaterialMismatchError(
-                f"no table loaded for {_class_name(pieces)} on {width}x{height}"
-            )
-        return table
+        return _loaded(self if key == self.material.key else self.subtables.get(key), key)
 
     def solve_subclasses(self, *, progress: Optional[Callable[[str], None]] = None) -> None:
         """Solve the subclasses that captures and promotions reach and ``subtables`` lacks.
@@ -443,19 +437,15 @@ class Tablebase:
         """The policy of this table's closure, memoized while ``subtables`` holds the same tables.
 
         Making it checks every (LOSS, 0) entry of the closure's loaded
-        tables; a false mate raises RuntimeError and memoizes nothing.
+        tables; a false mate raises TableValueError and memoizes nothing.
         Getting it chooses nothing: a ``Policy.choice`` of a row not
         chosen yet fills the one block that holds it, and ``Policy.walk``
         fills none. Lookups never touch it.
         """
-        closure = _closure(self.material)
-        tables = tuple(
-            self if mc.key == self.material.key else self.subtables.get(mc.key) for mc in closure
-        )
+        tables = tuple(self.subtables.get(mc.key) for mc in _closure(self.material)[:-1]) + (self,)
         memo = self._policy
         if memo is None or any(a is not b for a, b in zip(memo.tables, tables)):
-            slots = {mc.key: slot for slot, mc in enumerate(closure)}
-            self._policy = Policy(self.material, tables, slots, self._table_for)
+            self._policy = Policy(tables)
         return self._policy
 
     def decisive_indices(self) -> np.ndarray:
@@ -627,6 +617,15 @@ class Tablebase:
         return table
 
 
+def _loaded(table: Optional[Tablebase], key: tuple) -> Tablebase:
+    """`table`, the table of class `key`; MaterialMismatchError names the class if it is None."""
+    if table is None:
+        width, height, codes = key
+        pieces = [Piece(PieceKind(kind), Color(color)) for kind, color in codes]
+        raise MaterialMismatchError(f"no table loaded for {_class_name(pieces)} on {width}x{height}")
+    return table
+
+
 def _max_move_bound(material: MaterialClass) -> int:
     geo = geometry(material.spec.width, material.spec.height)
     n = material.spec.num_squares
@@ -730,14 +729,14 @@ class _MoveTables:
     Every table is read off ``board.geometry()``, so the rules keep one
     definition. ``targets`` gives the squares a piece attacks as one
     uint64 bitboard per row. Destination tables pad with -1, and
-    ``bit[-1]`` is 0, so a padding destination never touches a bitboard.
-    One attack table, ``ray``, serves every kind of attacker.
+    ``bit[-1]`` is 0, so a padding destination never touches a bitboard
+    or ``promotions``. One table, ``ray``, serves every kind of attacker
+    and the un-moves' path test, as a ray is the same both ways.
     """
 
     def __init__(self, width: int, height: int):
         geo = geometry(width, height)
         n = self.size = width * height
-        self.width = width
         self.bit = np.zeros(n + 1, dtype=np.uint64)
         self.bit[:n] = np.left_shift(_ONE, np.arange(n, dtype=np.uint64))
         ortho = [sum(rays, ()) for rays in geo.ortho_rays]
@@ -753,12 +752,6 @@ class _MoveTables:
         for pairs in (geo.between_ortho, geo.between_diag):
             for (src, target), squares in pairs.items():
                 between[src, target] = sum(1 << sq for sq in squares)
-        # The squares between a slider's square and each of its
-        # destinations, 0 for padding: a path test is one row gather.
-        self.path = {
-            kind: np.where(self.dest[kind] >= 0, between[np.arange(n)[:, None], self.dest[kind]], 0)
-            for kind in (PieceKind.ROOK, PieceKind.BISHOP, PieceKind.QUEEN)
-        }
         self.pawn_caps = tuple(_pad(geo.pawn_caps[c], 2) for c in (0, 1))
         # Per (kind, color) of attacker: the squares between its square
         # and each target it attacks, all ones elsewhere, so an attack
@@ -789,9 +782,8 @@ class _MoveTables:
         self.lines[PieceKind.QUEEN] = self.lines[PieceKind.ROOK] + self.lines[PieceKind.BISHOP]
         self.pawn_push = tuple(np.asarray(geo.pawn_push[c]) for c in (0, 1))
         self.pawn_double = tuple(np.asarray(geo.pawn_double[c]) for c in (0, 1))
-        self.promo_rank = geo.pawn_promo_rank
         # Each color's promotion rank as a bitboard.
-        self.promotions = tuple(np.uint64((1 << width) - 1 << rank * width) for rank in self.promo_rank)
+        self.promotions = tuple(np.uint64((1 << width) - 1 << rank * width) for rank in geo.pawn_promo_rank)
         # The square a pawn was pushed (or double-pushed) from, -1 where
         # none; an origin on a back rank holds no pawn.
         self.pawn_unpush = np.full((2, n), -1, dtype=np.int32)
@@ -1001,7 +993,7 @@ def _successors(material, side, digits, occ):
             hit = (targets & tables.bit[dest]) != 0
             groups = [(0, hit)]
             if kind == PieceKind.PAWN:
-                promoting = dest // tables.width == tables.promo_rank[side]
+                promoting = (tables.bit[dest] & tables.promotions[side]) != 0
                 groups = [(k.value, hit & promoting) for k in material.spec.promotion_kinds]
                 if victim is not None:
                     groups.append((0, hit & ~promoting))
@@ -1116,8 +1108,8 @@ def _unmoves(material, side, idx):
     gather reads, in no set order: the indices that reach a row by a
     quiet move of the side that just moved, as far as the row's own
     squares tell. That piece steps back along its destination table (a
-    slider over empty squares), or a pawn is un-pushed, singly or
-    doubly (over an empty square), to a square off the back ranks.
+    slider over squares its ``ray`` finds empty), or a pawn is un-pushed,
+    singly or doubly (over an empty square), to a square off the back ranks.
     Legality is not tested here: a candidate whose origin square is
     taken is not ``_canonical``, and one that leaves the side not to
     move in check fails ``_legal_rows``, so the solve, which keeps only
@@ -1144,8 +1136,8 @@ def _unmoves(material, side, idx):
         if kind == PieceKind.PAWN:
             # A double push passes over the square a single push starts from.
             ok[:, 1] &= (occ & tables.bit[back[:, 0]]) == 0
-        elif kind in tables.path:
-            path = tables.path[kind][dest]
+        elif kind in tables.lines:
+            path = tables.between(kind, them, dest[:, None], back)
             path &= occ[:, None]
             ok &= path == 0
         moved = list(stay)
@@ -1154,21 +1146,20 @@ def _unmoves(material, side, idx):
     return np.concatenate(out, dtype=np.intp)
 
 
-def _successor_values(material, side, idx, table_for, slots):
+def _successor_values(material, side, idx, policy):
     """Every legal move of the indices `idx`, all with `side` to move, and the value it reaches.
 
     The indices must be legal positions of `material`. Returns dense
     (rows, candidates) arrays: the legal mask, the move key ``(from *
-    S + to) * 8 + promotion kind``, the successor's class slot (`slots`
-    maps class keys to slots) and index, and its wdl and dtm.
-    `table_for` maps a class key to its table and raises
-    MaterialMismatchError for a missing one; it is asked only for the
-    classes that the moves reach.
+    S + to) * 8 + promotion kind``, the successor's class slot
+    (``policy.slots``) and index, and its wdl and dtm. Only the classes
+    that the moves reach are asked of ``policy.table``, which raises
+    MaterialMismatchError for one with no table.
     """
     ok, digits, occ = _legal_rows(material, side, idx)
     _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
     tables = _move_tables(material.spec.width, material.spec.height)
-    own = table_for(material.key)
+    own = policy.table(material.key)
     parts = []
     for slot, targets, exits in _successors(material, side, digits, occ):
         # A column is legal where its destination is a target; a pawn's
@@ -1177,20 +1168,20 @@ def _successor_values(material, side, idx, table_for, slots):
         dest, col_kind = tables.columns(kind, side, digits[slot], material.spec.promotion_kinds)
         legal = (targets[:, None] & tables.bit[dest]) != 0
         if kind is PieceKind.PAWN:
-            legal &= (col_kind != 0) == (dest // tables.width == tables.promo_rank[side])
+            legal &= (col_kind != 0) == ((tables.bit[dest] & tables.promotions[side]) != 0)
         key = (digits[slot][:, None] * material.spec.num_squares + dest) * 8 + col_kind
         # In-class successors: the moved slot takes its destination.
         moved = [d[:, None] for d in digits]
         moved[slot] = dest
         succ = _encode_columns(material, 1 - side, moved)
-        to_slot = np.full(succ.shape, slots[material.key], dtype=np.uint8)
+        to_slot = np.full(succ.shape, policy.slots[material.key], dtype=np.uint8)
         # Values of illegal candidates are read from index 0 and never used.
         in_class = np.where(legal, succ, 0)
         wdl, dtm = own.wdl[in_class], own.dtm[in_class]
         for sub, rows, to, promo_kind, sub_idx in exits:
             cols = np.argmax((dest[rows] == to[:, None]) & (col_kind == promo_kind), axis=1)
-            table = table_for(sub.key)
-            to_slot[rows, cols] = slots[sub.key]
+            table = policy.table(sub.key)
+            to_slot[rows, cols] = policy.slots[sub.key]
             succ[rows, cols] = sub_idx
             wdl[rows, cols] = table.wdl[sub_idx]
             dtm[rows, cols] = table.dtm[sub_idx]
@@ -1201,30 +1192,30 @@ def _successor_values(material, side, idx, table_for, slots):
 class Policy:
     """The policy's move at every decisive, non-terminal index of a closure's tables.
 
-    Slot s is class s of ``_closure`` and ``tables[s]`` its table (None
-    where none is loaded). Making a policy checks every decisive dtm-0
-    entry of each loaded table (``_check_mates``), so a line ends in
-    checkmate. ``choice`` gives a row's move and the (slot, index) it
-    reaches, read from the arrays ``move[s]`` (the move key
-    ``(from * S + to) * 8 + promotion kind``), ``succ_slot[s]`` and
-    ``succ_index[s]``. ``_fill_block`` is the one writer of the arrays:
-    it chooses the rows of one ``_build_blocks`` block not chosen yet,
-    and allocates a slot's arrays on its first fill, so a slot never
-    filled holds none. A move key is never 0, so 0 marks a row not
-    chosen yet. A miss in ``choice`` fills the block that holds its
-    row, so each block is filled at most once; ``walk`` fills none.
-    Every row is checked when it is chosen, and a block whose check
-    fails keeps nothing.
+    Slot s is class s of ``_closure`` (``slots`` maps class keys to
+    slots) and ``tables[s]`` its table, None where none is loaded; the
+    last is the class's own, and ``table`` gives one by class key. Making
+    a policy checks every decisive dtm-0 entry of each loaded table
+    (``_check_mates``), so a line ends in checkmate. ``choice`` gives a
+    row's move and the (slot, index) it reaches, read from the arrays
+    ``move[s]`` (the move key ``(from * S + to) * 8 + promotion kind``),
+    ``succ_slot[s]`` and ``succ_index[s]``. ``_fill_block`` is the one
+    writer of the arrays: it chooses the rows of one ``_build_blocks``
+    block not chosen yet, and allocates a slot's arrays on its first
+    fill, so a slot never filled holds none. A move key is never 0, so
+    0 marks a row not chosen yet. A miss in ``choice`` fills the block
+    that holds its row, so each block is filled at most once; ``walk``
+    fills none. Every row is checked when it is chosen, and a block
+    whose check fails keeps nothing.
     """
 
-    def __init__(self, material, tables: tuple, slots: dict, table_for):
+    def __init__(self, tables: tuple):
         for table in tables:
             if table is not None:
                 _check_mates(table)
-        self.material = material
         self.tables = tables
-        self.slots = slots  # class key -> slot
-        self._table_for = table_for
+        self.material = tables[-1].material
+        self.slots = {mc.key: slot for slot, mc in enumerate(_closure(self.material))}
         self.move, self.succ_slot, self.succ_index = ([None] * len(tables) for _ in range(3))
 
     def _fill_block(self, slot: int, side: int, lo: int, hi: int) -> None:
@@ -1237,7 +1228,7 @@ class Policy:
         rows = _decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0) & (self.move[slot][lo:hi] == 0)
         idx = np.flatnonzero(rows) + lo
         if idx.size:
-            for array, chosen in zip(arrays, _choose(table, side, idx, self._table_for, self.slots)):
+            for array, chosen in zip(arrays, _choose(table, side, idx, self)):
                 array[slot][idx] = chosen
 
     def choice(self, slot: int, idx: int) -> tuple:
@@ -1252,6 +1243,10 @@ class Policy:
         src, dest = divmod(key >> 3, self.material.spec.num_squares)
         promotion = PieceKind(key & 7) if key & 7 else None
         return Move(src, dest, promotion), succ_slot, succ_index
+
+    def table(self, key: tuple) -> Tablebase:
+        """The table of class `key` of the closure; MaterialMismatchError names one not loaded."""
+        return _loaded(self.tables[self.slots[key]], key)
 
     def walk(self, slot, idx, *, progress: Optional[Callable[[str], None]] = None) -> tuple:
         """The lines from the decisive (slot, index) starts, all walked together a ply at a time.
@@ -1290,7 +1285,7 @@ class Policy:
                 unique, inverse = np.unique(idx[lines], return_inverse=True)
                 rows += unique.size
                 chosen = [
-                    _choose(table, side, block, self._table_for, self.slots)
+                    _choose(table, side, block, self)
                     for side, block in _side_blocks(table.material, unique)
                 ]
                 key, to_slot, to_idx = (np.concatenate(parts)[inverse] for parts in zip(*chosen))
@@ -1314,39 +1309,39 @@ def _refuse(material, idx, ok, error, what) -> None:
         raise error(f"{material.name} index {int(idx[np.argmin(ok)])}: {what}")
 
 
-def _choose(table, side, idx, table_for, slots) -> tuple:
+def _choose(table, side, idx, policy) -> tuple:
     """(move key, successor slot, successor index) of decisive, non-terminal indices of `table`.
 
-    The indices `idx` all have `side` to move. A win takes the successor
-    lost at the least dtm, a loss the one won at the greatest, ties
-    going to the least move key, the canonical order of
-    ``legal_transitions``. A successor that is an illegal entry raises
+    The indices `idx` all have `side` to move, and `policy` reads their
+    successors. A win takes the successor lost at the least dtm, a loss
+    the one won at the greatest, ties going to the least move key, the
+    canonical order of ``legal_transitions``. A successor that is an illegal entry raises
     ValidationError, and a choice that breaks the dtm recurrence (a
     loss successor of a win, each successor of a loss a win, and the
-    chosen one at dtm - 1) raises RuntimeError.
+    chosen one at dtm - 1) raises TableValueError.
     """
     material = table.material
-    legal, key, to_slot, to_idx, wdl, dtm = _successor_values(material, side, idx, table_for, slots)
+    legal, key, to_slot, to_idx, wdl, dtm = _successor_values(material, side, idx, policy)
     wins = (table.wdl[idx] == Wdl.WIN.value)[:, None]
     _refuse(material, idx, ~(legal & (wdl == 0)).any(axis=1), ValidationError,
             "a successor decodes to an illegal table entry")
     _refuse(material, idx, ~(legal & ~wins & (wdl != Wdl.WIN.value)).any(axis=1),
-            RuntimeError, "a loss position has a successor that does not win")
+            TableValueError, "a loss position has a successor that does not win")
     # The winner minimizes the dtm of a lost successor and the loser
     # maximizes it; the move key breaks ties.
     score = np.where(wins, dtm, DTM_ABSENT - dtm).astype(np.int64) << 16 | key
     score[~legal | (wins & (wdl != Wdl.LOSS.value))] = _NO_MOVE
     pick = score.argmin(axis=1)[:, None]
     _refuse(material, idx, np.take_along_axis(score, pick, axis=1)[:, 0] != _NO_MOVE,
-            RuntimeError, "a decisive position has no move to choose")
+            TableValueError, "a decisive position has no move to choose")
     chosen = np.take_along_axis(dtm, pick, axis=1)[:, 0].astype(np.int64)
     _refuse(material, idx, chosen == table.dtm[idx].astype(np.int64) - 1,
-            RuntimeError, "the chosen successor's dtm is not dtm - 1")
+            TableValueError, "the chosen successor's dtm is not dtm - 1")
     return tuple(np.take_along_axis(a, pick, axis=1)[:, 0] for a in (key, to_slot, to_idx))
 
 
 def _check_mates(table) -> None:
-    """Raise RuntimeError naming the first decisive dtm-0 entry of `table` that is not checkmate.
+    """Raise TableValueError naming the first decisive dtm-0 entry of `table` that is not checkmate.
 
     A line ends on such an entry without asking the rules. A win at dtm
     0 is never valid; a (LOSS, 0) entry must be a legal position
@@ -1361,7 +1356,7 @@ def _check_mates(table) -> None:
     for _, lo, hi in _build_blocks(material, 0, material.index_size):
         idx = np.flatnonzero((table.dtm[lo:hi] == 0) & _decisive(table.wdl[lo:hi])) + lo
         _refuse(material, idx, table.wdl[idx] == Wdl.LOSS.value,
-                RuntimeError, "a (WIN, 0) entry is not checkmate")
+                TableValueError, "a (WIN, 0) entry is not checkmate")
         ends.append(idx)
     for side, idx in _side_blocks(material, np.concatenate(ends)):
         ok, digits, occ = _legal_rows(material, side, idx)
@@ -1369,7 +1364,7 @@ def _check_mates(table) -> None:
         mated = _in_check(material, side, digits, occ)
         for _, targets, _ in _successors(material, side, digits, occ):
             mated &= targets == 0
-        _refuse(material, idx, mated, RuntimeError, "a (LOSS, 0) entry is not checkmate")
+        _refuse(material, idx, mated, TableValueError, "a (LOSS, 0) entry is not checkmate")
 
 
 def _side_blocks(material: MaterialClass, idx: np.ndarray):

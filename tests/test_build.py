@@ -17,6 +17,8 @@ test and the target bitboards all of them use are held to the
 independent oracle's walk.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,7 +143,7 @@ def build_range(material, registry, lo, hi):
         ok, digits, occ = _legal_rows(material, side, idx)
         idx, occ, digits = idx[ok], occ[ok], [d[ok] for d in digits]
         legal, _, to_slot, to_idx, wdl, dtm = _successor_values(
-            material, side, idx, tables.__getitem__, slots
+            material, side, idx, SimpleNamespace(table=tables.__getitem__, slots=slots)
         )
         wdl = wdl.astype(np.int64)
         dtm = np.where(wdl == sg.Wdl.DRAW.value, DTM_ABSENT, dtm.astype(np.int64))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -182,6 +183,51 @@ class TestExperimentCommand:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+
+class TestTamperedTable:
+    """A file with a valid CRC whose values fail the policy's checks exits 3 and writes nothing."""
+
+    # Case -> (index, the dtm written there, the refusal). KQvK 4x4 index
+    # 4131 is a loss at dtm 8 made a false mate; index 99 is a win at
+    # dtm 7 raised to 9, which no successor at dtm 8 backs.
+    CASES = {
+        "false-mate": (4131, 0, "KQvK index 4131: a (LOSS, 0) entry is not checkmate"),
+        "dtm-plus-2": (99, 9, "KQvK index 99: the chosen successor's dtm is not dtm - 1"),
+    }
+
+    @pytest.fixture(scope="class")
+    def tampered(self, kqk4_file, tmp_path_factory):
+        tb = sg.Tablebase.load(kqk4_file)
+        files = {}
+        for name, (idx, dtm, _) in self.CASES.items():
+            broken = dataclasses.replace(tb, dtm=tb.dtm.copy())
+            broken.dtm[idx] = dtm
+            files[name] = tmp_path_factory.mktemp("tampered") / f"{name}.ctb"
+            broken.save(files[name])
+        return tb, files
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_path_exits_3_and_writes_no_csv(self, tampered, tmp_path, capsys, case):
+        tb, files = tampered
+        idx, _, message = self.CASES[case]
+        fen = sg.format_fen(sg.position_at(idx, tb.material))
+        out = tmp_path / "line.csv"
+        assert main(["path", "--tb", str(files[case]), "--fen", fen, "--out", str(out)]) == 3
+        assert f"error: TableValueError: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_experiment_exits_3_and_writes_no_report(self, tampered, tmp_path, capsys, case):
+        _, files = tampered
+        _, _, message = self.CASES[case]
+        out = tmp_path / "exp"
+        # Every decisive base is sampled, so the walk reaches the tampered row.
+        code = main(["experiment", "--tb", str(files[case]), "--sample", "100000",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 3
+        assert f"error: TableValueError: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 

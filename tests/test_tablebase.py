@@ -476,3 +476,17 @@ class TestCounts:
     def test_counting_holds_one_block(self, krk8):
         # Five masks over the index held 1.2 MiB here.
         assert traced_peak(krk8.counts) <= 16 * sg.tablebase._BUILD_BLOCK
+
+
+# The longest 8x8 mates are a published statistic of each ending, made
+# without this solver: KQvK mates in at most 10 moves and KRvK in 16
+# (Thompson, "Retrograde analysis of certain endgames", ICCA J. 9(3),
+# 1986; the DTM statistics of the Nalimov tables, Nalimov, Haworth and
+# Heinz, "Space-efficient indexing of chess endgame tables", ICGA J.
+# 23(3), 2000). A winner to move mates in at most 2m - 1 plies, and a
+# loser to move is mated in at most 2m.
+@pytest.mark.parametrize("name, win, loss", [("kqk8", 19, 20), ("krk8", 31, 32)])
+def test_the_longest_8x8_mates_are_the_published_ones(name, win, loss, request):
+    table = request.getfixturevalue(name)
+    greatest = [int(table.dtm[table.wdl == code.value].max()) for code in (sg.Wdl.WIN, sg.Wdl.LOSS)]
+    assert greatest == [win, loss]
