@@ -33,6 +33,7 @@ from .runio import (
     append_manifest,
     atomic_write_group,
     atomic_write_text,
+    check_out,
     manifest_entry,
     sidecar_manifest_path,
 )
@@ -161,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args, argv) -> int:
+    check_out(args.out)
     spec = _parse_board(args.board)
     material = MaterialClass.from_string(args.material, spec)
     table = solve(material, progress=_stderr)
@@ -186,6 +188,7 @@ def _cmd_probe(args, argv) -> int:
 
 
 def _cmd_path(args, argv) -> int:
+    check_out(args.out)
     table = Tablebase.load(args.tb)
     pos = parse_fen(args.fen, table.material.spec)
     table.solve_subclasses(progress=_stderr)
@@ -199,6 +202,8 @@ def _cmd_path(args, argv) -> int:
 
 
 def _cmd_perturb(args, argv) -> int:
+    if args.out:
+        check_out(args.out)
     table = Tablebase.load(args.tb)
     pos = parse_fen(args.fen, table.material.spec)
     base_value = table.probe(pos)
@@ -233,6 +238,7 @@ def _cmd_perturb(args, argv) -> int:
 
 
 def _cmd_experiment(args, argv) -> int:
+    check_out(args.out, directory=True)
     thresholds = _parse_thresholds(args.thresholds)
     table = Tablebase.load(args.tb)
     table.solve_subclasses(progress=_stderr)
@@ -269,6 +275,7 @@ def _cmd_experiment(args, argv) -> int:
 
 
 def _cmd_evalprobe(args, argv) -> int:
+    check_out(args.out)
     table = Tablebase.load(args.tb)
     if args.features == "default":
         features = DEFAULT_FEATURE_CHAIN

@@ -11,9 +11,10 @@ evaluation are deterministic given dataset order and seed.
 Features are computed in numpy batches of rows, not one position at a
 time: a dataset's table indices are decoded into one square column per
 piece slot with the solver's decode, and mobility counts the bits of
-the solver's target bitboards (``tablebase._MoveTables``), so the rules
-keep one vectorized form. ``extract_features`` feeds one position's pieces
-through the same column code.
+the solver's move rule (``tablebase._MoveTables.moves``), which the
+solver narrows by king safety, so the rules keep one vectorized form.
+``extract_features`` feeds one position's pieces through the same
+column code.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def _feature_matrix(spec: BoardSpec, pieces, squares, side, names) -> np.ndarray
     `squares[i]` holds the square of `pieces[i]` in every row and `side`
     the side to move (0 White, 1 Black). The defender is the side with
     fewer standard-value points (Black on ties); mobility counts a
-    side's pseudo-legal moves as the bits of the solver's target
-    bitboards, ignoring king safety, never landing on a king, counting
-    a promotion once and omitting en passant and castling.
+    side's pseudo-legal moves as the bits of ``_MoveTables.moves``,
+    ignoring king safety, never landing on a king, counting a
+    promotion once and omitting en passant and castling.
     """
     width, height = spec.width, spec.height
     tables = _move_tables(width, height)
@@ -82,20 +83,13 @@ def _feature_matrix(spec: BoardSpec, pieces, squares, side, names) -> np.ndarray
     occ = tables.occupancy(squares, rows)
 
     def mobility(color: Color) -> np.ndarray:
-        own = [(p.kind, sq) for p, sq in zip(pieces, squares) if p.color is color]
-        victims = [
-            sq for p, sq in zip(pieces, squares)
-            if p.color is not color and p.kind is not PieceKind.KING
-        ]
-        enemy_occ = tables.occupancy(victims, rows)
-        blocked = occ & ~enemy_occ  # its own pieces and the enemy king
+        enemy = tables.occupancy(
+            (sq for p, sq in zip(pieces, squares) if p.color is not color and p.kind is not PieceKind.KING), rows
+        )
         total = np.zeros(rows, dtype=np.int64)
-        for kind, src in own:
-            if kind is PieceKind.PAWN:
-                targets = tables.pawn_targets(color, src, occ, enemy_occ)
-            else:
-                targets = tables.targets(kind, color, src, occ) & ~blocked
-            total += np.bitwise_count(targets)
+        for p, sq in zip(pieces, squares):
+            if p.color is color:
+                total += np.bitwise_count(tables.moves(p.kind, color, sq, occ, enemy))
         return total
 
     white_king, black_king = kings[Color.WHITE], kings[Color.BLACK]

@@ -6,7 +6,9 @@ Each artifact has a manifest: experiment directories hold a
 manifest.jsonl, single-file artifacts get a `<name>.manifest.jsonl`
 sidecar. Manifests are append-only JSON lines; they carry the
 timestamp, so reruns keep data files byte-identical while the manifest
-accumulates one entry per run.
+accumulates one entry per run. A command checks its output path with
+``check_out`` before it solves, walks or sweeps anything, so a path it
+cannot write fails at once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,25 @@ import json
 import os
 import time
 from pathlib import Path
+
+
+def check_out(path, *, directory: bool = False) -> None:
+    """Refuse an output `path` that the write at the end of a run would fail on.
+
+    A file must not be a directory, and its parent must be an existing
+    directory. A `directory` is made with its parents, so `path`, or the
+    nearest of its parents that exists, must be a directory. Creates
+    nothing; raises OSError naming `path`.
+    """
+    path = Path(path)
+    if directory:
+        there = next((p for p in (path, *path.parents) if p.exists()), path)
+    elif path.is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    else:
+        there = path.parent
+    if not there.is_dir():
+        raise NotADirectoryError(f"cannot write {path}: {there} is not an existing directory")
 
 
 def atomic_write_bytes(path, blob: bytes) -> None:

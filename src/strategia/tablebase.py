@@ -69,14 +69,14 @@ indices with one side to move, not one position at a time. A block is
 decoded into digit columns; indices that are not ``_canonical``, pawns
 on a back rank and a side not to move in check (``_in_check``) are
 masked out. Each mover slot's legal moves are one uint64 bitboard of
-destinations per row (``_successors``): the squares its piece attacks
-(``_MoveTables.targets``, read off ``board.geometry()``) or a pawn's
-pushes and captures, less its own side's squares. King safety comes
-from the row's checks and pins, read off one table, ``ray``: the
-squares between an attacker and its target, all ones where it does
-not attack. The king keeps the squares the enemy does not attack, and
-every other piece those on each checker's line and on its own pin
-line. The build counts the moves with ``np.bitwise_count``. Captures
+destinations per row (``_successors``): the one pseudo-legal move rule,
+``_MoveTables.moves`` (read off ``board.geometry()``; the evaluator
+probe's mobility counts it as is), narrowed by king safety from the
+row's checks and pins, read off one table, ``ray``: the squares
+between an attacker and its target, all ones where it does not attack.
+The king ANDs out the squares each enemy attacks, and every other
+piece keeps those on each checker's line and on its own pin line. The
+build counts the moves with ``np.bitwise_count``. Captures
 and promotions are indexed in their subclass; the solve reads their
 values in one gather. The policy expands the bitboards into candidate
 columns and encodes the in-class successors: the digit columns with
@@ -727,8 +727,9 @@ class _MoveTables:
     """Destination, target and attack tables of one board size.
 
     Every table is read off ``board.geometry()``, so the rules keep one
-    definition. ``targets`` gives the squares a piece attacks as one
-    uint64 bitboard per row. Destination tables pad with -1, and
+    definition. ``targets`` gives the squares a piece attacks, and
+    ``moves``, the one pseudo-legal move rule, those it moves to, as
+    one uint64 bitboard per row. Destination tables pad with -1, and
     ``bit[-1]`` is 0, so a padding destination never touches a bitboard
     or ``promotions``. One table, ``ray``, serves every kind of attacker
     and the un-moves' path test, as a ray is the same both ways.
@@ -833,12 +834,16 @@ class _MoveTables:
                 out |= ray & ~(b >> shifts[0])
         return out
 
-    def pawn_targets(self, color: int, src, occ, enemy) -> np.ndarray:
-        """The squares `color` pawns on `src` move to, one bitboard per row.
+    def moves(self, kind: int, color: int, src, occ, enemy) -> np.ndarray:
+        """The pseudo-legal moves of `color` pieces of `kind` on `src`, one bitboard per row.
 
-        A push and a double push land on empty squares, the double push
-        only past an empty one, and a capture takes a piece in `enemy`.
+        A pawn pushes and double-pushes onto empty squares, the double
+        push only past an empty one, and captures a piece in `enemy`.
+        Any other piece moves to the squares it attacks less those in
+        `occ` but not in `enemy`: its own side's and the enemy king's.
         """
+        if kind != PieceKind.PAWN:
+            return self.targets(kind, color, src, occ) & ~(occ & ~enemy)
         push = self.bit[self.pawn_push[color][src]] & ~occ
         double = self.bit[self.pawn_double[color][src]] & ~occ
         double[push == 0] = 0
@@ -947,8 +952,9 @@ def _successors(material, side, digits, occ):
     rows, destination, promotion kind, subclass index), one entry per
     (victim, promotion kind) that occurs.
 
-    The king keeps the squares the enemy does not attack with the king
-    off `occ`, so it cannot hide behind itself on a slider's line. Every
+    The slot's ``_MoveTables.moves`` are narrowed by king safety. The
+    king ANDs out the squares each enemy attacks with the king off
+    `occ`, so it cannot hide behind itself on a slider's line. Every
     other piece keeps those on each checker's line (the squares between
     it and the king, and its own) and on its pin line, read off ``ray``.
     """
@@ -959,7 +965,6 @@ def _successors(material, side, digits, occ):
     movers = material._slots[side]
     victims = [slot for slot, kind in material._slots[them] if kind != PieceKind.KING]
     enemy = tables.occupancy([digits[slot] for slot in victims], rows)
-    blocked = occ & ~enemy  # the mover's own pieces and the enemy king
     evade = np.full(rows, _ALL)
     pins = {slot: np.full(rows, _ALL) for slot, kind in movers if kind != PieceKind.KING}
     for slot, kind in material._slots[them]:
@@ -974,16 +979,13 @@ def _successors(material, side, digits, occ):
             pin &= np.where(inside == tables.bit[digits[mover]], line, _ALL)
     for slot, kind in movers:
         src = digits[slot]
+        targets = tables.moves(kind, side, src, occ, enemy)
         if kind == PieceKind.KING:
             clear = occ & ~tables.bit[src]
-            attacked = np.zeros(rows, dtype=np.uint64)
             for enemy_slot, enemy_kind in material._slots[them]:
-                attacked |= tables.targets(enemy_kind, them, digits[enemy_slot], clear)
-            targets = tables.targets(kind, side, src, occ) & ~(blocked | attacked)
-        elif kind == PieceKind.PAWN:
-            targets = tables.pawn_targets(side, src, occ, enemy) & evade & pins[slot]
+                targets &= ~tables.targets(enemy_kind, them, digits[enemy_slot], clear)
         else:
-            targets = tables.targets(kind, side, src, occ) & ~blocked & evade & pins[slot]
+            targets &= evade & pins[slot]
 
         # Captures and promotions leave the class: index them in their
         # subclass, one (victim, promotion kind) at a time.

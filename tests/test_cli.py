@@ -81,6 +81,18 @@ class TestSolveCommand:
         assert code == 5
         assert not (tmp_path / "missing-dir").exists()
 
+    @pytest.mark.parametrize("made", [False, True], ids=["in-a-missing-directory", "at-a-directory"])
+    def test_unwritable_out_exits_5_before_solving(self, tmp_path, capsys, made):
+        out = tmp_path / "missing" / "x.ctb"
+        if made:
+            out.mkdir(parents=True)
+        code = main(["solve", "--board", "4x4", "--material", "KQvK", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert "solving" not in captured.err and "policy" not in captured.err
+        assert f"cannot write {out}" in captured.err
+        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+
 
 class TestProbePathPerturb:
     def test_probe_prints_value(self, kqk4_file, capsys):
@@ -119,6 +131,20 @@ class TestProbePathPerturb:
         code = main(["path", "--tb", str(kqk4_file), "--fen", drawn, "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["path", "--fen", WON_FEN],
+        ["perturb", "--fen", WON_FEN],
+        ["evalprobe", "--capacity-sweep", "0..2", "--seed", "1"],
+    ], ids=["path", "perturb", "evalprobe"])
+    def test_out_in_a_missing_directory_exits_5_and_writes_nothing(self, kqk4_file, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out.csv"
+        code = main(command + ["--tb", str(kqk4_file), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert "solving" not in captured.err and "policy" not in captured.err
+        assert f"cannot write {out}" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_perturb_prints_csv_to_stdout(self, kqk4_file, capsys):
         code = main(["perturb", "--tb", str(kqk4_file), "--fen", probe_fen(kqk4_file)])
@@ -165,6 +191,19 @@ class TestExperimentCommand:
         assert code == 2
         assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["the-file", "under-the-file"])
+    def test_out_at_a_file_exits_5_before_the_walk(self, kqk4_file, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / under if under else taken
+        code = main(["experiment", "--tb", str(kqk4_file), "--sample", "6",
+                     "--seed", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert "solving" not in captured.err and "policy" not in captured.err
+        assert f"cannot write {out}" in captured.err
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("text", [
         b'{"zorp": 1}',
