@@ -4,16 +4,17 @@ Artifacts are always written to a temp file in the target directory
 and renamed into place, so a failed command leaves nothing behind.
 Each artifact has a manifest: experiment directories hold a
 manifest.jsonl, single-file artifacts get a `<name>.manifest.jsonl`
-sidecar. Manifests are append-only JSON lines; they carry the
-timestamp, so reruns keep data files byte-identical while the manifest
-accumulates one entry per run. A command checks its output path with
-``check_out`` before it solves, walks or sweeps anything, so a path it
-cannot write fails at once.
+sidecar. Manifests are append-only JSON lines, one per run: the
+timestamp, the command line, the config the command ran with, the
+seed, the table checksum and the tool version. The timestamp lives
+only there, so reruns keep data files byte-identical while the
+manifest accumulates one entry per run. A command checks its output
+path with ``check_out`` before it solves, walks or sweeps anything, so
+a path it cannot write fails at once.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -87,18 +88,13 @@ def _write_staged(files) -> None:
                 tmp.unlink()
 
 
-def config_digest(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def manifest_entry(
     argv, config: dict, seed=None, tablebase_checksum=None, version: str = ""
 ) -> dict:
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "command": " ".join(argv),
-        "config_digest": config_digest(config),
+        "config": config,
         "seed": seed,
         "tablebase_checksum": (
             None if tablebase_checksum is None else f"crc32:{tablebase_checksum:08x}"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 
 import strategia as sg
 from strategia.cli import main
+from strategia.dynamics import DEFAULT_THRESHOLDS
+from strategia.evalprobe import DEFAULT_FEATURE_CHAIN
 
 
 @pytest.fixture(scope="module")
@@ -359,3 +362,75 @@ class TestMiscCommands:
         )
         assert result.returncode == 0
         assert "material=KQvK" in result.stdout
+
+
+class TestManifest:
+    CASES = {
+        "solve": (
+            ["solve", "--board", "4x4", "--material", "KQvK", "--out", "{d}/t.ctb"],
+            "t.ctb.manifest.jsonl",
+            {"board": "4x4", "material": "KQvK"},
+        ),
+        "experiment": (
+            ["experiment", "--tb", "{tb}", "--sample", "5", "--seed", "1", "--out", "{d}/exp"],
+            "exp/manifest.jsonl",
+            {"sample": 5, "seed": 1, "mode": "augmented",
+             "thresholds": DEFAULT_THRESHOLDS.as_dict()},
+        ),
+        "evalprobe": (
+            ["evalprobe", "--tb", "{tb}", "--capacity-sweep", "0..4", "--seed", "3",
+             "--eval-sample", "50", "--out", "{d}/sweep.csv"],
+            "sweep.csv.manifest.jsonl",
+            {"features": list(DEFAULT_FEATURE_CHAIN), "capacities": [0, 1, 2, 3, 4],
+             "seed": 3, "train_sample": None, "eval_sample": 50},
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_each_line_records_the_config_and_a_rerun_records_the_same(
+        self, kqk4_file, tmp_path, command
+    ):
+        argv, manifest, config = self.CASES[command]
+        argv = [arg.format(d=tmp_path, tb=kqk4_file) for arg in argv]
+        for _ in range(2):
+            assert main(argv) == 0
+        first, second = map(json.loads, (tmp_path / manifest).read_text().splitlines())
+        assert first["config"] == config
+        assert "config_digest" not in first
+        assert second["config"] == first["config"]
+
+
+# Every command once, in one interpreter that has imported nothing else.
+_EVERY_COMMAND = """
+import json, sys
+from strategia.cli import main
+
+d = sys.argv[1]
+tb, fen = d + "/kqk4.ctb", "4/4/4/k1QK b - -"
+runs = [
+    ["--version"],
+    ["solve", "--board", "4x4", "--material", "KQvK", "--out", tb],
+    ["info", "--tb", tb],
+    ["probe", "--tb", tb, "--fen", fen],
+    ["path", "--tb", tb, "--fen", fen, "--out", d + "/line.csv"],
+    ["perturb", "--tb", tb, "--fen", fen, "--out", d + "/perturb.csv"],
+    ["atypical", "--tb", tb, "--fen", fen],
+    ["experiment", "--tb", tb, "--sample", "5", "--seed", "1", "--out", d + "/exp"],
+    ["evalprobe", "--tb", tb, "--capacity-sweep", "0..16", "--seed", "1",
+     "--out", d + "/sweep.csv"],
+]
+codes = [main(argv) for argv in runs]
+print(json.dumps({"codes": codes, "loaded": sorted({"_hashlib", "ssl"} & set(sys.modules))}))
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # A subprocess, since pytest and hypothesis have already imported hashlib here.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", _EVERY_COMMAND, str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout.splitlines()[-1])
+    assert outcome == {"codes": [0] * 9, "loaded": []}
