@@ -24,8 +24,8 @@ pass scans the columns once, ``_CHUNK`` indices at a time, and takes
 each chunk's frontier from them: the rows at dtm d - 1 that are not
 open. ``_solve_bytes`` bounds the memory a solve holds: a constant per
 index, one chunk's temporaries, the widest block and the subclass
-tables. A table file is written, and its CRC taken, one block of
-records at a time (``Tablebase.save``).
+tables. A table file is written and read, and its CRC taken, a chunk
+of records at a time (``Tablebase.save`` and ``load``).
 
 Captures and promotions leave the class, so a class is solved on top
 of the subclasses they reach, listed with it in solve order by
@@ -503,9 +503,6 @@ class Tablebase:
             rec["dtm"] = self.dtm[lo:hi]
             yield rec.tobytes()
 
-    def _body_bytes(self) -> bytes:
-        return b"".join(self._body_chunks())
-
     @property
     def checksum(self) -> int:
         """CRC32 of the body bytes, as stored in the file trailer."""
@@ -542,10 +539,6 @@ class Tablebase:
         self._checksum = crc
         yield struct.pack("<I", crc)
 
-    def file_bytes(self) -> bytes:
-        """The table file: header, records and CRC trailer (``_file_chunks``)."""
-        return b"".join(self._file_chunks())
-
     def save(self, path) -> None:
         """Write the table file chunk by chunk through a temp file renamed into place.
 
@@ -556,64 +549,67 @@ class Tablebase:
 
     @classmethod
     def load(cls, path) -> "Tablebase":
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        return cls.from_bytes(blob)
+        """The table in the file at `path`, read as ``save`` writes it; a malformed file raises TablebaseFormatError.
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Tablebase":
-        """The table stored in the file bytes `blob`; a malformed file raises TablebaseFormatError.
-
-        The checksum and the records are read through a view of `blob`,
-        not a copy, and the code range is checked on the uint8 wdl
-        column, so a load peaks at about twice the body: `blob`, then
-        the wdl and dtm columns.
+        The size is checked against the header before any allocation.
+        The body goes through one reused buffer of ``_CHUNK`` records
+        into the wdl and dtm columns, so a load holds it once, plus one
+        chunk; the code range is reported only once the CRC has matched.
         """
-        if len(blob) < 8 or blob[:4] != MAGIC:
-            raise TablebaseFormatError("bad magic: not a tablebase file")
-        version, width, height, count = struct.unpack_from("<BBBB", blob, 4)
-        if version != FORMAT_VERSION:
-            raise TablebaseFormatError(
-                f"incompatible tablebase version {version}, expected {FORMAT_VERSION}"
-            )
-        offset = 8
-        if len(blob) < offset + 2 * count + 8:
-            raise TablebaseFormatError("truncated header")
-        pieces = []
-        for _ in range(count):
-            kind, color = struct.unpack_from("<BB", blob, offset)
+        with open(path, "rb") as handle:
+            head = handle.read(8)
+            if len(head) < 8 or head[:4] != MAGIC:
+                raise TablebaseFormatError("bad magic: not a tablebase file")
+            version, width, height, count = struct.unpack_from("<BBBB", head, 4)
+            if version != FORMAT_VERSION:
+                raise TablebaseFormatError(
+                    f"incompatible tablebase version {version}, expected {FORMAT_VERSION}"
+                )
+            fields = handle.read(2 * count + 8)
+            if len(fields) < 2 * count + 8:
+                raise TablebaseFormatError("truncated header")
+            pieces = []
+            for kind, color in struct.iter_unpack("<BB", fields[:2 * count]):
+                try:
+                    pieces.append(Piece(PieceKind(kind), Color(color)))
+                except ValueError as exc:
+                    raise TablebaseFormatError(f"bad piece entry: {exc}") from None
+            (entries,) = struct.unpack_from("<Q", fields, 2 * count)
             try:
-                pieces.append(Piece(PieceKind(kind), Color(color)))
-            except ValueError as exc:
-                raise TablebaseFormatError(f"bad piece entry: {exc}") from None
-            offset += 2
-        (entries,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        try:
-            spec = BoardSpec(width, height)
-            material = MaterialClass(spec, tuple(pieces))
-        except ValidationError as exc:
-            raise TablebaseFormatError(f"bad header fields: {exc}") from None
-        if entries != material.index_size:
-            raise TablebaseFormatError(
-                f"entry count {entries} does not match index space {material.index_size}"
-            )
-        body_len = entries * _RECORD.itemsize
-        if len(blob) != offset + body_len + 4:
+                spec = BoardSpec(width, height)
+                material = MaterialClass(spec, tuple(pieces))
+            except ValidationError as exc:
+                raise TablebaseFormatError(f"bad header fields: {exc}") from None
+            if entries != material.index_size:
+                raise TablebaseFormatError(
+                    f"entry count {entries} does not match index space {material.index_size}"
+                )
+            body_len = entries * _RECORD.itemsize
+            if os.fstat(handle.fileno()).st_size != len(head) + len(fields) + body_len + 4:
+                raise TablebaseFormatError("truncated or oversized file body")
+            wdl = np.empty(entries, dtype=np.uint8)
+            dtm = np.empty(entries, dtype=np.uint16)
+            buffer = np.empty(min(_CHUNK, entries), dtype=_RECORD)
+            crc = top = 0
+            for lo in range(0, entries, _CHUNK):
+                chunk = buffer[:min(_CHUNK, entries - lo)]
+                handle.readinto(chunk)  # a short read leaves the trailer short
+                crc = zlib.crc32(chunk, crc)
+                wdl[lo:lo + chunk.size] = chunk["wdl"]
+                dtm[lo:lo + chunk.size] = chunk["dtm"]
+                top = max(top, int(chunk["wdl"].max()))
+            trailer = handle.read(4)
+        if len(trailer) != 4:
             raise TablebaseFormatError("truncated or oversized file body")
-        body = memoryview(blob)[offset:offset + body_len]
-        (stored_crc,) = struct.unpack_from("<I", blob, offset + body_len)
-        actual_crc = zlib.crc32(body)
-        if stored_crc != actual_crc:
+        (stored_crc,) = struct.unpack("<I", trailer)
+        if stored_crc != crc:
             raise TablebaseFormatError(
-                f"checksum failure: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
+                f"checksum failure: stored {stored_crc:#010x}, computed {crc:#010x}"
             )
-        rec = np.frombuffer(body, dtype=_RECORD)
-        wdl = rec["wdl"].copy()
-        if (wdl > Wdl.LOSS.value).any():
+        if top > Wdl.LOSS.value:
             raise TablebaseFormatError("body contains out-of-range wdl codes")
-        table = cls(material, wdl, rec["dtm"].copy())
-        table._checksum = actual_crc
+        table = cls(material, wdl, dtm)
+        table._checksum = crc
         return table
 
 
@@ -1227,6 +1223,9 @@ class Policy:
         if self.move[slot] is None:
             for array, dtype in zip(arrays, (np.uint16, np.uint8, np.uint32)):
                 array[slot] = np.zeros(table.material.index_size, dtype=dtype)
+            # Freeing this lets the heap keep one block's temporaries, which
+            # each fill would page in afresh (see ``_solve_single``).
+            np.empty(_block_bytes(table.material) // 2, dtype=np.uint8)
         rows = _decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0) & (self.move[slot][lo:hi] == 0)
         idx = np.flatnonzero(rows) + lo
         if idx.size:
@@ -1605,7 +1604,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
     np.empty(_block_bytes(material) // 2, dtype=np.uint8)
     one = np.uint8(1)  # np.subtract.at is 25x slower with a Python int
     passes = []
-    depth = 0
+    depth = shown = 0
     while n_open:
         depth += 1
         if depth > n + static_trigger + 3:
@@ -1630,10 +1629,10 @@ def _solve_single(material, registry, progress) -> Tablebase:
         if labeled:
             n_open -= labeled
             if progress and (depth - 1) % 8 == 0:
-                n_win, n_loss = passes[-1]
-                progress(
-                    f"  pass {depth - 1}: {n_win} wins, {n_loss} losses, {n_open} open"
-                )
+                # The passes since the last line: one pass alone labels only wins or only losses.
+                n_win, n_loss = map(sum, zip(*passes[shown:]))
+                progress(f"  passes {shown + 1}-{depth - 1}: {n_win} wins, {n_loss} losses, {n_open} open")
+                shown = depth - 1
         elif depth - 1 >= static_trigger:
             break
 

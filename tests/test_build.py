@@ -281,8 +281,8 @@ def test_int32_unmoves_match_int64_at_the_top_of_the_largest_index():
         assert 0 <= wide.min() and wide.max() < material.index_size
 
 
-def assert_solved_marks(table):
-    """`table` and each subtable: wdl 0 exactly where `_legal_rows` is false, no open entry, and a lossless file.
+def assert_solved_marks(table, tmp_path):
+    """`table` and each subtable: wdl 0 exactly where `_legal_rows` is false, no open entry, and a lossless file in `tmp_path`.
 
     A file records no promotion kinds, so a class of other kinds refuses to make one.
     """
@@ -292,22 +292,24 @@ def assert_solved_marks(table):
             ok, _, _ = _legal_rows(material, side, np.arange(lo, hi, dtype=np.int64))
             assert np.array_equal(solved.wdl[lo:hi] == 0, ~ok), (material.name, lo)
         assert not (solved.wdl >= _OPEN).any(), material.name
+        path = tmp_path / f"{material.name}.ctb"
         if material.spec.promotion_kinds != sg.BoardSpec().promotion_kinds:
             with pytest.raises(sg.ValidationError, match="promotion kinds"):
-                solved.file_bytes()
+                solved.save(path)
             continue
-        loaded = sg.Tablebase.from_bytes(solved.file_bytes())
+        solved.save(path)
+        loaded = sg.Tablebase.load(path)
         assert np.array_equal(loaded.wdl, solved.wdl), material.name
         assert np.array_equal(loaded.dtm, solved.dtm), material.name
 
 
-def test_solve_marks_every_entry_final_on_exhaustive_classes(exhaustive):
-    assert_solved_marks(exhaustive[0])
+def test_solve_marks_every_entry_final_on_exhaustive_classes(exhaustive, tmp_path):
+    assert_solved_marks(exhaustive[0], tmp_path)
 
 
 @pytest.mark.parametrize("fixture", ["krk8", "kqk8", "kpk6", "kqkr6"])
-def test_solve_marks_every_entry_final_on_pinned_classes(request, fixture):
-    assert_solved_marks(request.getfixturevalue(fixture))
+def test_solve_marks_every_entry_final_on_pinned_classes(request, fixture, tmp_path):
+    assert_solved_marks(request.getfixturevalue(fixture), tmp_path)
 
 
 @pytest.mark.parametrize("width,height", [(8, 8), (3, 5), (2, 7)])

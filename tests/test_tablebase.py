@@ -180,6 +180,23 @@ class TestSolveProperties:
         counts = kqk4.counts()
         assert labeled == counts["win"] + counts["loss"] - kqk4.stats.terminal_losses
 
+    def test_progress_lines_sum_the_passes_they_cover(self):
+        # One pass labels only wins or only losses, so a line of one pass
+        # would hide one of the two.
+        messages = []
+        table = sg.solve(sg.MaterialClass.from_string("KRvK", sg.BoardSpec(5, 5)), progress=messages.append)
+        lines = [
+            [int(g) for g in re.fullmatch(r"  passes (\d+)-(\d+): (\d+) wins, (\d+) losses, \d+ open", m).groups()]
+            for m in messages if m.startswith("  passes ")
+        ]
+        assert lines and lines[0][0] == 1
+        for (_, last, _, _), (first, _, _, _) in zip(lines, lines[1:]):
+            assert first == last + 1
+        for first, last, wins, losses in lines:
+            covered = table.stats.passes[first - 1:last]
+            assert (wins, losses) == (sum(w for w, _ in covered), sum(l for _, l in covered))
+        assert any(wins > 0 for _, _, wins, _ in lines)
+
     def test_checkmate_probes_loss_zero(self, kqk4):
         pos = sg.parse_fen("k3/1Q2/2K1/4 b - -", sg.BoardSpec(4, 4))
         assert sg.outcome(pos) is sg.Outcome.CHECKMATE
@@ -365,7 +382,7 @@ class TestPersistence:
         changed = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy())
         idx = int(kqk4.decisive_indices()[0])
         changed.wdl[idx] = sg.Wdl.DRAW.value
-        assert changed.checksum == zlib.crc32(changed._body_bytes())
+        assert changed.checksum == zlib.crc32(b"".join(changed._body_chunks()))
         assert changed.checksum != kqk4.checksum
         assert kqk4.checksum == 0x0F4255FA
 
@@ -412,13 +429,59 @@ class TestPersistence:
             sg.Tablebase.load(path)
 
     @pytest.mark.parametrize("code", [4, 255])
-    def test_out_of_range_wdl_code_rejected(self, kqk4, code):
-        blob = bytearray(kqk4.file_bytes())
+    def test_out_of_range_wdl_code_rejected(self, kqk4, code, tmp_path):
+        path = tmp_path / "kqk4.ctb"
+        kqk4.save(path)
+        blob = bytearray(path.read_bytes())
         body = len(blob) - 3 * kqk4.material.index_size - 4
         blob[body + 3 * 17] = code  # the wdl byte of record 17
         blob[-4:] = struct.pack("<I", zlib.crc32(blob[body:-4]))
+        path.write_bytes(bytes(blob))
         with pytest.raises(sg.TablebaseFormatError, match="out-of-range wdl codes"):
-            sg.Tablebase.from_bytes(bytes(blob))
+            sg.Tablebase.load(path)
+
+    # Each way the reader refuses a file, as a change to the KQvK 4x4
+    # file: magic, version, board, 3 pieces (kind, color), 8192 entries,
+    # then 8192 records of 3 bytes and the CRC. The last case is a
+    # KQRvKR 8x8 header, 2 * 64**5 entries (a 6 GiB body), and a CRC.
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda blob: b"", "bad magic: not a tablebase file"),
+        (lambda blob: blob[:7], "bad magic: not a tablebase file"),
+        (lambda blob: blob[:11], "truncated header"),
+        (lambda blob: blob[:10] + b"\x09" + blob[11:], "bad piece entry: 9 is not a valid PieceKind"),
+        (lambda blob: blob[:11] + b"\x02" + blob[12:], "bad piece entry: 2 is not a valid Color"),
+        (lambda blob: blob[:5] + b"\x09\x09" + blob[7:], "bad header fields: board sides must be 2..8 squares"),
+        (lambda blob: blob[:10] + b"\x06\x00" + blob[12:],
+         "bad header fields: material class needs exactly one king per color"),
+        (lambda blob: blob[:14] + struct.pack("<Q", 8193) + blob[22:],
+         "entry count 8193 does not match index space 8192"),
+        (lambda blob: blob + b"\x00", "truncated or oversized file body"),
+        (lambda blob: blob[:-1], "truncated or oversized file body"),
+        (lambda blob: b"CTB1" + bytes([1, 8, 8, 5, 6, 0, 5, 0, 4, 0, 6, 1, 4, 1])
+         + struct.pack("<Q", 2 * 64 ** 5) + bytes(4), "truncated or oversized file body"),
+    ], ids=["empty", "7-bytes", "piece-list-cut-short", "piece-kind-9", "color-2", "9x9-board",
+            "two-white-kings", "entry-count-off-by-one", "trailing-byte", "trailer-one-byte-short",
+            "5-piece-header-in-30-bytes"])
+    def test_malformed_file_rejected(self, kqk4, tmp_path, tamper, message):
+        path = tmp_path / "kqk4.ctb"
+        kqk4.save(path)
+        path.write_bytes(tamper(path.read_bytes()))
+
+        def load():
+            with pytest.raises(sg.TablebaseFormatError, match=re.escape(message)):
+                sg.Tablebase.load(path)
+
+        # Every refusal comes before the columns are allocated.
+        assert traced_peak(load) < 1 << 20
+
+    def test_a_file_cut_after_its_size_is_read_is_refused(self, kqk4, tmp_path, monkeypatch):
+        path = tmp_path / "kqk4.ctb"
+        kqk4.save(path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-10])
+        monkeypatch.setattr(tablebase.os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size, 0, 0, 0)))
+        with pytest.raises(sg.TablebaseFormatError, match="truncated or oversized file body"):
+            sg.Tablebase.load(path)
 
     def test_load_peaks_at_most_two_and_a_half_bodies(self, krk8_file):
         # The file's bytes, then the wdl and dtm columns: twice the body. A
@@ -426,6 +489,13 @@ class TestPersistence:
         # breaks the bound.
         body = 3 * sg.MaterialClass.from_string("KRvK", STANDARD).index_size
         assert traced_peak(lambda: sg.Tablebase.load(krk8_file)) <= 2.5 * body
+
+    def test_load_holds_the_body_once(self, krk8_file):
+        # The wdl and dtm columns and one reused chunk of records: a copy
+        # of the file's bytes breaks the bound.
+        n = sg.MaterialClass.from_string("KRvK", STANDARD).index_size
+        bound = 3 * n + 3 * min(_CHUNK, n) + (64 << 10)
+        assert traced_peak(lambda: sg.Tablebase.load(krk8_file)) <= bound
 
 
 class TestDecisiveSample:
