@@ -240,6 +240,8 @@ def _cmd_perturb(args, argv) -> int:
 def _cmd_experiment(args, argv) -> int:
     check_out(args.out, directory=True)
     thresholds = _parse_thresholds(args.thresholds)
+    if args.sample < 1:
+        raise ValidationError(f"--sample must be at least 1, got {args.sample}")
     table = Tablebase.load(args.tb)
     table.solve_subclasses(progress=_stderr)
     report = sample_experiment(

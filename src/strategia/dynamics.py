@@ -502,7 +502,7 @@ def sample_experiment(
     The lines of every base and decisive perturbation are walked
     together, one batched choice per ply (``Policy.walk``, reported
     through `progress`), before the records are built base by base
-    from them; no block of the policy's arrays is filled.
+    from them; no block of the policy is filled.
 
     A pure function of (table, sample_size, seed, mode, thresholds):
     records come in canonical (base index, perturbation) order.

@@ -9,11 +9,11 @@ exactly the probed distance to mate, together with the encoded vector
 at every ply. Drawn positions are refused: there is no canonical
 drawing policy here.
 
-The policy is an array (``Tablebase.policy``) over each class of the
-table's closure: the move of every decisive, non-terminal index and the
-(class slot, index) it reaches. It is filled one block of 4,096 indices
-at a time: a row not chosen yet fills the block that holds it, so a
-line pays for the blocks its plies touch and many playouts together
+The policy (``Tablebase.policy``) covers each class of the table's
+closure: the move of every decisive, non-terminal index and the (class
+slot, index) it reaches. It is kept one block of 4,096 indices at a
+time: a row's first ask fills the block that holds it, so a line pays
+for, and holds, the blocks its plies touch, and many playouts together
 fill each block at most once. A playout locates its start once (one
 class key and one ``index_of``) and then walks indices, one choice per
 ply; only the chosen successor is built as a ``Position``

@@ -49,11 +49,11 @@ never touched by a lookup. Making it checks, once, that every (LOSS, 0)
 entry of the closure's loaded tables is checkmate (``_check_mates``).
 It reads the value of every move of a decisive, non-terminal index
 (``_successor_values``) and picks the policy's move with the (class
-slot, index) it reaches (``_choose``). A line keeps the picks in arrays,
-filling the ``_build_blocks`` block that holds a row the first time it
-asks for the row (``Policy._fill_block``); many lines walked together a
-ply at a time keep none (``Policy.walk``). ``_side_blocks`` cuts every
-batch of rows into same-side blocks.
+slot, index) it reaches (``_choose``). A line keeps the picks one
+``_block_of`` block at a time: a row's first ask fills its block
+(``Policy._fill_block``), so the policy holds only the blocks filled;
+many lines walked together a ply at a time keep none (``Policy.walk``).
+``_side_blocks`` cuts every batch of rows into same-side blocks.
 
 One codec holds the index layout: ``_decode_columns`` splits indices
 into the side to move and one square (digit) per piece slot,
@@ -374,9 +374,9 @@ class SolveStats:
     max_dtm: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Tablebase:
-    """Solved win/draw/loss and distance-to-mate arrays for one class."""
+    """Solved win/draw/loss and distance-to-mate arrays for one class; equality is identity."""
 
     material: MaterialClass
     wdl: np.ndarray
@@ -384,8 +384,8 @@ class Tablebase:
     subtables: dict = field(default_factory=dict)
     stats: Optional[SolveStats] = None
     # Memos of values computed from the fields; replace() starts them afresh.
-    _checksum: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    _policy: Optional["Policy"] = field(default=None, init=False, repr=False, compare=False)
+    _checksum: Optional[int] = field(default=None, init=False, repr=False)
+    _policy: Optional["Policy"] = field(default=None, init=False, repr=False)
 
     def probe(self, pos: Position) -> WdlDtm:
         """Constant-time value lookup for a position of this class.
@@ -438,9 +438,9 @@ class Tablebase:
 
         Making it checks every (LOSS, 0) entry of the closure's loaded
         tables; a false mate raises TableValueError and memoizes nothing.
-        Getting it chooses nothing: a ``Policy.choice`` of a row not
-        chosen yet fills the one block that holds it, and ``Policy.walk``
-        fills none. Lookups never touch it.
+        Getting it chooses nothing: the first ``Policy.choice`` in a block
+        fills that block, and ``Policy.walk`` fills none. Lookups never
+        touch it.
         """
         tables = tuple(self.subtables.get(mc.key) for mc in _closure(self.material)[:-1]) + (self,)
         memo = self._policy
@@ -1195,16 +1195,14 @@ class Policy:
     last is the class's own, and ``table`` gives one by class key. Making
     a policy checks every decisive dtm-0 entry of each loaded table
     (``_check_mates``), so a line ends in checkmate. ``choice`` gives a
-    row's move and the (slot, index) it reaches, read from the arrays
-    ``move[s]`` (the move key ``(from * S + to) * 8 + promotion kind``),
-    ``succ_slot[s]`` and ``succ_index[s]``. ``_fill_block`` is the one
-    writer of the arrays: it chooses the rows of one ``_build_blocks``
-    block not chosen yet, and allocates a slot's arrays on its first
-    fill, so a slot never filled holds none. A move key is never 0, so
-    0 marks a row not chosen yet. A miss in ``choice`` fills the block
-    that holds its row, so each block is filled at most once; ``walk``
-    fills none. Every row is checked when it is chosen, and a block
-    whose check fails keeps nothing.
+    row's move and the (slot, index) it reaches. Its one unit of state
+    is a ``_block_of`` block: ``blocks`` maps (slot, block start) to the
+    block's move keys (``(from * S + to) * 8 + promotion kind``),
+    successor slots and successor indices, one row per index of the
+    block. A row's first ask fills its block (``_fill_block``), so a
+    line holds only the blocks its plies touch; ``walk`` fills none.
+    Every row is checked when it is chosen, and a block whose check
+    fails is not kept.
     """
 
     def __init__(self, tables: tuple):
@@ -1214,36 +1212,37 @@ class Policy:
         self.tables = tables
         self.material = tables[-1].material
         self.slots = {mc.key: slot for slot, mc in enumerate(_closure(self.material))}
-        self.move, self.succ_slot, self.succ_index = ([None] * len(tables) for _ in range(3))
+        self.blocks = {}
 
-    def _fill_block(self, slot: int, side: int, lo: int, hi: int) -> None:
-        """Choose the decisive, non-terminal rows of [lo, hi) in `slot` not chosen yet (``_choose``)."""
+    def _fill_block(self, slot: int, side: int, lo: int, hi: int) -> tuple:
+        """The ``blocks`` entry of [lo, hi) in `slot`: ``_choose`` picks its decisive, non-terminal rows."""
         table = self.tables[slot]
-        arrays = (self.move, self.succ_slot, self.succ_index)
-        if self.move[slot] is None:
-            for array, dtype in zip(arrays, (np.uint16, np.uint8, np.uint32)):
-                array[slot] = np.zeros(table.material.index_size, dtype=dtype)
+        if not self.blocks:
             # Freeing this lets the heap keep one block's temporaries, which
             # each fill would page in afresh (see ``_solve_single``).
-            np.empty(_block_bytes(table.material) // 2, dtype=np.uint8)
-        rows = _decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0) & (self.move[slot][lo:hi] == 0)
-        idx = np.flatnonzero(rows) + lo
-        if idx.size:
-            for array, chosen in zip(arrays, _choose(table, side, idx, self)):
-                array[slot][idx] = chosen
+            np.empty(max(map(_block_bytes, _closure(self.material))) // 2, dtype=np.uint8)
+        block = tuple(np.zeros(hi - lo, dtype=dtype) for dtype in (np.uint16, np.uint8, np.uint32))
+        rows = np.flatnonzero(_decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0))
+        if rows.size:
+            for array, chosen in zip(block, _choose(table, side, rows + lo, self)):
+                array[rows] = chosen
+        return block
 
     def choice(self, slot: int, idx: int) -> tuple:
         """(move, successor slot, successor index) of the decisive, non-terminal index `idx`.
 
-        A row not chosen yet fills the block that holds it.
+        The first ask of a block fills it.
         """
-        if self.move[slot] is None or self.move[slot][idx] == 0:
-            self._fill_block(slot, *_block_of(self.tables[slot].material, idx))
-        key = int(self.move[slot][idx])
-        succ_slot, succ_index = int(self.succ_slot[slot][idx]), int(self.succ_index[slot][idx])
+        material = self.tables[slot].material
+        lo = idx - idx % material._half % _BUILD_BLOCK  # its ``_block_of`` start; a hit makes no call
+        block = self.blocks.get((slot, lo))
+        if block is None:
+            block = self.blocks[slot, lo] = self._fill_block(slot, *_block_of(material, idx))
+        moves, succ_slots, succ_indices = block
+        key = moves.item(idx - lo)
         src, dest = divmod(key >> 3, self.material.spec.num_squares)
         promotion = PieceKind(key & 7) if key & 7 else None
-        return Move(src, dest, promotion), succ_slot, succ_index
+        return Move(src, dest, promotion), succ_slots.item(idx - lo), succ_indices.item(idx - lo)
 
     def table(self, key: tuple) -> Tablebase:
         """The table of class `key` of the closure; MaterialMismatchError names one not loaded."""
@@ -1255,7 +1254,7 @@ class Policy:
         At each ply the lines still moving are grouped by class slot,
         and each group's distinct rows are chosen by ``_choose``, one
         ``_side_blocks`` block at a time, with every check it makes. The
-        policy arrays are neither read nor filled. Returns the (plies + 1,
+        policy's blocks are neither read nor filled. Returns the (plies + 1,
         lines) slot and index of every ply and the (plies, lines) move
         keys, plies being the greatest start dtm: a line of dtm d moves
         at plies 0..d-1, then repeats its last row under move key 0.

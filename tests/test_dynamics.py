@@ -375,7 +375,7 @@ class TestWalkedLines:
         messages = []
         sg.sample_experiment(table, 20, seed=1, progress=messages.append)
         policy = table.policy()
-        assert all(a is None for a in (*policy.move, *policy.succ_slot, *policy.succ_index))
+        assert policy.blocks == {}
         assert len(messages) == 1 and messages[0].startswith("policy KQvKR: "), messages
 
     @pytest.mark.parametrize("case", ["stalemate", "has-a-move"])

@@ -86,6 +86,16 @@ def fill_every_block(policy):
     return policy
 
 
+def filled_choices(policy, slot, rows):
+    """(move keys, successor slots, successor indices) of `rows` of `slot`, read from its filled blocks."""
+    material = policy.tables[slot].material
+    choices = []
+    for idx in rows.tolist():
+        _, lo, _ = tablebase._block_of(material, idx)
+        choices.append([int(array[idx - lo]) for array in policy.blocks[slot, lo]])
+    return np.array(choices, dtype=np.int64).reshape(-1, 3).T
+
+
 def assert_successors_match(tb, table):
     """The policy's successor (table, index) equals the scalar lookup of the reference successor."""
     policy = tb.policy()
@@ -169,7 +179,9 @@ def test_a_table_loaded_without_its_subclasses_plays_out(krk8_file):
     assert playout.plies == loaded.counts()["max_dtm"]
     assert playout.terminal is sg.Outcome.CHECKMATE
     policy = fill_every_block(loaded.policy())
-    assert np.count_nonzero(policy.move[policy.slots[loaded.material.key]]) == chosen_rows(loaded).size > 0
+    slot = policy.slots[loaded.material.key]
+    chosen = sum(np.count_nonzero(moves) for (s, _), (moves, _, _) in policy.blocks.items() if s == slot)
+    assert chosen == chosen_rows(loaded).size > 0
     assert loaded.subtables == {}
 
 
@@ -207,19 +219,34 @@ def test_one_line_fills_only_the_blocks_it_touches(krk8_file):
     played = [first.initial] + [step.position for step in first.steps[:-1]]
     touched = {tablebase._block_of(material, sg.index_of(pos, material)) for pos in played}
     blocks = tablebase._build_blocks(material, 0, material.index_size)
-    move, rows = policy.move[slot], chosen_rows(loaded)
-    filled = {(side, lo, hi) for side, lo, hi in blocks if move[lo:hi].any()}
-    assert filled == touched and len(filled) < len(blocks)
+    rows = chosen_rows(loaded)
+    assert set(policy.blocks) == {(slot, lo) for _, lo, _ in touched} and len(touched) < len(blocks)
     for _, lo, hi in touched:
         block = rows[(rows >= lo) & (rows < hi)]
-        assert block.size and move[block].all()
-    assert np.count_nonzero(move) == sum(int(((rows >= lo) & (rows < hi)).sum()) for _, lo, hi in touched)
+        assert block.size and policy.blocks[slot, lo][0][block - lo].all()
+    chosen = sum(np.count_nonzero(moves) for moves, _, _ in policy.blocks.values())
+    assert chosen == sum(int(((rows >= lo) & (rows < hi)).sum()) for _, lo, hi in touched)
     lines = [first] + [sg.generate_playout(sg.position_at(i, material), loaded) for i in starts[1:4]]
     # The lines played block by block are the lines of a policy filled in full.
     full = dataclasses.replace(loaded)
-    assert np.count_nonzero(fill_every_block(full.policy()).move[slot]) == rows.size
+    full_blocks = fill_every_block(full.policy()).blocks
+    assert sum(np.count_nonzero(moves) for moves, _, _ in full_blocks.values()) == rows.size
     for idx, line in zip(starts, lines):
         assert sg.generate_playout(sg.position_at(idx, material), full) == line
+
+
+def test_one_line_holds_only_its_blocks(krk8_file):
+    # A line keeps the blocks its plies touch, 7 bytes a row each (uint16
+    # + uint8 + uint32), beside one block's temporaries: no array as long
+    # as the index of a class it enters.
+    loaded = sg.Tablebase.load(krk8_file)
+    material = loaded.material
+    start = sg.position_at(int(np.flatnonzero(loaded.dtm == loaded.counts()["max_dtm"])[0]), material)
+    line = []
+    peak = traced_peak(lambda: line.append(sg.generate_playout(start, loaded)))
+    played = [start] + [step.position for step in line[0].steps[:-1]]
+    touched = {tablebase._block_of(material, sg.index_of(pos, material)) for pos in played}
+    assert peak <= tablebase._block_bytes(material) + 7 * tablebase._BUILD_BLOCK * len(touched)
 
 
 def test_one_miss_fills_one_block(krk8_file, monkeypatch):
@@ -268,14 +295,14 @@ def test_misses_in_any_order_and_the_walk_choose_alike(closure):
         if rows.size:
             # The walk's first ply from each row is the row's choice.
             slots, indices, keys = walked.walk(np.full(rows.size, slot), rows)
-            assert np.array_equal(keys[0], ordered.move[slot][rows]), table.material.name
-            assert np.array_equal(slots[1], ordered.succ_slot[slot][rows]), table.material.name
-            assert np.array_equal(indices[1], ordered.succ_index[slot][rows]), table.material.name
-    for name in ("move", "succ_slot", "succ_index"):
-        # The walk fills nothing, and a class with no row to choose is never missed.
-        assert all(a is None for a in getattr(walked, name)), name
-        for a, b in zip(getattr(shuffled, name), getattr(ordered, name)):
-            assert (a is None and b is None) or np.array_equal(a, b), name
+            want = filled_choices(ordered, slot, rows)
+            assert np.array_equal(np.stack([keys[0], slots[1], indices[1]]), want), table.material.name
+    # The walk fills nothing, and a block with no row to choose is never missed.
+    assert walked.blocks == {}
+    assert shuffled.blocks.keys() == ordered.blocks.keys()
+    for at, block in ordered.blocks.items():
+        assert block[0].any(), at
+        assert all(np.array_equal(a, b) for a, b in zip(shuffled.blocks[at], block)), at
 
 
 def test_small_blocks_choose_the_same_moves(kqkr34, monkeypatch):
@@ -286,17 +313,17 @@ def test_small_blocks_choose_the_same_moves(kqkr34, monkeypatch):
         records = io.StringIO()
         report.write_records_csv(records)
         policy = fill_every_block(table.policy())
-        return report.json_text(), records.getvalue(), policy
+        choices = [
+            filled_choices(policy, slot, chosen_rows(t)) for slot, t in enumerate(policy.tables) if t is not None
+        ]
+        return report.json_text(), records.getvalue(), choices
 
     want = run()
     monkeypatch.setattr(tablebase, "_BUILD_BLOCK", 16)
     got = run()
     assert got[:2] == want[:2]
-    for name in ("move", "succ_slot", "succ_index"):
-        for a, b in zip(getattr(got[2], name), getattr(want[2], name)):
-            assert (a is None and b is None) or np.array_equal(a, b), name
-    nonzero = [sum(np.count_nonzero(move) for move in p.move if move is not None) for p in (got[2], want[2])]
-    assert nonzero[0] == nonzero[1] > 0
+    assert len(got[2]) == len(want[2]) and all(np.array_equal(a, b) for a, b in zip(got[2], want[2]))
+    assert sum(b.shape[1] for b in want[2]) > 0 and all(b[0].all() for b in want[2])
 
 
 def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
@@ -308,13 +335,13 @@ def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
     slot = policy.slots[kqk4.material.key]
     with pytest.raises(RuntimeError, match="dtm - 1"):
         sg.policy_step(pos, broken)
-    assert policy.move[slot][idx] == 0
+    assert policy.blocks == {}
     # Nothing was kept, so asking again checks again.
     with pytest.raises(RuntimeError, match="dtm - 1"):
         sg.policy_step(pos, broken)
     with pytest.raises(RuntimeError, match="dtm - 1"):
         policy.walk([slot], [idx])
-    assert policy.move[slot][idx] == 0
+    assert policy.blocks == {}
     broken.dtm[idx] -= 2
     assert sg.policy_step(pos, broken) == sg.policy_step(pos, kqk4)
 

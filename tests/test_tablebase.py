@@ -386,6 +386,14 @@ class TestPersistence:
         assert changed.checksum != kqk4.checksum
         assert kqk4.checksum == 0x0F4255FA
 
+    def test_equality_is_identity(self, kqk4):
+        # Comparing the columns would ask numpy for one truth value of
+        # an array, so two tables are equal only when they are one.
+        copy = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy(), dtm=kqk4.dtm.copy())
+        assert kqk4 == kqk4 and kqk4 != copy
+        assert copy in [kqk4, copy] and kqk4 not in [copy]
+        assert {kqk4: 1}[kqk4] == 1
+
     def test_non_default_promotion_kinds_refuse_to_save(self, tmp_path):
         # The file records no promotion kinds: loaded, this table would
         # read as KPvK with all four, and its lines would break.
