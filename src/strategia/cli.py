@@ -25,7 +25,7 @@ from .dynamics import (
     sample_experiment,
 )
 from .encoding import Mode
-from .errors import BudgetExceededError, StrategiaError, ValidationError
+from .errors import BudgetExceededError, StrategiaError, UnsupportedCaseError, ValidationError
 from .evalprobe import DEFAULT_FEATURE_CHAIN, capacity_sweep, write_sweep_csv
 from .fen import format_fen, parse_fen
 from .playout import generate_playout, write_playout_csv
@@ -37,7 +37,7 @@ from .runio import (
     manifest_entry,
     sidecar_manifest_path,
 )
-from .tablebase import MaterialClass, Tablebase, Wdl, index_of, solve
+from .tablebase import MaterialClass, Tablebase, Wdl, index_of, material_key_of, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -191,6 +191,8 @@ def _cmd_path(args, argv) -> int:
     check_out(args.out)
     table = Tablebase.load(args.tb)
     pos = parse_fen(args.fen, table.material.spec)
+    if material_key_of(pos) == table.material.key and not table.probe(pos).is_decisive:
+        raise UnsupportedCaseError("cannot generate a playout from a drawn position")
     table.solve_subclasses(progress=_stderr)
     playout = generate_playout(pos, table, Mode(args.mode))
     buffer = io.StringIO()

@@ -431,7 +431,7 @@ def _line_vectors(policy, slots, indices, keys, mode: Mode) -> np.ndarray:
     lines = slots.shape[1]
     flat_slot, flat_index = slots.ravel(), indices.ravel()
     rows = np.empty((flat_slot.size, spec.num_squares + (mode is Mode.AUGMENTED)), dtype=np.int8)
-    for slot in np.unique(flat_slot).tolist():
+    for slot in np.flatnonzero(np.bincount(flat_slot)).tolist():
         at = np.flatnonzero(flat_slot == slot)
         material = policy.tables[slot].material
         side, squares = _decode_columns(material, flat_index[at])
@@ -486,6 +486,19 @@ def _pairs_for_base(policy, base: _Base, slots, indices, keys, mode: Mode) -> li
             PairRecord(base.index, pert_idx, perturbation.moved_from, perturbation.moved_to, record)
         )
     return out
+
+
+def _percentile(arr: np.ndarray, q: int) -> float:
+    """``np.percentile(arr, q)`` of the sorted, finite float64 `arr`, bit for bit.
+
+    numpy's linear rule: interpolate at (n - 1) * q / 100 between its
+    two neighbours, from the upper one at or past halfway. Calling
+    ``np.percentile`` would import ``numpy.ma`` into every experiment.
+    """
+    at = (arr.size - 1) * (q / 100)
+    lo = math.floor(at)
+    below, above, t = arr[lo], arr[min(lo + 1, arr.size - 1)], at - lo
+    return float(above - (above - below) * (1 - t) if t >= 0.5 else below + (above - below) * t)
 
 
 def sample_experiment(
@@ -567,13 +580,11 @@ def sample_experiment(
     lambda_summary = None
     if lambdas:
         arr = np.sort(np.asarray(lambdas, dtype=np.float64))
-        deciles = {
-            f"p{q}": float(np.percentile(arr, q)) for q in range(10, 100, 10)
-        }
+        deciles = {f"p{q}": _percentile(arr, q) for q in range(10, 100, 10)}
         lambda_summary = {
             "count": int(arr.size),
             "min": float(arr[0]),
-            "median": float(np.percentile(arr, 50)),
+            "median": deciles["p50"],
             "max": float(arr[-1]),
             **deciles,
         }

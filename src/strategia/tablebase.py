@@ -47,12 +47,12 @@ file holds one class, so a loaded table has no subtables until
 The playout policy (``Tablebase.policy``) is memoized on the table and
 never touched by a lookup. Making it checks, once, that every (LOSS, 0)
 entry of the closure's loaded tables is checkmate (``_check_mates``).
-It reads the value of every move of a decisive, non-terminal index
-(``_successor_values``) and picks the policy's move with the (class
-slot, index) it reaches (``_choose``). A line keeps the picks one
-``_block_of`` block at a time: a row's first ask fills its block
-(``Policy._fill_block``), so the policy holds only the blocks filled;
-many lines walked together a ply at a time keep none (``Policy.walk``).
+It reads the value of every move of a decisive, non-terminal index, one
+mover slot at a time (``_successor_values``), and keeps the best slot's
+move and the (class slot, index) it reaches (``_choose``). A line keeps
+the picks one ``_block_of`` block at a time: a row's first ask fills
+its block (``Policy._fill_block``), so the policy holds only the blocks
+filled; lines walked together a ply at a time keep none (``Policy.walk``).
 ``_side_blocks`` cuts every batch of rows into same-side blocks.
 
 One codec holds the index layout: ``_decode_columns`` splits indices
@@ -1147,18 +1147,17 @@ def _unmoves(material, side, idx):
 def _successor_values(material, side, idx, policy):
     """Every legal move of the indices `idx`, all with `side` to move, and the value it reaches.
 
-    The indices must be legal positions of `material`. Returns dense
-    (rows, candidates) arrays: the legal mask, the move key ``(from *
-    S + to) * 8 + promotion kind``, the successor's class slot
-    (``policy.slots``) and index, and its wdl and dtm. Only the classes
-    that the moves reach are asked of ``policy.table``, which raises
-    MaterialMismatchError for one with no table.
+    The indices must be legal positions of `material`. Yields per mover
+    slot its dense (rows, candidates) arrays: the legal mask, the move
+    key ``(from * S + to) * 8 + promotion kind``, the successor's class
+    slot (``policy.slots``) and index, and its wdl and dtm. Only the
+    classes that the moves reach are asked of ``policy.table``, which
+    raises MaterialMismatchError for one with no table.
     """
     ok, digits, occ = _legal_rows(material, side, idx)
     _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
     tables = _move_tables(material.spec.width, material.spec.height)
     own = policy.table(material.key)
-    parts = []
     for slot, targets, exits in _successors(material, side, digits, occ):
         # A column is legal where its destination is a target; a pawn's
         # column promotes exactly where it lands on the promotion rank.
@@ -1169,8 +1168,7 @@ def _successor_values(material, side, idx, policy):
             legal &= (col_kind != 0) == ((tables.bit[dest] & tables.promotions[side]) != 0)
         key = (digits[slot][:, None] * material.spec.num_squares + dest) * 8 + col_kind
         # In-class successors: the moved slot takes its destination.
-        moved = [d[:, None] for d in digits]
-        moved[slot] = dest
+        moved = [dest if s == slot else d[:, None] for s, d in enumerate(digits)]
         succ = _encode_columns(material, 1 - side, moved)
         to_slot = np.full(succ.shape, policy.slots[material.key], dtype=np.uint8)
         # Values of illegal candidates are read from index 0 and never used.
@@ -1183,8 +1181,7 @@ def _successor_values(material, side, idx, policy):
             succ[rows, cols] = sub_idx
             wdl[rows, cols] = table.wdl[sub_idx]
             dtm[rows, cols] = table.dtm[sub_idx]
-        parts.append((legal, key, to_slot, succ, wdl, dtm))
-    return tuple(np.hstack(columns) for columns in zip(*parts))
+        yield legal, key, to_slot, succ, wdl, dtm
 
 
 class Policy:
@@ -1264,7 +1261,7 @@ class Policy:
         slot = np.array(slot, dtype=np.uint8)
         idx = np.array(idx, dtype=np.int64)
         dtm = np.zeros(idx.size, dtype=np.int64)
-        for s in np.unique(slot).tolist():
+        for s in np.flatnonzero(np.bincount(slot)).tolist():
             lines = np.flatnonzero(slot == s)
             table = self.tables[s]
             _refuse(table.material, idx[lines], _decisive(table.wdl[idx[lines]]),
@@ -1279,10 +1276,13 @@ class Policy:
         for n in range(plies):
             moving = np.flatnonzero(dtm > n)
             # Every group is taken before any of its lines moves to another slot.
-            groups = [(s, moving[slot[moving] == s]) for s in np.unique(slot[moving]).tolist()]
+            present = np.flatnonzero(np.bincount(slot[moving])).tolist()
+            groups = [(s, moving[slot[moving] == s]) for s in present]
             for s, lines in groups:
                 table = self.tables[s]
-                unique, inverse = np.unique(idx[lines], return_inverse=True)
+                ordered = np.sort(idx[lines])
+                unique = ordered[np.diff(ordered, prepend=-1) != 0]
+                inverse = np.searchsorted(unique, idx[lines])
                 rows += unique.size
                 chosen = [
                     _choose(table, side, block, self)
@@ -1312,32 +1312,35 @@ def _refuse(material, idx, ok, error, what) -> None:
 def _choose(table, side, idx, policy) -> tuple:
     """(move key, successor slot, successor index) of decisive, non-terminal indices of `table`.
 
-    The indices `idx` all have `side` to move, and `policy` reads their
-    successors. A win takes the successor lost at the least dtm, a loss
-    the one won at the greatest, ties going to the least move key, the
-    canonical order of ``legal_transitions``. A successor that is an illegal entry raises
-    ValidationError, and a choice that breaks the dtm recurrence (a
-    loss successor of a win, each successor of a loss a win, and the
-    chosen one at dtm - 1) raises TableValueError.
+    The indices `idx` all have `side` to move; `policy` reads their
+    successors one mover slot at a time. A win takes the successor lost
+    at the least dtm, a loss the one won at the greatest, ties going to
+    the least move key (``legal_transitions`` order), which no two slots
+    share. A successor that is an illegal entry raises ValidationError,
+    and a choice that breaks the dtm recurrence (a loss successor of a
+    win, each successor of a loss a win, the chosen one at dtm - 1)
+    raises TableValueError.
     """
     material = table.material
-    legal, key, to_slot, to_idx, wdl, dtm = _successor_values(material, side, idx, policy)
     wins = (table.wdl[idx] == Wdl.WIN.value)[:, None]
-    _refuse(material, idx, ~(legal & (wdl == 0)).any(axis=1), ValidationError,
-            "a successor decodes to an illegal table entry")
-    _refuse(material, idx, ~(legal & ~wins & (wdl != Wdl.WIN.value)).any(axis=1),
-            TableValueError, "a loss position has a successor that does not win")
-    # The winner minimizes the dtm of a lost successor and the loser
-    # maximizes it; the move key breaks ties.
-    score = np.where(wins, dtm, DTM_ABSENT - dtm).astype(np.int64) << 16 | key
-    score[~legal | (wins & (wdl != Wdl.LOSS.value))] = _NO_MOVE
-    pick = score.argmin(axis=1)[:, None]
-    _refuse(material, idx, np.take_along_axis(score, pick, axis=1)[:, 0] != _NO_MOVE,
-            TableValueError, "a decisive position has no move to choose")
-    chosen = np.take_along_axis(dtm, pick, axis=1)[:, 0].astype(np.int64)
-    _refuse(material, idx, chosen == table.dtm[idx].astype(np.int64) - 1,
+    illegal = unwon = np.zeros(idx.size, dtype=bool)
+    rows, picks = np.arange(idx.size), ()
+    for legal, key, to_slot, to_idx, wdl, dtm in _successor_values(material, side, idx, policy):
+        illegal = illegal | (legal & (wdl == 0)).any(axis=1)
+        unwon = unwon | (legal & ~wins & (wdl != Wdl.WIN.value)).any(axis=1)
+        score = np.where(wins, dtm, DTM_ABSENT - dtm).astype(np.int64) << 16 | key
+        score[~legal | (wins & (wdl != Wdl.LOSS.value))] = _NO_MOVE
+        col = score.argmin(axis=1)
+        found = tuple(a[rows, col] for a in (score, key, to_slot, to_idx, dtm))
+        better = found[0] < (picks[0] if picks else _NO_MOVE)
+        picks = tuple(np.where(better, *pair) for pair in zip(found, picks or found))
+    score, key, to_slot, to_idx, dtm = picks
+    _refuse(material, idx, ~illegal, ValidationError, "a successor decodes to an illegal table entry")
+    _refuse(material, idx, ~unwon, TableValueError, "a loss position has a successor that does not win")
+    _refuse(material, idx, score != _NO_MOVE, TableValueError, "a decisive position has no move to choose")
+    _refuse(material, idx, dtm.astype(np.int64) == table.dtm[idx].astype(np.int64) - 1,
             TableValueError, "the chosen successor's dtm is not dtm - 1")
-    return tuple(np.take_along_axis(a, pick, axis=1)[:, 0] for a in (key, to_slot, to_idx))
+    return key, to_slot, to_idx
 
 
 def _check_mates(table) -> None:

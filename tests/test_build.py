@@ -142,9 +142,10 @@ def build_range(material, registry, lo, hi):
         idx = np.arange(start, stop, dtype=np.int64)
         ok, digits, occ = _legal_rows(material, side, idx)
         idx, occ, digits = idx[ok], occ[ok], [d[ok] for d in digits]
-        legal, _, to_slot, to_idx, wdl, dtm = _successor_values(
+        per_slot = _successor_values(
             material, side, idx, SimpleNamespace(table=tables.__getitem__, slots=slots)
         )
+        legal, _, to_slot, to_idx, wdl, dtm = (np.hstack(columns) for columns in zip(*per_slot))
         wdl = wdl.astype(np.int64)
         dtm = np.where(wdl == sg.Wdl.DRAW.value, DTM_ABSENT, dtm.astype(np.int64))
         values = np.where(to_slot == slots[material.key], to_idx, _static_code(wdl, dtm))

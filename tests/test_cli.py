@@ -434,3 +434,22 @@ def test_no_command_loads_openssl(tmp_path):
     assert result.returncode == 0, result.stderr
     outcome = json.loads(result.stdout.splitlines()[-1])
     assert outcome == {"codes": [0] * 9, "loaded": []}
+
+
+def test_an_experiment_loads_no_numpy_ma(kqk4_file, tmp_path):
+    # A subprocess, since pytest has already imported numpy.ma here.
+    # np.unique and np.percentile import it, so the walk and the lambda
+    # summary must call neither.
+    script = (
+        "import sys; from strategia.cli import main; "
+        "code = main(['experiment', '--tb', sys.argv[1], '--sample', '5', '--seed', '1', '--out', sys.argv[2]]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(kqk4_file), str(tmp_path / "exp")],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+    assert json.loads((tmp_path / "exp" / "report.json").read_text())["lambda_per_ply"]["count"] > 0

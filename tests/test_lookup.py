@@ -84,7 +84,10 @@ def test_cli_path_refuses_before_solving_any(kpk4_file, tmp_path, monkeypatch, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["path", "experiment", "experiment-sample-0", "experiment-sample-negative"])
+@pytest.mark.parametrize(
+    "command",
+    ["path", "path-drawn-start", "experiment", "experiment-sample-0", "experiment-sample-negative"],
+)
 def test_cli_malformed_input_exits_3_before_solving_any(kpk4_file, tmp_path, capsys, command):
     thresholds = tmp_path / "thresholds.json"
     thresholds.write_text('{"forced_mate_max_dtm": 0}')
@@ -92,6 +95,9 @@ def test_cli_malformed_input_exits_3_before_solving_any(kpk4_file, tmp_path, cap
     argv = {
         "path": ["path", "--tb", str(kpk4_file), "--fen", "4/1P1k/4/K3 w - - x",
                  "--out", str(tmp_path / "p.csv")],
+        # A drawn start of the table's own class is refused before any subclass is solved.
+        "path-drawn-start": ["path", "--tb", str(kpk4_file), "--fen", "4/4/Pk2/3K w - -",
+                             "--out", str(tmp_path / "p.csv")],
         "experiment": ["experiment", "--tb", str(kpk4_file), "--sample", "5", "--seed", "3",
                        "--thresholds", str(thresholds), "--out", str(tmp_path / "exp")],
         "experiment-sample-0": sample + ["0"],

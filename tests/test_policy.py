@@ -434,3 +434,16 @@ def test_making_a_policy_holds_no_index_long_mask(krk8_file):
     # checking them peaks at 0.1 MiB, where a mask over the index alone
     # held a byte per index (0.5 MiB).
     assert traced_peak(dataclasses.replace(loaded).policy) <= loaded.material.index_size // 2
+
+
+def test_choosing_a_block_holds_one_slot_of_candidates(krk8_file):
+    # On block 0 of KRvK 8x8 (2,922 rows), stacking every mover's
+    # candidate columns into one matrix each peaks at 3.16 MiB; one
+    # slot's columns at a time take about 2.4 MiB.
+    loaded = sg.Tablebase.load(krk8_file)
+    policy = loaded.policy()
+    side, lo, hi = tablebase._block_of(loaded.material, 0)
+    rows = np.flatnonzero(tablebase._decisive(loaded.wdl[lo:hi]) & (loaded.dtm[lo:hi] > 0)) + lo
+    assert rows.size == 2922
+    tablebase._choose(loaded, side, rows, policy)  # the move tables, cached once
+    assert traced_peak(lambda: tablebase._choose(loaded, side, rows, policy)) < 2.7 * 2**20
