@@ -37,7 +37,7 @@ from .runio import (
     manifest_entry,
     sidecar_manifest_path,
 )
-from .tablebase import MaterialClass, Tablebase, Wdl, index_of, material_key_of, solve
+from .tablebase import MaterialClass, Tablebase, Wdl, _closure, index_of, material_key_of, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -189,12 +189,18 @@ def _cmd_probe(args, argv) -> int:
 
 def _cmd_path(args, argv) -> int:
     check_out(args.out)
-    table = Tablebase.load(args.tb)
+    table = line_table = Tablebase.load(args.tb)
     pos = parse_fen(args.fen, table.material.spec)
-    if material_key_of(pos) == table.material.key and not table.probe(pos).is_decisive:
-        raise UnsupportedCaseError("cannot generate a playout from a drawn position")
-    table.solve_subclasses(progress=_stderr)
-    playout = generate_playout(pos, table, Mode(args.mode))
+    # A line stays in its start's closure; the lookup names a class outside the table's.
+    key = material_key_of(pos)
+    subclasses = {material.key: material for material in _closure(table.material)[:-1]}
+    if key in subclasses:
+        line_table = solve(subclasses[key], progress=_stderr)
+    elif key == table.material.key:
+        if not table.probe(pos).is_decisive:
+            raise UnsupportedCaseError("cannot generate a playout from a drawn position")
+        table.solve_subclasses(progress=_stderr)
+    playout = generate_playout(pos, line_table, Mode(args.mode))
     buffer = io.StringIO()
     write_playout_csv(playout, buffer)
     atomic_write_text(args.out, buffer.getvalue())

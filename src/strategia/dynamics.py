@@ -11,10 +11,10 @@ records; identical inputs give byte-identical reports.
 
 ``divergence`` compares two ``Playout``s. The experiment plays none:
 ``Policy.walk`` walks the lines of every base and decisive perturbation
-together, one batched choice per (class, side to move) group and ply,
-and each base's vectors are scattered from digit columns into int8 code
-rows (``encoding.code_rows``). One helper, ``_separations``, computes
-the d and Hamming series for both, in numpy over the common prefix.
+together, one batched choice per (class, side to move) group and ply.
+Their vectors, and the starts of draw-involved pairs, are scattered from
+digit columns into int8 code rows (``encoding.code_rows``), and one
+helper, ``_separations``, computes every d and Hamming series from them.
 
 All numbers reported here are observations about exactly solved small
 classes. They say nothing about boards or material beyond what was
@@ -41,11 +41,11 @@ from .board import (
     square_name,
     validate_position,
 )
-from .encoding import Mode, code_rows, encode, mark_double_pushes
+from .encoding import Mode, code_rows, mark_double_pushes
 from .errors import UnsupportedCaseError, ValidationError
 from .fen import format_fen
 from .playout import Playout
-from .tablebase import Tablebase, Wdl, WdlDtm, _decode_columns, index_of, position_at
+from .tablebase import Tablebase, Wdl, WdlDtm, _decode_columns, _encode_columns, position_at
 
 SCHEMA_VERSION = 1
 SCOPE_NOTE = (
@@ -205,13 +205,15 @@ def finite_time_lyapunov(record: DivergenceRecord) -> float:
     m = record.prefix_plies
     if m < 2:
         raise UnsupportedCaseError(f"common prefix too short ({m} plies, need >= 2)")
-    d0 = record.d_series[0]
-    if d0 == 0.0:
+    if record.d_series[0] == 0.0:
         raise UnsupportedCaseError("zero initial separation: identical starts")
-    dm = record.d_series[m]
-    if dm == 0.0:
-        return float("-inf")
-    return math.log(dm / d0) / m
+    return _exponent(record.d_series)
+
+
+def _exponent(d_series) -> float:
+    """(1/m) * ln(d(m)/d(0)) of a series with a nonzero d(0), m its last ply; -inf if d(m) = 0."""
+    m = len(d_series) - 1
+    return math.log(d_series[m] / d_series[0]) / m if d_series[m] != 0.0 else float("-inf")
 
 
 @dataclass(frozen=True)
@@ -378,22 +380,6 @@ class ExperimentReport:
             )
 
 
-def _draw_involved_record(
-    base: Position, perturbed: Position, base_value: WdlDtm, pert_value: WdlDtm, mode: Mode
-) -> DivergenceRecord:
-    d0, hamming0 = _separations(encode(base, mode).components, encode(perturbed, mode).components)
-    return DivergenceRecord(
-        base=base,
-        perturbed=perturbed,
-        base_value=base_value,
-        perturbed_value=pert_value,
-        outcome_class=OutcomeClass.DRAW_INVOLVED,
-        d_series=(d0.tolist(),),
-        hamming_series=(hamming0.tolist(),),
-        first_divergence_ply=None,
-    )
-
-
 @dataclass(frozen=True)
 class _Base:
     """A sampled base, its value, and (perturbation, index, value) of each perturbation in order.
@@ -412,12 +398,18 @@ class _Base:
 
 
 def _locate_base(tb: Tablebase, base_idx: int) -> _Base:
+    """The base at `base_idx`, and the index and value of each of its ``perturbations``.
+
+    One ``_encode_columns`` call indexes every perturbation: the base's
+    digit columns, each with its moved piece's square replaced.
+    """
     base = position_at(base_idx, tb.material)
-    perturbed = []
-    for perturbation in perturbations(base):
-        pert_idx = index_of(perturbation.perturbed, tb.material)
-        perturbed.append((perturbation, pert_idx, tb.value_at(pert_idx)))
-    return _Base(base_idx, base, tb.value_at(base_idx), tuple(perturbed))
+    moves = perturbations(base)
+    side, squares = _decode_columns(tb.material, base_idx)
+    digits = [np.int64([p.moved_to if p.moved_from == sq else sq for p in moves]) for sq in squares]
+    indices = _encode_columns(tb.material, side, digits).tolist()
+    perturbed = tuple((p, idx, tb.value_at(idx)) for p, idx in zip(moves, indices))
+    return _Base(base_idx, base, tb.value_at(base_idx), perturbed)
 
 
 def _line_vectors(policy, slots, indices, keys, mode: Mode) -> np.ndarray:
@@ -446,45 +438,43 @@ def _line_vectors(policy, slots, indices, keys, mode: Mode) -> np.ndarray:
 def _pairs_for_base(policy, base: _Base, slots, indices, keys, mode: Mode) -> list:
     """The pair records of one base from its walked lines (``_Base.line_starts`` order).
 
-    d, Hamming and the first divergence ply run over each pair's
-    common prefix of plies.
+    A decisive pair's d, Hamming and first divergence ply run over its
+    common prefix of plies. A draw-involved pair's d(0) and hamming(0)
+    compare the base's first code row with the code row of its index.
     """
     dtm = np.array([base.value.dtm] + [v.dtm for _, _, v in base.perturbed if v.is_decisive])
     plies = int(dtm.max())
     vectors = _line_vectors(policy, slots[: plies + 1], indices[: plies + 1], keys[:plies], mode)
     d_series, hamming_series = _separations(vectors[:, :1], vectors[:, 1:])
-    d_series, hamming_series = d_series.T.tolist(), hamming_series.T.tolist()
     prefix = np.minimum(dtm[0], dtm[1:])
     # Row n: whether the pair's moves at ply n differ inside its prefix. Row 0 never does.
     differ = np.zeros((plies + 1, prefix.size), dtype=bool)
     differ[1:] = keys[:plies, 1:] != keys[:plies, :1]
     differ &= np.arange(plies + 1)[:, None] <= prefix
     first_div = differ.argmax(axis=0).tolist()
+    lines = zip(d_series.T.tolist(), hamming_series.T.tolist(), prefix.tolist(), first_div)
+    side, squares = _decode_columns(
+        policy.material, np.int64([idx for _, idx, v in base.perturbed if not v.is_decisive])
+    )
+    cells = [piece.cell for piece in policy.material.pieces]
+    starts = code_rows(cells, squares, side, policy.material.spec.num_squares, mode)
+    drawn = zip(*(column.tolist() for column in _separations(vectors[0, 0], starts)))
     out = []
-    line = 0
-    for perturbation, pert_idx, pert_value in base.perturbed:
-        perturbed = perturbation.perturbed
-        if not pert_value.is_decisive:
-            record = _draw_involved_record(base.position, perturbed, base.value, pert_value, mode)
-        else:
-            m = int(prefix[line])
+    for p, pert_idx, pert_value in base.perturbed:
+        if pert_value.is_decisive:
+            d, hamming, m, first = next(lines)
+            d, hamming, first = d[: m + 1], hamming[: m + 1], first or None
             same = pert_value.wdl is base.value.wdl
-            record = DivergenceRecord(
-                base=base.position,
-                perturbed=perturbed,
-                base_value=base.value,
-                perturbed_value=pert_value,
-                outcome_class=OutcomeClass.SAME_WINNER if same else OutcomeClass.FLIP,
-                d_series=tuple(d_series[line][: m + 1]),
-                hamming_series=tuple(hamming_series[line][: m + 1]),
-                first_divergence_ply=first_div[line] or None,
-            )
-            if same and m >= 2:
-                record = replace(record, lambda_ft=finite_time_lyapunov(record))
-            line += 1
-        out.append(
-            PairRecord(base.index, pert_idx, perturbation.moved_from, perturbation.moved_to, record)
+            outcome = OutcomeClass.SAME_WINNER if same else OutcomeClass.FLIP
+        else:
+            (d0, hamming0), first, outcome = next(drawn), None, OutcomeClass.DRAW_INVOLVED
+            d, hamming = [d0], [hamming0]
+        lam = _exponent(d) if outcome is OutcomeClass.SAME_WINNER and len(d) > 2 else None
+        record = DivergenceRecord(
+            base.position, p.perturbed, base.value, pert_value, outcome,
+            tuple(d), tuple(hamming), first, lam,
         )
+        out.append(PairRecord(base.index, pert_idx, p.moved_from, p.moved_to, record))
     return out
 
 

@@ -1215,9 +1215,7 @@ class Policy:
         """The ``blocks`` entry of [lo, hi) in `slot`: ``_choose`` picks its decisive, non-terminal rows."""
         table = self.tables[slot]
         if not self.blocks:
-            # Freeing this lets the heap keep one block's temporaries, which
-            # each fill would page in afresh (see ``_solve_single``).
-            np.empty(max(map(_block_bytes, _closure(self.material))) // 2, dtype=np.uint8)
+            _reserve_heap(_closure(self.material))
         block = tuple(np.zeros(hi - lo, dtype=dtype) for dtype in (np.uint16, np.uint8, np.uint32))
         rows = np.flatnonzero(_decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0))
         if rows.size:
@@ -1469,6 +1467,18 @@ def _block_bytes(material: MaterialClass) -> int:
     return min(_BUILD_BLOCK, material.index_size // 2) * 48 * _max_move_bound(material)
 
 
+def _reserve_heap(materials) -> None:
+    """Free half of the largest ``_block_bytes`` of `materials` as mapped, untouched memory.
+
+    glibc gives the free top of its heap back to the kernel once more
+    than a threshold is free there, twice the largest mapped block it has
+    freed. Solver passes and policy fills free no temporary as long as an
+    index, so their block temporaries would be paged in afresh for every
+    block (a million page faults on KQvKR 7x7).
+    """
+    np.empty(max(map(_block_bytes, materials)) // 2, dtype=np.uint8)
+
+
 def solve(
     material: MaterialClass,
     *,
@@ -1596,14 +1606,7 @@ def _solve_single(material, registry, progress) -> Tablebase:
             for side, block in _side_blocks(material, rows):
                 yield side, block.astype(np.int32)
 
-    # glibc gives the free top of its heap back to the kernel once more
-    # than a threshold is free there, a threshold it sets to twice the
-    # largest mapped block it has freed. The passes free no temporary
-    # as long as the index, so their un-move temporaries would be paged
-    # in afresh for every block (a million page faults on KQvKR 7x7).
-    # Freeing half of ``_block_bytes`` of mapped, untouched memory here
-    # lets the heap keep one block's temporaries.
-    np.empty(_block_bytes(material) // 2, dtype=np.uint8)
+    _reserve_heap([material])
     one = np.uint8(1)  # np.subtract.at is 25x slower with a Python int
     passes = []
     depth = shown = 0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
@@ -400,3 +401,67 @@ class TestWalkedLines:
         broken.dtm[idx] += 2
         with pytest.raises(RuntimeError, match="dtm - 1"):
             sg.sample_experiment(broken, broken.decisive_indices().size, seed=1)
+
+
+@pytest.fixture(scope="module")
+def krrk4():
+    # Two rooks: a rook stepping past its twin changes the group's square order.
+    return sg.solve(sg.MaterialClass.from_string("KRRvK", sg.BoardSpec(4, 4)))
+
+
+class TestPairsThroughTheCodec:
+    """An experiment indexes perturbations through the codec and reads separations off code rows."""
+
+    def count_calls(self, monkeypatch, module, name, calls):
+        """Count calls of ``module.name`` through every ``strategia`` module that binds it."""
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "strategia" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+
+    def test_an_experiment_encodes_and_rebuilds_no_record_and_indexes_only_its_bases(
+        self, kqkr34, monkeypatch
+    ):
+        calls = {"encode": 0, "replace": 0, "index_of": 0}
+        self.count_calls(monkeypatch, sg.encoding, "encode", calls)
+        self.count_calls(monkeypatch, dynamics, "replace", calls)
+        self.count_calls(monkeypatch, tablebase, "index_of", calls)
+        report = sg.sample_experiment(kqkr34, 40, seed=1)
+        assert report.counts["draw_involved"] > 0 and report.counts["lambda_count"] > 0
+        # One index_of per base: is_atypical probes it.
+        assert calls == {"encode": 0, "replace": 0, "index_of": report.counts["bases"]}
+
+    @pytest.mark.parametrize("name", ["krrk4", "kpk6"])
+    def test_perturbed_indices_are_the_index_of_each_perturbation(self, request, name):
+        tb = request.getfixturevalue(name)
+        crossings = 0
+        for idx in tb.decisive_sample(random.Random(5), 60).tolist():
+            base = dynamics._locate_base(tb, idx)
+            assert [p for p, _, _ in base.perturbed] == sg.perturbations(base.position)
+            rooks = [sq for sq, piece in base.position.pieces() if piece.kind is sg.PieceKind.ROOK]
+            for p, pert_idx, value in base.perturbed:
+                assert pert_idx == sg.index_of(p.perturbed, tb.material), (name, idx, p)
+                assert value == tb.probe(p.perturbed)
+                if len(rooks) == 2 and p.moved_from in rooks:
+                    lo, hi = sorted((p.moved_from, p.moved_to))
+                    crossings += lo < sum(rooks) - p.moved_from < hi  # past its twin
+        assert (crossings > 0) == (name == "krrk4")
+
+    @pytest.mark.parametrize("mode", list(sg.Mode), ids=lambda m: m.value)
+    def test_draw_involved_pairs_compare_the_encoded_starts(self, kqkr34, mode):
+        report = sg.sample_experiment(kqkr34, 40, seed=1, mode=mode)
+        drawn = [
+            pair.record for pair in report.pairs
+            if pair.record.outcome_class is OutcomeClass.DRAW_INVOLVED
+        ]
+        assert drawn
+        for record in drawn:
+            a = sg.encode(record.base, mode).components
+            b = sg.encode(record.perturbed, mode).components
+            assert record.d_series == (math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))),)
+            assert record.hamming_series == (sum(x != y for x, y in zip(a, b)),)

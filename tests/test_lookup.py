@@ -1,5 +1,7 @@
 """One lookup path: probe reads one class, resolve never solves, loaded tables solve subclasses in the open."""
 
+import io
+import json
 import re
 
 import numpy as np
@@ -7,6 +9,8 @@ import pytest
 
 import strategia as sg
 from strategia.cli import main
+from strategia.playout import write_playout_csv
+from strategia.runio import sidecar_manifest_path
 
 SPEC4 = sg.BoardSpec(4, 4)
 PROMOTING_FEN = "4/1P1k/4/K3 w - -"  # b3-b4 promotes at once on 4x4
@@ -148,6 +152,60 @@ def test_cli_experiment_reports_the_policy_sweep_after_the_solves_and_path_runs_
         assert len(built) == 1, err
         assert re.fullmatch(r"policy KPvK: \d+ rows in \d+\.\d\d s", err[built[0]])
         assert not any(line.startswith("solving") for line in err[built[0]:])
+
+
+QUEEN_FEN = "4/4/4/k1QK b - -"  # KQvK: a subclass of KPvK 4x4, outside KRvK 4x4's closure
+
+
+@pytest.fixture(scope="module")
+def krk4_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("lookup") / "krk4.ctb"
+    sg.solve(sg.MaterialClass.from_string("KRvK", SPEC4)).save(path)
+    return path
+
+
+def run_path(table_file, fen, out, capsys):
+    """(exit code, stderr lines, its `solving` lines) of ``strategia path``."""
+    capsys.readouterr()
+    code = main(["path", "--tb", str(table_file), "--fen", fen, "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    return code, err, [line for line in err if line.startswith("solving")]
+
+
+class TestPathFromASubclassStart:
+    """A line never leaves its start's closure, so ``path`` solves only that closure."""
+
+    def test_a_drawn_start_solves_only_its_class(self, kpk4_file, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code, err, solving = run_path(kpk4_file, "4/4/1k2/3K w - -", out, capsys)  # KvK
+        assert code == 3
+        assert solving == ["solving KvK: 512 indices"]
+        assert err[-1] == (
+            "error: UnsupportedCaseError: cannot generate a playout from a drawn position"
+        )
+        assert not out.exists()
+
+    def test_a_class_outside_the_closure_is_refused_before_any_solve(
+        self, krk4_file, tmp_path, capsys
+    ):
+        out = tmp_path / "p.csv"
+        code, err, _ = run_path(krk4_file, QUEEN_FEN, out, capsys)
+        assert code == 3
+        assert err == ["error: MaterialMismatchError: no table loaded for KQvK on 4x4"]
+        assert not out.exists()
+
+    def test_a_decisive_start_plays_its_line_in_its_closure(
+        self, kpk4_file, kqk4, tmp_path, capsys
+    ):
+        out = tmp_path / "p.csv"
+        code, _, solving = run_path(kpk4_file, QUEEN_FEN, out, capsys)
+        assert code == 0
+        assert [line.split(":")[0] for line in solving] == ["solving KvK", "solving KQvK"]
+        want = io.StringIO()
+        write_playout_csv(sg.generate_playout(sg.parse_fen(QUEEN_FEN, SPEC4), kqk4), want)
+        assert out.read_text() == want.getvalue()
+        entry = json.loads(sidecar_manifest_path(out).read_text().splitlines()[-1])
+        assert entry["tablebase_checksum"] == f"crc32:{sg.Tablebase.load(kpk4_file).checksum:08x}"
 
 
 class TestProbeRefusals:
