@@ -29,7 +29,7 @@ import numpy as np
 from .board import BoardSpec, Color, Piece, PieceKind, Position
 from .dynamics import material_points
 from .errors import UnknownFeatureError, ValidationError
-from .tablebase import _BUILD_BLOCK, Tablebase, Wdl, _decode_columns, _move_tables
+from .tablebase import _BUILD_BLOCK, Tablebase, Wdl, _decode_columns, _move_tables, _wdl
 
 
 _MATERIAL_FEATURES = {
@@ -158,8 +158,8 @@ def _dataset(tb: Tablebase, names: Sequence[str], sample_size: Optional[int], se
         X[lo:lo + rows.size, :len(names)] = _feature_matrix(
             tb.material.spec, pieces, squares, side, names
         )
-    dtm = tb.dtm[decisive].astype(np.float64)
-    y = np.where(tb.wdl[decisive] == Wdl.WIN.value, dtm, -dtm)
+    code = tb.code[decisive]
+    y = np.where(_wdl(code) == Wdl.WIN.value, 1.0, -1.0) * code
     return X, y, decisive
 
 

@@ -7,25 +7,24 @@ by iterated generational passes: generation d is built only from
 generations below d, so the labeled set grows monotonically and the
 result is independent of pass scheduling.
 
-The passes run on a retrograde frontier, and the solve keeps only two
-per-index columns, no edge or move list: the value and the dtm. An
-open position's value byte is ``_OPEN`` | its count of moves not yet
-won (7 bits), and its dtm holds what its exits, the moves that leave
-the class, give it (``exit_at``): 1 + the least dtm of a lost exit,
-else 1 + the greatest dtm of a won exit, which is not counted. Pass d
-reads only the predecessors of the positions labeled at d - 1, the
-un-move candidates (``_unmoves``) that are still open: the open
-predecessors of a loss become wins, and those of a win count down
-their moves not yet won, becoming losses at max(d, exit_at) at 0.
+A table is one uint16 code per index (``_wdl`` reads its value): a
+decisive entry's dtm, a win exactly when odd, or the reserved
+``_DRAW`` or ``_ILLEGAL``. The passes run on a retrograde frontier in
+that one column, with no edge or move list. An open position's code is
+``_OPEN`` | its count of moves not yet won << 8 | what its exits, the
+moves that leave the class, give it (``exit_at``): 1 + the least dtm
+of a lost exit, else 1 + the greatest dtm of a won exit, which is not
+counted. Pass d reads only the predecessors of the positions labeled
+at d - 1, the un-move candidates (``_unmoves``) that are still open:
+the open predecessors of a loss become wins, and those of a win count
+down their moves not yet won, becoming losses at max(d, exit_at) at 0.
 Pass d also labels the open positions whose exit_at is d: won if d is
 odd, lost if d is even and nothing is left to count down. Each
-in-class edge is generated once over the whole solve, in int32. A
-pass scans the columns once, ``_CHUNK`` indices at a time, and takes
-each chunk's frontier from them: the rows at dtm d - 1 that are not
-open. ``_solve_bytes`` bounds the memory a solve holds: a constant per
-index, one chunk's temporaries, the widest block and the subclass
-tables. A table file is written and read, and its CRC taken, a chunk
-of records at a time (``Tablebase.save`` and ``load``).
+in-class edge is generated once over the whole solve, in int32. A pass
+scans the column ``_CHUNK`` indices at a time, its frontier the codes
+equal to d - 1; at the end every open code becomes ``_DRAW`` in place.
+``_solve_bytes`` bounds what a solve holds. A table file stores each
+code as a (wdl, dtm) record (``_records``), a block at a time.
 
 Captures and promotions leave the class, so a class is solved on top
 of the subclasses they reach, listed with it in solve order by
@@ -134,7 +133,8 @@ FORMAT_VERSION = 1
 DTM_ABSENT = 0xFFFF
 DEFAULT_BUDGET_MB = 2048
 BUDGET_ENV_VAR = "STRATEGIA_MEM_BUDGET_MB"
-# One CTB1 body record per index: the wdl code, then the dtm.
+# One CTB1 body record per index: the wdl code, then the dtm
+# (DTM_ABSENT for a draw or an illegal entry).
 _RECORD = np.dtype([("wdl", "u1"), ("dtm", "<u2")])
 
 _KIND_ORDER = {
@@ -172,9 +172,29 @@ class WdlDtm:
         return self.wdl is not Wdl.DRAW
 
 
-def _decisive(wdl: np.ndarray) -> np.ndarray:
-    """Mask of the wins and losses among the wdl codes `wdl`."""
-    return (wdl == Wdl.WIN.value) | (wdl == Wdl.LOSS.value)
+# The reserved codes lie above every dtm, so ``code < _DRAW`` is the
+# decisive mask. Only a solve writes a code with the ``_OPEN`` bit, a
+# position not labeled yet (``_solve_single``).
+_DRAW = 0x7FFE
+_ILLEGAL = 0x7FFF
+_OPEN = 0x8000
+
+
+def _wdl(codes):
+    """The ``Wdl`` value of each of `codes`, 0 for an illegal entry: a dtm is a win when odd.
+
+    LOSS (3), less 2 for an odd code and 1 for a reserved one, whose
+    ``_DRAW`` is even and ``_ILLEGAL`` odd.
+    """
+    return 3 - 2 * (codes & 1) - (codes >= _DRAW)
+
+
+def _records(codes: np.ndarray) -> np.ndarray:
+    """The CTB1 records of `codes`: each one's wdl and dtm, DTM_ABSENT for a draw or an illegal entry."""
+    records = np.empty(codes.size, dtype=_RECORD)
+    records["wdl"] = _wdl(codes)
+    records["dtm"] = np.where(codes < _DRAW, codes, DTM_ABSENT)
+    return records
 
 
 def _canonical_sort_key(piece: Piece):
@@ -376,11 +396,10 @@ class SolveStats:
 
 @dataclass(eq=False)
 class Tablebase:
-    """Solved win/draw/loss and distance-to-mate arrays for one class; equality is identity."""
+    """The solved code of every index of one class (``_wdl`` reads it); equality is identity."""
 
     material: MaterialClass
-    wdl: np.ndarray
-    dtm: np.ndarray
+    code: np.ndarray
     subtables: dict = field(default_factory=dict)
     stats: Optional[SolveStats] = None
     # Memos of values computed from the fields; replace() starts them afresh.
@@ -398,12 +417,10 @@ class Tablebase:
 
     def value_at(self, idx: int) -> WdlDtm:
         """The value stored at index `idx`; an illegal entry raises ValidationError."""
-        raw = int(self.wdl[idx])
-        if raw == 0:
+        code = int(self.code[idx])
+        if code == _ILLEGAL:
             raise ValidationError("position decodes to an illegal table entry")
-        wdl = Wdl(raw)
-        dtm = None if wdl is Wdl.DRAW else int(self.dtm[idx])
-        return WdlDtm(wdl, dtm)
+        return WdlDtm(Wdl(_wdl(code)), None if code == _DRAW else code)
 
     def locate(self, pos: Position) -> tuple:
         """(table, index) of a position of this class or of a subtable's; never solves.
@@ -449,7 +466,7 @@ class Tablebase:
         return self._policy
 
     def decisive_indices(self) -> np.ndarray:
-        return np.flatnonzero(_decisive(self.wdl))
+        return np.flatnonzero(self.code < _DRAW)
 
     def decisive_sample(self, rng: random.Random, k: int) -> np.ndarray:
         """`k` decisive indices drawn by `rng`, in index order; all of them if `k` is not less than their count.
@@ -461,8 +478,8 @@ class Tablebase:
         drawn ones found, one ``_build_blocks`` block at a time, so no
         temporary is as long as the index.
         """
-        blocks = _build_blocks(self.material, 0, self.wdl.size)
-        counts = np.array([np.count_nonzero(_decisive(self.wdl[lo:hi])) for _, lo, hi in blocks])
+        blocks = _build_blocks(self.material, 0, self.code.size)
+        counts = np.array([np.count_nonzero(self.code[lo:hi] < _DRAW) for _, lo, hi in blocks])
         total = int(counts.sum())
         if k >= total:
             return self.decisive_indices()
@@ -472,7 +489,7 @@ class Tablebase:
         parts, first = [], 0
         for (_, lo, hi), start, cut in zip(blocks, before.tolist(), cuts.tolist()):
             if cut > first:
-                parts.append(np.flatnonzero(_decisive(self.wdl[lo:hi]))[positions[first:cut] - start] + lo)
+                parts.append(np.flatnonzero(self.code[lo:hi] < _DRAW)[positions[first:cut] - start] + lo)
                 first = cut
         return np.concatenate(parts)
 
@@ -480,14 +497,13 @@ class Tablebase:
         """Entries per wdl code and the greatest decisive dtm, counted one ``_build_blocks`` block at a time."""
         tally = np.zeros(4, dtype=np.int64)
         max_dtm = 0
-        for _, lo, hi in _build_blocks(self.material, 0, self.wdl.size):
-            wdl = self.wdl[lo:hi]
-            tally += np.bincount(wdl, minlength=4)
-            dtm = self.dtm[lo:hi][_decisive(wdl)]
-            max_dtm = max(max_dtm, int(dtm.max(initial=0)))
+        for _, lo, hi in _build_blocks(self.material, 0, self.code.size):
+            code = self.code[lo:hi]
+            tally += np.bincount(_wdl(code), minlength=4)
+            max_dtm = max(max_dtm, int(code.max(initial=0, where=code < _DRAW)))
         invalid, win, draw, loss = tally.tolist()
         return {
-            "entries": int(self.wdl.size),
+            "entries": int(self.code.size),
             "invalid": invalid,
             "win": win,
             "draw": draw,
@@ -496,12 +512,9 @@ class Tablebase:
         }
 
     def _body_chunks(self):
-        """The body's ``_RECORD`` bytes, one ``_build_blocks`` block at a time."""
-        for _, lo, hi in _build_blocks(self.material, 0, self.wdl.size):
-            rec = np.empty(hi - lo, dtype=_RECORD)
-            rec["wdl"] = self.wdl[lo:hi]
-            rec["dtm"] = self.dtm[lo:hi]
-            yield rec.tobytes()
+        """The body's ``_records`` bytes, one ``_build_blocks`` block at a time."""
+        for _, lo, hi in _build_blocks(self.material, 0, self.code.size):
+            yield _records(self.code[lo:hi]).tobytes()
 
     @property
     def checksum(self) -> int:
@@ -530,7 +543,7 @@ class Tablebase:
         header += struct.pack("<BBBB", FORMAT_VERSION, mc.spec.width, mc.spec.height, mc.num_pieces)
         for piece in mc.pieces:
             header += struct.pack("<BB", piece.kind.value, piece.color.value)
-        header += struct.pack("<Q", self.wdl.size)
+        header += struct.pack("<Q", self.code.size)
         yield bytes(header)
         crc = 0
         for chunk in self._body_chunks():
@@ -552,9 +565,13 @@ class Tablebase:
         """The table in the file at `path`, read as ``save`` writes it; a malformed file raises TablebaseFormatError.
 
         The size is checked against the header before any allocation.
-        The body goes through one reused buffer of ``_CHUNK`` records
-        into the wdl and dtm columns, so a load holds it once, plus one
-        chunk; the code range is reported only once the CRC has matched.
+        The body is read through one reused block of records, each
+        packed into the code column, so a load holds the codes and one
+        block. Only once the CRC has matched are out-of-range wdl codes
+        reported, then the first record that no code holds, one whose
+        wdl is not its code's (a win at an even dtm, a loss at an odd
+        one, a decisive dtm at a reserved code or above) or a draw or
+        illegal entry whose dtm is not DTM_ABSENT.
         """
         with open(path, "rb") as handle:
             head = handle.read(8)
@@ -587,17 +604,22 @@ class Tablebase:
             body_len = entries * _RECORD.itemsize
             if os.fstat(handle.fileno()).st_size != len(head) + len(fields) + body_len + 4:
                 raise TablebaseFormatError("truncated or oversized file body")
-            wdl = np.empty(entries, dtype=np.uint8)
-            dtm = np.empty(entries, dtype=np.uint16)
-            buffer = np.empty(min(_CHUNK, entries), dtype=_RECORD)
+            code = np.empty(entries, dtype=np.uint16)
+            buffer = np.empty(min(_BUILD_BLOCK, entries), dtype=_RECORD)
             crc = top = 0
-            for lo in range(0, entries, _CHUNK):
-                chunk = buffer[:min(_CHUNK, entries - lo)]
-                handle.readinto(chunk)  # a short read leaves the trailer short
-                crc = zlib.crc32(chunk, crc)
-                wdl[lo:lo + chunk.size] = chunk["wdl"]
-                dtm[lo:lo + chunk.size] = chunk["dtm"]
-                top = max(top, int(chunk["wdl"].max()))
+            bad = None
+            for lo in range(0, entries, _BUILD_BLOCK):
+                block = buffer[:min(_BUILD_BLOCK, entries - lo)]
+                handle.readinto(block)  # a short read leaves the trailer short
+                crc = zlib.crc32(block, crc)
+                wdl, dtm, part = block["wdl"], block["dtm"], code[lo:lo + block.size]
+                np.copyto(part, dtm)
+                np.copyto(part, _DRAW, where=wdl == Wdl.DRAW.value)
+                np.copyto(part, _ILLEGAL, where=wdl == 0)
+                top = max(top, int(wdl.max()))
+                wrong = np.flatnonzero((_wdl(part) != wdl) | ((part >= _DRAW) & (dtm != DTM_ABSENT)))
+                if bad is None and wrong.size:
+                    bad = lo + int(wrong[0]), *block[wrong[0]].tolist()
             trailer = handle.read(4)
         if len(trailer) != 4:
             raise TablebaseFormatError("truncated or oversized file body")
@@ -608,7 +630,9 @@ class Tablebase:
             )
         if top > Wdl.LOSS.value:
             raise TablebaseFormatError("body contains out-of-range wdl codes")
-        table = cls(material, wdl, dtm)
+        if bad is not None:
+            raise TablebaseFormatError("index {}: no table value has wdl code {} and dtm {}".format(*bad))
+        table = cls(material, code)
         table._checksum = crc
         return table
 
@@ -1065,7 +1089,7 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     extra = len(material.spec.promotion_kinds) - 1
     counts = np.zeros(idx.size, dtype=np.int64)
     won = np.zeros(idx.size, dtype=np.int64)
-    exit_win = np.full(idx.size, DTM_ABSENT, dtype=np.int64)
+    exit_win = np.full(idx.size, _DRAW, dtype=np.int64)
     exit_floor = np.zeros(idx.size, dtype=np.int64)
     horizon = 0
     for slot, targets, exits in _successors(material, side, digits, occ):
@@ -1074,11 +1098,11 @@ def _build_side(material, registry, side, lo, hi, max_moves):
             counts += extra * np.bitwise_count(targets & promotions)
         # Out-of-class successors are fixed values: one gather per exit.
         for sub, rows, _, _, sub_idx in exits:
-            table = registry[sub.key]
-            wdl = table.wdl[sub_idx]
+            code = registry[sub.key].code[sub_idx]
+            wdl = _wdl(code)
             if (wdl == 0).any():
                 raise ValidationError(f"a successor decodes to an illegal entry of {sub.name}")
-            after = table.dtm[sub_idx].astype(np.int64) + 1
+            after = code.astype(np.int64) + 1
             lost, hit = wdl == Wdl.LOSS.value, wdl == Wdl.WIN.value
             np.minimum.at(exit_win, rows[lost], after[lost])
             np.maximum.at(exit_floor, rows[hit], after[hit])
@@ -1092,7 +1116,7 @@ def _build_side(material, registry, side, lo, hi, max_moves):
     stuck = counts == 0
     mated = _in_check(material, side, [d[stuck] for d in digits], occ[stuck])
     live = ~stuck
-    exit_at = np.where(exit_win < DTM_ABSENT, exit_win, exit_floor)
+    exit_at = np.where(exit_win < _DRAW, exit_win, exit_floor)
     return (
         invalid, idx[stuck][mated], idx[stuck][~mated], idx[live], (counts - won)[live],
         exit_at[live], horizon,
@@ -1150,7 +1174,7 @@ def _successor_values(material, side, idx, policy):
     The indices must be legal positions of `material`. Yields per mover
     slot its dense (rows, candidates) arrays: the legal mask, the move
     key ``(from * S + to) * 8 + promotion kind``, the successor's class
-    slot (``policy.slots``) and index, and its wdl and dtm. Only the
+    slot (``policy.slots``) and index, and its wdl and code. Only the
     classes that the moves reach are asked of ``policy.table``, which
     raises MaterialMismatchError for one with no table.
     """
@@ -1173,15 +1197,13 @@ def _successor_values(material, side, idx, policy):
         to_slot = np.full(succ.shape, policy.slots[material.key], dtype=np.uint8)
         # Values of illegal candidates are read from index 0 and never used.
         in_class = np.where(legal, succ, 0)
-        wdl, dtm = own.wdl[in_class], own.dtm[in_class]
+        code = own.code[in_class]
         for sub, rows, to, promo_kind, sub_idx in exits:
             cols = np.argmax((dest[rows] == to[:, None]) & (col_kind == promo_kind), axis=1)
-            table = policy.table(sub.key)
             to_slot[rows, cols] = policy.slots[sub.key]
             succ[rows, cols] = sub_idx
-            wdl[rows, cols] = table.wdl[sub_idx]
-            dtm[rows, cols] = table.dtm[sub_idx]
-        yield legal, key, to_slot, succ, wdl, dtm
+            code[rows, cols] = policy.table(sub.key).code[sub_idx]
+        yield legal, key, to_slot, succ, _wdl(code), code
 
 
 class Policy:
@@ -1217,7 +1239,8 @@ class Policy:
         if not self.blocks:
             _reserve_heap(_closure(self.material))
         block = tuple(np.zeros(hi - lo, dtype=dtype) for dtype in (np.uint16, np.uint8, np.uint32))
-        rows = np.flatnonzero(_decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0))
+        code = table.code[lo:hi]
+        rows = np.flatnonzero((code < _DRAW) & (code > 0))
         if rows.size:
             for array, chosen in zip(block, _choose(table, side, rows + lo, self)):
                 array[rows] = chosen
@@ -1262,9 +1285,10 @@ class Policy:
         for s in np.flatnonzero(np.bincount(slot)).tolist():
             lines = np.flatnonzero(slot == s)
             table = self.tables[s]
-            _refuse(table.material, idx[lines], _decisive(table.wdl[idx[lines]]),
+            code = table.code[idx[lines]]
+            _refuse(table.material, idx[lines], code < _DRAW,
                     ValidationError, "a line starts on an entry that is not decisive")
-            dtm[lines] = table.dtm[idx[lines]]
+            dtm[lines] = code
         plies = int(dtm.max(initial=0))
         slots = np.empty((plies + 1, idx.size), dtype=np.uint8)
         indices = np.empty((plies + 1, idx.size), dtype=np.int64)
@@ -1320,45 +1344,40 @@ def _choose(table, side, idx, policy) -> tuple:
     raises TableValueError.
     """
     material = table.material
-    wins = (table.wdl[idx] == Wdl.WIN.value)[:, None]
+    own = table.code[idx]
+    wins = (_wdl(own) == Wdl.WIN.value)[:, None]
     illegal = unwon = np.zeros(idx.size, dtype=bool)
     rows, picks = np.arange(idx.size), ()
-    for legal, key, to_slot, to_idx, wdl, dtm in _successor_values(material, side, idx, policy):
+    for legal, key, to_slot, to_idx, wdl, code in _successor_values(material, side, idx, policy):
         illegal = illegal | (legal & (wdl == 0)).any(axis=1)
         unwon = unwon | (legal & ~wins & (wdl != Wdl.WIN.value)).any(axis=1)
-        score = np.where(wins, dtm, DTM_ABSENT - dtm).astype(np.int64) << 16 | key
+        score = np.where(wins, code, ~code).astype(np.int64) << 16 | key  # a loss takes the greatest dtm
         score[~legal | (wins & (wdl != Wdl.LOSS.value))] = _NO_MOVE
         col = score.argmin(axis=1)
-        found = tuple(a[rows, col] for a in (score, key, to_slot, to_idx, dtm))
+        found = tuple(a[rows, col] for a in (score, key, to_slot, to_idx, code))
         better = found[0] < (picks[0] if picks else _NO_MOVE)
         picks = tuple(np.where(better, *pair) for pair in zip(found, picks or found))
-    score, key, to_slot, to_idx, dtm = picks
+    score, key, to_slot, to_idx, code = picks
     _refuse(material, idx, ~illegal, ValidationError, "a successor decodes to an illegal table entry")
     _refuse(material, idx, ~unwon, TableValueError, "a loss position has a successor that does not win")
     _refuse(material, idx, score != _NO_MOVE, TableValueError, "a decisive position has no move to choose")
-    _refuse(material, idx, dtm.astype(np.int64) == table.dtm[idx].astype(np.int64) - 1,
-            TableValueError, "the chosen successor's dtm is not dtm - 1")
+    _refuse(material, idx, code == own - 1, TableValueError, "the chosen successor's dtm is not dtm - 1")
     return key, to_slot, to_idx
 
 
 def _check_mates(table) -> None:
     """Raise TableValueError naming the first decisive dtm-0 entry of `table` that is not checkmate.
 
-    A line ends on such an entry without asking the rules. A win at dtm
-    0 is never valid; a (LOSS, 0) entry must be a legal position
-    (ValidationError otherwise) whose side to move is in check and has
-    no move. The entries are found, and the wins refused, one
-    ``_build_blocks`` block at a time; the mates are then checked in
-    ``_side_blocks`` batches, since one move generation per block of
-    the index would cost more than the scan.
+    A line ends on such an entry, code 0, without asking the rules. It
+    must be a legal position (ValidationError otherwise) whose side to
+    move is in check and has no move. The entries are found one
+    ``_build_blocks`` block at a time, then checked in ``_side_blocks``
+    batches, since one move generation per block would cost more.
     """
     material = table.material
     ends = []
     for _, lo, hi in _build_blocks(material, 0, material.index_size):
-        idx = np.flatnonzero((table.dtm[lo:hi] == 0) & _decisive(table.wdl[lo:hi])) + lo
-        _refuse(material, idx, table.wdl[idx] == Wdl.LOSS.value,
-                TableValueError, "a (WIN, 0) entry is not checkmate")
-        ends.append(idx)
+        ends.append(np.flatnonzero(table.code[lo:hi] == 0) + lo)
     for side, idx in _side_blocks(material, np.concatenate(ends)):
         ok, digits, occ = _legal_rows(material, side, idx)
         _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
@@ -1402,26 +1421,19 @@ def _build_blocks(material: MaterialClass, lo: int, hi: int) -> list:
     return blocks
 
 
-# The bytes a solve holds per index: the wdl and dtm (3). While the
-# solve runs, an open row's wdl byte holds ``_OPEN`` | its count of
-# moves not yet won, which takes 7 bits (at most 91 moves on boards up
-# to 8x8, ``_max_move_bound``), and its dtm its ``exit_at``, at no
-# extra byte.
-_INDEX_BYTES = 3
+# The bytes a solve holds per index: its code (2). An open row's count
+# of moves not yet won takes 7 bits of it (at most 91 moves on boards
+# up to 8x8, ``_max_move_bound``) and its ``exit_at`` 8.
+_INDEX_BYTES = 2
 
-# The passes and the final relabel scan the columns this many indices
-# at a time. A chunk's temporaries are two boolean masks and its
-# frontier as ``np.flatnonzero`` gives it (int64): ``_CHUNK_BYTES`` per
+# The passes and the final relabel scan the column this many indices
+# at a time. A chunk's temporaries are one reused boolean mask, then
+# its static labels' masked codes (uint16) or its frontier as
+# ``np.flatnonzero`` gives it (int64): within ``_CHUNK_BYTES`` per
 # index. The frontier is cast to int32 one ``_side_blocks`` block at a
 # time, within ``_block_bytes``.
 _CHUNK = 1 << 18
 _CHUNK_BYTES = 10
-
-# The top bit of the wdl byte of a legal position not labeled yet; the
-# low 7 bits hold its count of moves not yet won. Only a solve writes
-# it, and no ``Wdl`` code has it: every open entry left when the
-# passes end is a draw.
-_OPEN = 0x80
 
 
 def _resolve_budget() -> int:
@@ -1445,15 +1457,14 @@ def _solve_bytes(material: MaterialClass) -> int:
     most indices of its closure. A pass holds one chunk's temporaries,
     ``_CHUNK_BYTES`` per index of a ``_CHUNK``, and a build, un-move or
     policy block of any class of the closure at most ``_block_bytes``.
-    Every subclass table stays loaded, at 3 bytes per index. Saving the
-    table adds only one block of records (``Tablebase.save``).
+    Every subclass table stays loaded, at ``_INDEX_BYTES`` per index too.
+    Saving the table adds only one block of records (``Tablebase.save``).
     """
     closure = _closure(material)
-    tables = sum(sub.index_size for sub in closure[:-1])
-    n = material.index_size
+    indices = sum(mc.index_size for mc in closure)
     return (
-        _INDEX_BYTES * n + _CHUNK_BYTES * min(_CHUNK, n)
-        + max(map(_block_bytes, closure)) + 3 * tables
+        _INDEX_BYTES * indices + _CHUNK_BYTES * min(_CHUNK, material.index_size)
+        + max(map(_block_bytes, closure))
     )
 
 
@@ -1501,17 +1512,18 @@ def _solve_missing(closure, tables: dict, progress) -> dict:
     The budget is read once, and every class to solve is checked
     against it before any is solved, the last class of `closure` first;
     a class whose ``_max_move_bound`` does not fit an open row's 7-bit
-    count raises RuntimeError at the same check. A solved table's
-    ``subtables`` are the tables solved before it.
+    count raises RuntimeError at the same check, and one whose exits
+    reach a dtm that its 8-bit ``exit_at`` would not hold, before it is
+    solved. A solved table's ``subtables`` are the tables solved before.
     """
     missing = [material for material in closure if material.key not in tables]
     budget = _resolve_budget()
     for material in reversed(missing):
         max_moves = _max_move_bound(material)
-        if max_moves >= _OPEN:
+        if max_moves > 0x7F:
             raise RuntimeError(
                 f"{material.name}: a position may have {max_moves} moves, "
-                f"more than the {_OPEN - 1} an open row's count holds"
+                "more than the 127 an open row's count holds"
             )
         estimate = _solve_bytes(material)
         if estimate > budget:
@@ -1520,6 +1532,9 @@ def _solve_missing(closure, tables: dict, progress) -> dict:
                 f"budget is {budget >> 20} MiB"
             )
     for material in missing:
+        top = max((tables[sub.key].counts()["max_dtm"] for sub in _successor_classes(material)), default=0)
+        if top >= 0xFF:
+            raise RuntimeError(f"{material.name}: a capture or promotion reaches dtm {top}, more than exit_at holds")
         table = _solve_single(material, tables, progress)
         table.subtables = dict(tables)
         tables[material.key] = table
@@ -1533,12 +1548,9 @@ def _solve_single(material, registry, progress) -> Tablebase:
         progress(f"solving {material.name}: {n} indices")
     start = time.perf_counter()
 
-    # Per index: the value (0 for an illegal position, and ``_OPEN`` |
-    # its count of moves not yet won for a live one), with an open
-    # position's dtm holding the ``exit_at`` that ``_build_side`` folds
-    # from its exits.
-    wdl = np.zeros(n, dtype=np.uint8)
-    dtm = np.full(n, DTM_ABSENT, dtype=np.uint16)
+    # An illegal position's code stays ``_ILLEGAL``, and a live one's
+    # holds its count and the ``exit_at`` that ``_build_side`` folds.
+    code = np.full(n, _ILLEGAL, dtype=np.uint16)
     invalid = n_mated = n_stalemated = n_open = 0
     # A static value of dtm t labels at pass t + 1, even across
     # otherwise quiet passes, so termination waits for the horizon of
@@ -1552,9 +1564,9 @@ def _solve_single(material, registry, progress) -> Tablebase:
         n_mated += mated.size
         n_stalemated += stalemated.size
         n_open += live.size
-        wdl[mated], dtm[mated] = Wdl.LOSS.value, 0
-        wdl[stalemated] = Wdl.DRAW.value
-        wdl[live], dtm[live] = _OPEN | moves, exit_at
+        code[mated] = 0
+        code[stalemated] = _DRAW
+        code[live] = _OPEN | moves << 8 | exit_at
         static_trigger = max(static_trigger, horizon)
     build_s = time.perf_counter() - start
 
@@ -1562,71 +1574,58 @@ def _solve_single(material, registry, progress) -> Tablebase:
     # even dtm and a win an odd one, so those are all losses when d is
     # odd and all wins when d is even. The open predecessors of a loss
     # win; each predecessor of a win counts down its moves not yet won
-    # in its wdl byte, and one that reaches 0 (a byte of ``_OPEN``) is
-    # lost at max(d, exit_at): it cannot win in the meantime, having no
-    # successor that is not won. Predecessors are the un-move candidates
-    # (``_unmoves``, of int32 frontier blocks) still open, one per edge.
-    # Up to the horizon, pass d also labels the open rows whose exit_at
-    # is d: all of them when d is odd, and those with nothing left to
-    # count down when d is even.
+    # in its code, and one that reaches 0 (a code of ``_OPEN`` |
+    # exit_at) is lost at max(d, exit_at): it cannot win in the
+    # meantime, having no successor that is not won. Predecessors are
+    # the un-move candidates (``_unmoves``, of int32 frontier blocks)
+    # still open (no reserved code is), one per edge. Up to the horizon,
+    # pass d also labels the open rows whose exit_at is d: all of them
+    # when d is odd, those with nothing left to count down when d is
+    # even; the count is masked off only when d is odd.
     #
-    # Pass d scans the columns once, ``_CHUNK`` indices at a time. In
+    # Pass d scans the column once, ``_CHUNK`` indices at a time. In
     # each chunk it first makes those static labels, then takes the
-    # frontier, the rows at dtm d - 1 that are not open (an open row's
-    # dtm is its exit_at), and un-moves it. Both orders give the labels
-    # of pass d: a static label and an un-move label of one row agree,
-    # and a row whose count reaches 0 later in the pass is lost at d all
-    # the same. An exit_at is at most the horizon, so once d - 1 is past
-    # it no open row is at dtm d - 1, and the frontier is the rows at
-    # dtm d - 1 alone. The frontier's size is the count of pass d - 1,
-    # so whether to stop after pass d - 1 is known only once pass d has
-    # run; that pass then labels nothing, as no row is open or its
-    # frontier is empty past the horizon.
-    #
-    # One chunk's two masks, allocated once and reused by every chunk.
-    masks = np.empty((2, min(_CHUNK, n)), dtype=bool)
+    # frontier, the rows whose code is d - 1, and un-moves it. Both
+    # orders give the labels of pass d: a static label and an un-move
+    # label of one row agree, and a row whose count reaches 0 later in
+    # the pass is lost at d all the same. The frontier's size is the
+    # count of pass d - 1, so whether to stop after pass d - 1 is known
+    # only once pass d has run; that pass then labels nothing, as no
+    # row is open or its frontier is empty past the horizon.
+    mask = np.empty(min(_CHUNK, n), dtype=bool)
 
     def frontier(depth):
         """(side, block) of each chunk's rows labeled at pass depth - 1, after the chunk's static labels of pass `depth`."""
         for lo in range(0, n, _CHUNK):
-            chunk_wdl, chunk_dtm = wdl[lo:lo + _CHUNK], dtm[lo:lo + _CHUNK]
-            at, live = masks[:, :chunk_wdl.size]
+            chunk = code[lo:lo + _CHUNK]
+            at = mask[:chunk.size]
             if depth <= static_trigger:
-                np.equal(chunk_dtm, depth, out=at)
-                if depth % 2:
-                    at &= np.greater_equal(chunk_wdl, _OPEN, out=live)
-                else:
-                    at &= np.equal(chunk_wdl, _OPEN, out=live)
-                np.copyto(chunk_wdl, (Wdl.WIN if depth % 2 else Wdl.LOSS).value, where=at)
-            np.equal(chunk_dtm, depth - 1, out=at)
-            if depth - 1 <= static_trigger:
-                at &= np.less(chunk_wdl, _OPEN, out=live)
-            rows = np.flatnonzero(at)
+                np.equal(chunk & (0x80FF if depth % 2 else 0xFFFF), _OPEN | depth, out=at)
+                np.copyto(chunk, depth, where=at)
+            rows = np.flatnonzero(np.equal(chunk, depth - 1, out=at))
             rows += lo
             for side, block in _side_blocks(material, rows):
                 yield side, block.astype(np.int32)
 
     _reserve_heap([material])
-    one = np.uint8(1)  # np.subtract.at is 25x slower with a Python int
+    one = np.uint16(0x100)  # one move of a count; np.subtract.at is 25x slower with a Python int
     passes = []
     depth = shown = 0
     while n_open:
         depth += 1
-        if depth > n + static_trigger + 3:
-            raise RuntimeError("fixpoint failed to terminate")  # pragma: no cover
+        if depth >= _DRAW:
+            raise RuntimeError(f"{material.name}: a dtm of {depth} does not fit below the reserved codes")  # pragma: no cover
         winning = depth % 2 == 1
         labeled = 0
         for side, block in frontier(depth):
             labeled += block.size
             pred = _unmoves(material, side, block)
-            pred = pred[wdl[pred] >= _OPEN]
-            if winning:
-                wdl[pred], dtm[pred] = Wdl.WIN.value, depth
-            else:
-                np.subtract.at(wdl, pred, one)
-                pred = pred[wdl[pred] == _OPEN]
-                pred = pred[dtm[pred] <= depth]
-                wdl[pred], dtm[pred] = Wdl.LOSS.value, depth
+            pred = pred[code[pred] >= _OPEN]
+            if not winning:
+                np.subtract.at(code, pred, one)
+                # Nothing left to count down, and an exit_at of at most d.
+                pred = pred[code[pred] <= _OPEN | min(depth, 0xFF)]
+            code[pred] = depth
         if depth == 1:
             continue  # the frontier of pass 1 is the mates
         # ``labeled`` counts pass depth - 1, a pass of wins when depth is even.
@@ -1641,11 +1640,10 @@ def _solve_single(material, registry, progress) -> Tablebase:
         elif depth - 1 >= static_trigger:
             break
 
+    # Every open code left is a draw; the column is then the table.
     for lo in range(0, n, _CHUNK):
-        chunk_wdl, chunk_dtm = wdl[lo:lo + _CHUNK], dtm[lo:lo + _CHUNK]
-        drawn = np.greater_equal(chunk_wdl, _OPEN, out=masks[0, :chunk_wdl.size])
-        np.copyto(chunk_wdl, Wdl.DRAW.value, where=drawn)
-        np.copyto(chunk_dtm, DTM_ABSENT, where=drawn)
+        chunk = code[lo:lo + _CHUNK]
+        np.copyto(chunk, _DRAW, where=np.greater_equal(chunk, _OPEN, out=mask[:chunk.size]))
     legal = n - invalid
     # Every decisive row but a mate has the dtm of the pass that labeled it.
     max_dtm = max((d for d, counts in enumerate(passes, 1) if any(counts)), default=0)
@@ -1663,4 +1661,4 @@ def _solve_single(material, registry, progress) -> Tablebase:
             f"  {material.name}: {legal} legal, max dtm {max_dtm}, {len(passes)} passes, "
             f"build {build_s:.2f} s, fixpoint {fixpoint_s:.2f} s"
         )
-    return Tablebase(material, wdl, dtm, stats=stats)
+    return Tablebase(material, code, stats=stats)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import strategia as sg
+from strategia.tablebase import _records
 
 PIECE_POOL = (
     sg.PieceKind.PAWN,
@@ -115,8 +116,14 @@ def _plant_castle_setup(rng, placement):
     return True
 
 
+def wdl_dtm(tb):
+    """(wdl, dtm) of every index of a table, as its file records them: dtm 0xFFFF for a draw or an illegal entry."""
+    records = _records(tb.code)
+    return records["wdl"], records["dtm"]
+
+
 def random_class_position(rng: random.Random, tb) -> sg.Position:
     """A uniformly drawn legal position of a solved table's class."""
-    legal = (tb.wdl != 0).nonzero()[0]
+    legal = (wdl_dtm(tb)[0] != 0).nonzero()[0]
     idx = int(legal[rng.randrange(len(legal))])
     return sg.position_at(idx, tb.material)

@@ -23,7 +23,7 @@ from strategia.evalprobe import build_dtm_dataset, fit_evaluator, mae
 from test_encoding import case_tag, expected_delta_squares
 from test_perft import PERFT_SUITE
 from test_tablebase import oracle_values_by_index
-from positions import random_position
+from positions import random_position, wdl_dtm
 
 STANDARD = sg.BoardSpec.standard()
 
@@ -40,12 +40,13 @@ class TestAcceptance:
         solve_seconds = time.monotonic() - started
         assert solve_seconds < 60.0, f"solve took {solve_seconds:.1f}s, bound is 60s"
         expected = oracle_values_by_index(material)
-        legal = set(np.flatnonzero(table.wdl != 0).tolist())
+        table_wdl, table_dtm = wdl_dtm(table)
+        legal = set(np.flatnonzero(table_wdl != 0).tolist())
         assert legal == set(expected)
         names = {1: "win", 2: "draw", 3: "loss"}
         for idx, (wdl_name, dtm) in expected.items():
-            got_wdl = names[int(table.wdl[idx])]
-            got_dtm = None if got_wdl == "draw" else int(table.dtm[idx])
+            got_wdl = names[int(table_wdl[idx])]
+            got_dtm = None if got_wdl == "draw" else int(table_dtm[idx])
             assert (got_wdl, got_dtm) == (wdl_name, dtm), f"index {idx}"
         _report(1, f"4x4 KQvK solve matches minimax oracle on all "
                    f"{len(expected)} legal positions, WDL and DTM exact "
@@ -92,14 +93,15 @@ class TestAcceptance:
 
     def test_criterion_5_trichotomy(self, krk8, kqk8):
         for table in (krk8, kqk8):
-            legal = table.wdl != 0
-            assert np.isin(table.wdl[legal], (1, 2, 3)).all()
-            decisive = (table.wdl == 1) | (table.wdl == 3)
-            assert (table.dtm[decisive] != 0xFFFF).all()
-            assert (table.dtm[table.wdl == 2] == 0xFFFF).all()
+            wdl, dtm = wdl_dtm(table)
+            legal = wdl != 0
+            assert np.isin(wdl[legal], (1, 2, 3)).all()
+            decisive = (wdl == 1) | (wdl == 3)
+            assert (dtm[decisive] != 0xFFFF).all()
+            assert (dtm[wdl == 2] == 0xFFFF).all()
         _report(5, f"every legal position is exactly one of win/draw/loss "
-                   f"(KRvK: {int((krk8.wdl != 0).sum())} legal, "
-                   f"KQvK: {int((kqk8.wdl != 0).sum())} legal)")
+                   f"(KRvK: {int((wdl_dtm(krk8)[0] != 0).sum())} legal, "
+                   f"KQvK: {int((wdl_dtm(kqk8)[0] != 0).sum())} legal)")
 
     def test_criterion_6_experiment_determinism(self, krk8_file, tmp_path):
         durations = []
@@ -169,18 +171,18 @@ class TestAcceptance:
             path = tmp_path / f"{table.material.name.lower()}.ctb"
             table.save(path)
             again = sg.Tablebase.load(path)
-            assert np.array_equal(table.wdl, again.wdl)
-            assert np.array_equal(table.dtm, again.dtm)
+            assert np.array_equal(table.code, again.code)
             header, records = oracles.read_ctb(path)
             assert header["entries"] == table.material.index_size
             assert header["pieces"] == [
                 (p.kind.value, p.color.value) for p in table.material.pieces
             ]
             sample = random.Random(1008).sample(range(header["entries"]), 50_000)
+            table_wdl, table_dtm = wdl_dtm(table)
             for idx in sample:
                 wdl, dtm = records[idx]
-                assert wdl == int(table.wdl[idx])
-                assert dtm == int(table.dtm[idx])
+                assert wdl == int(table_wdl[idx])
+                assert dtm == int(table_dtm[idx])
             checked.append(table.material.name)
         _report(8, f"save/load is entrywise equal and the independent "
                    f"byte-level reader verifies the format for {checked}")

@@ -29,6 +29,7 @@ from strategia.tablebase import (
     _BUILD_BLOCK,
     _OPEN,
     DTM_ABSENT,
+    _wdl,
     _build_blocks,
     _build_side,
     _side_blocks,
@@ -134,7 +135,7 @@ def build_range(material, registry, lo, hi):
     placeholder table and never used.
     """
     n = material.index_size
-    placeholder = sg.Tablebase(material, np.zeros(n, np.uint8), np.zeros(n, np.uint16))
+    placeholder = sg.Tablebase(material, np.zeros(n, np.uint16))
     tables = {material.key: placeholder, **registry}
     slots = {key: slot for slot, key in enumerate(tables)}
     parts = []
@@ -145,9 +146,9 @@ def build_range(material, registry, lo, hi):
         per_slot = _successor_values(
             material, side, idx, SimpleNamespace(table=tables.__getitem__, slots=slots)
         )
-        legal, _, to_slot, to_idx, wdl, dtm = (np.hstack(columns) for columns in zip(*per_slot))
+        legal, _, to_slot, to_idx, wdl, code = (np.hstack(columns) for columns in zip(*per_slot))
         wdl = wdl.astype(np.int64)
-        dtm = np.where(wdl == sg.Wdl.DRAW.value, DTM_ABSENT, dtm.astype(np.int64))
+        dtm = np.where(wdl == sg.Wdl.DRAW.value, DTM_ABSENT, code.astype(np.int64))
         values = np.where(to_slot == slots[material.key], to_idx, _static_code(wdl, dtm))
         counts = np.count_nonzero(legal, axis=1)
         stuck = counts == 0
@@ -283,7 +284,7 @@ def test_int32_unmoves_match_int64_at_the_top_of_the_largest_index():
 
 
 def assert_solved_marks(table, tmp_path):
-    """`table` and each subtable: wdl 0 exactly where `_legal_rows` is false, no open entry, and a lossless file in `tmp_path`.
+    """`table` and each subtable: wdl 0 exactly where `_legal_rows` is false, no open code, and a lossless file in `tmp_path`.
 
     A file records no promotion kinds, so a class of other kinds refuses to make one.
     """
@@ -291,8 +292,8 @@ def assert_solved_marks(table, tmp_path):
         material = solved.material
         for side, lo, hi in _build_blocks(material, 0, material.index_size):
             ok, _, _ = _legal_rows(material, side, np.arange(lo, hi, dtype=np.int64))
-            assert np.array_equal(solved.wdl[lo:hi] == 0, ~ok), (material.name, lo)
-        assert not (solved.wdl >= _OPEN).any(), material.name
+            assert np.array_equal(_wdl(solved.code[lo:hi]) == 0, ~ok), (material.name, lo)
+        assert not (solved.code >= _OPEN).any(), material.name
         path = tmp_path / f"{material.name}.ctb"
         if material.spec.promotion_kinds != sg.BoardSpec().promotion_kinds:
             with pytest.raises(sg.ValidationError, match="promotion kinds"):
@@ -300,8 +301,7 @@ def assert_solved_marks(table, tmp_path):
             continue
         solved.save(path)
         loaded = sg.Tablebase.load(path)
-        assert np.array_equal(loaded.wdl, solved.wdl), material.name
-        assert np.array_equal(loaded.dtm, solved.dtm), material.name
+        assert np.array_equal(loaded.code, solved.code), material.name
 
 
 def test_solve_marks_every_entry_final_on_exhaustive_classes(exhaustive, tmp_path):

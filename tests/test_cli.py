@@ -10,6 +10,7 @@ import strategia as sg
 from strategia.cli import main
 from strategia.dynamics import DEFAULT_THRESHOLDS
 from strategia.evalprobe import DEFAULT_FEATURE_CHAIN
+from test_tablebase import BAD_RECORDS, rewrite_records
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +129,7 @@ class TestProbePathPerturb:
 
     def test_path_on_drawn_position_exits_3(self, kqk4_file, tmp_path):
         tb = sg.Tablebase.load(kqk4_file)
-        draws = (tb.wdl == sg.Wdl.DRAW.value).nonzero()[0]
+        draws = (sg.tablebase._wdl(tb.code) == sg.Wdl.DRAW.value).nonzero()[0]
         drawn = sg.format_fen(sg.position_at(int(draws[0]), tb.material))
         out = tmp_path / "nope.csv"
         code = main(["path", "--tb", str(kqk4_file), "--fen", drawn, "--out", str(out)])
@@ -244,8 +245,8 @@ class TestTamperedTable:
         tb = sg.Tablebase.load(kqk4_file)
         files = {}
         for name, (idx, dtm, _) in self.CASES.items():
-            broken = dataclasses.replace(tb, dtm=tb.dtm.copy())
-            broken.dtm[idx] = dtm
+            broken = dataclasses.replace(tb, code=tb.code.copy())
+            broken.code[idx] = dtm  # a decisive code is its dtm
             files[name] = tmp_path_factory.mktemp("tampered") / f"{name}.ctb"
             broken.save(files[name])
         return tb, files
@@ -347,6 +348,15 @@ class TestMiscCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "material=KQvK" in out and "checksum=crc32:" in out
+
+    @pytest.mark.parametrize("wdl, dtm", BAD_RECORDS.values(), ids=BAD_RECORDS)
+    def test_info_on_a_record_no_code_holds_exits_3(self, kqk4_file, tmp_path, capsys, wdl, dtm):
+        path = tmp_path / "bad.ctb"
+        path.write_bytes(kqk4_file.read_bytes())
+        rewrite_records(path, 8192, [(4131, wdl, dtm)])
+        assert main(["info", "--tb", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: TablebaseFormatError: index 4131: no table value has wdl code {wdl} and dtm {dtm}" in err
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -207,7 +207,7 @@ class TestAtypicality:
 
     def test_forced_mate_triggers_at_low_dtm(self, krk5):
         indices = krk5.decisive_indices().tolist()
-        idx = next(i for i in indices if int(krk5.dtm[i]) == 2)
+        idx = next(i for i in indices if int(krk5.code[i]) == 2)
         pos = sg.position_at(idx, krk5.material)
         result = sg.is_atypical(pos, krk5)
         assert "forced-mate" in result.reasons
@@ -223,7 +223,7 @@ class TestAtypicality:
 
     def test_custom_thresholds_change_the_verdict(self, krk5):
         indices = krk5.decisive_indices().tolist()
-        idx = max(indices, key=lambda i: int(krk5.dtm[i]))
+        idx = max(indices, key=lambda i: int(krk5.code[i]))
         pos = sg.position_at(idx, krk5.material)
         strict = sg.AtypicalityThresholds(1, 1, 50)
         result = sg.is_atypical(pos, krk5, strict)
@@ -396,9 +396,9 @@ class TestWalkedLines:
             broken.policy()
 
     def test_a_dtm_broken_by_two_raises(self, kqk4):
-        broken = dataclasses.replace(kqk4, dtm=kqk4.dtm.copy())
-        idx = next(i for i in kqk4.decisive_indices().tolist() if kqk4.wdl[i] == sg.Wdl.WIN.value)
-        broken.dtm[idx] += 2
+        broken = dataclasses.replace(kqk4, code=kqk4.code.copy())
+        idx = next(i for i in kqk4.decisive_indices().tolist() if tablebase._wdl(kqk4.code[i]) == sg.Wdl.WIN.value)
+        broken.code[idx] += 2
         with pytest.raises(RuntimeError, match="dtm - 1"):
             sg.sample_experiment(broken, broken.decisive_indices().size, seed=1)
 

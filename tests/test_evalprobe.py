@@ -135,8 +135,8 @@ class TestDatasetAndError:
     def test_targets_are_signed_dtm(self, kqk4):
         X, y, indices = build_dtm_dataset(kqk4)
         for row, idx in enumerate(indices[:200]):
-            wdl = int(kqk4.wdl[idx])
-            dtm = int(kqk4.dtm[idx])
+            wdl = int(sg.tablebase._wdl(kqk4.code[idx]))
+            dtm = int(kqk4.code[idx])
             expected = float(dtm) if wdl == sg.Wdl.WIN.value else -float(dtm)
             assert y[row] == expected
 

@@ -5,7 +5,8 @@ values of every successor of every open row and labels a row won if
 some successor was lost at the previous depth, lost if all successors
 are won and the deepest was won at the previous depth. The solver must
 give the same tables and the same SolveStats, per-pass counts included,
-on every table of each closure.
+on every table of each closure. A table's values are compared as its
+file records them, a wdl and a dtm column (``_records``).
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import strategia as sg
 from strategia import tablebase
-from strategia.tablebase import DTM_ABSENT, SolveStats, _max_move_bound
+from strategia.tablebase import DTM_ABSENT, SolveStats, _max_move_bound, _records
 from test_build import build_range
 
 ROOK_KNIGHT = frozenset({sg.PieceKind.ROOK, sg.PieceKind.KNIGHT})
@@ -89,6 +90,14 @@ def reference_solve(material, registry):
         max_dtm=int(dtm[decisive].max()) if decisive.any() else 0,
     )
     return wdl.copy(), dtm.copy(), stats
+
+
+@pytest.fixture(autouse=True)
+def file_columns(monkeypatch):
+    """Every table reads here as the wdl and dtm columns of its file, through ``_records``."""
+    for name in ("wdl", "dtm"):
+        column = property(lambda table, name=name: _records(table.code)[name])
+        monkeypatch.setattr(sg.Tablebase, name, column, raising=False)
 
 
 @pytest.fixture(scope="module", params=CLOSURES, ids=lambda c: f"{c[0]}-{c[1].width}x{c[1].height}-{len(c[1].promotion_kinds)}promo")

@@ -45,8 +45,7 @@ def test_solve_subclasses_matches_the_solved_closure(kpk4, kpk4_file):
     loaded.solve_subclasses(progress=solved.append)
     assert set(loaded.subtables) == set(kpk4.subtables)
     for key, table in kpk4.subtables.items():
-        assert np.array_equal(loaded.subtables[key].wdl, table.wdl)
-        assert np.array_equal(loaded.subtables[key].dtm, table.dtm)
+        assert np.array_equal(loaded.subtables[key].code, table.code)
     names = {table.material.name for table in kpk4.subtables.values()}
     assert {line.split()[1].rstrip(":") for line in solved if line.startswith("solving")} == names
 

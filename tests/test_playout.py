@@ -4,6 +4,7 @@ import random
 import pytest
 
 import strategia as sg
+from strategia import tablebase
 
 
 def sample_decisive(tb, rng, count):
@@ -14,7 +15,7 @@ def sample_decisive(tb, rng, count):
 class TestPolicyStep:
     def test_mate_in_one_delivers_mate(self, kqk4):
         rng = random.Random(2)
-        ones = [i for i in kqk4.decisive_indices().tolist() if kqk4.dtm[i] == 1]
+        ones = [i for i in kqk4.decisive_indices().tolist() if kqk4.code[i] == 1]
         for idx in rng.sample(ones, 25):
             pos = sg.position_at(idx, kqk4.material)
             move, succ = sg.policy_step(pos, kqk4)
@@ -43,7 +44,7 @@ class TestPolicyStep:
             assert krk5.resolve(succ).dtm == value.dtm - 1
 
     def test_drawn_position_is_unsupported(self, krk5):
-        draws = (krk5.wdl == sg.Wdl.DRAW.value).nonzero()[0]
+        draws = (tablebase._wdl(krk5.code) == sg.Wdl.DRAW.value).nonzero()[0]
         pos = sg.position_at(int(draws[0]), krk5.material)
         with pytest.raises(sg.UnsupportedCaseError, match="drawn"):
             sg.policy_step(pos, krk5)
@@ -120,7 +121,7 @@ class TestGeneratePlayout:
         assert playout.winner is sg.Color.WHITE
 
     def test_drawn_start_is_unsupported(self, kqk4):
-        draws = (kqk4.wdl == sg.Wdl.DRAW.value).nonzero()[0]
+        draws = (tablebase._wdl(kqk4.code) == sg.Wdl.DRAW.value).nonzero()[0]
         pos = sg.position_at(int(draws[5]), kqk4.material)
         with pytest.raises(sg.UnsupportedCaseError):
             sg.generate_playout(pos, kqk4)
@@ -134,10 +135,10 @@ class TestGeneratePlayout:
 
     def test_playout_crosses_promotion_boundary(self, kpk4):
         indices = kpk4.decisive_indices().tolist()
-        deep = max(indices, key=lambda i: int(kpk4.dtm[i]) if kpk4.wdl[i] == 1 else -1)
+        deep = max(indices, key=lambda i: int(kpk4.code[i]) if tablebase._wdl(kpk4.code[i]) == 1 else -1)
         pos = sg.position_at(deep, kpk4.material)
         playout = sg.generate_playout(pos, kpk4)
-        assert playout.plies == int(kpk4.dtm[deep])
+        assert playout.plies == int(kpk4.code[deep])
         assert playout.terminal is sg.Outcome.CHECKMATE
         materials = {sg.material_key_of(s.position) for s in playout.steps}
         assert len(materials) > 1, "expected the line to promote into another class"

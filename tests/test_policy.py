@@ -16,6 +16,7 @@ import pytest
 
 import strategia as sg
 from strategia import tablebase
+from positions import wdl_dtm
 from test_tablebase import traced_peak
 
 SPEC4 = sg.BoardSpec(4, 4)
@@ -64,13 +65,19 @@ def closure(request):
 def decisive_positions(table):
     """(index, position) of every decisive, non-terminal index of `table`."""
     for idx in table.decisive_indices().tolist():
-        if table.dtm[idx] > 0:
+        if table.code[idx] > 0:
             yield idx, sg.position_at(idx, table.material)
+
+
+def decisive_nonterminal(code):
+    """Mask of the decisive, non-terminal entries among the codes `code`: a win or a loss at a dtm above 0."""
+    wdl = tablebase._wdl(code)
+    return ((wdl == sg.Wdl.WIN.value) | (wdl == sg.Wdl.LOSS.value)) & (code > 0)
 
 
 def chosen_rows(table):
     """The decisive, non-terminal indices of `table`: the rows the policy chooses."""
-    return np.flatnonzero(tablebase._decisive(table.wdl) & (table.dtm > 0))
+    return np.flatnonzero(decisive_nonterminal(table.code))
 
 
 def fill_every_block(policy):
@@ -80,7 +87,7 @@ def fill_every_block(policy):
             continue
         for _, lo, hi in tablebase._build_blocks(table.material, 0, table.material.index_size):
             # Found block by block, so the fill holds no index-long temporary.
-            rows = np.flatnonzero(tablebase._decisive(table.wdl[lo:hi]) & (table.dtm[lo:hi] > 0))
+            rows = np.flatnonzero(decisive_nonterminal(table.code[lo:hi]))
             if rows.size:
                 policy.choice(slot, lo + int(rows[0]))
     return policy
@@ -152,21 +159,21 @@ def test_an_illegal_successor_entry_raises_instead_of_being_skipped(kqk4, wdl):
     # An in-class successor the policy would not choose: for a win, one
     # that is not a loss at dtm - 1; for a loss, one below the maximal dtm.
     for idx in kqk4.decisive_indices().tolist():
-        if kqk4.wdl[idx] != wdl.value or kqk4.dtm[idx] == 0:
+        if tablebase._wdl(kqk4.code[idx]) != wdl.value or kqk4.code[idx] == 0:
             continue
         pos = sg.position_at(idx, kqk4.material)
         _, chosen = sg.policy_step(pos, kqk4)
         for _, succ in sg.legal_transitions(pos):
             in_class = sg.material_key_of(succ) == kqk4.material.key
-            if in_class and succ != chosen and kqk4.resolve(succ).dtm != kqk4.dtm[idx] - 1:
+            if in_class and succ != chosen and kqk4.resolve(succ).dtm != kqk4.code[idx] - 1:
                 break
         else:
             continue
         break
     else:
         pytest.fail(f"no {wdl.name} position with a successor the policy skips")
-    broken = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy())
-    broken.wdl[sg.index_of(succ, kqk4.material)] = 0
+    broken = dataclasses.replace(kqk4, code=kqk4.code.copy())
+    broken.code[sg.index_of(succ, kqk4.material)] = tablebase._ILLEGAL
     with pytest.raises(sg.ValidationError, match="illegal table entry"):
         sg.policy_step(pos, broken)
 
@@ -174,7 +181,7 @@ def test_an_illegal_successor_entry_raises_instead_of_being_skipped(kqk4, wdl):
 def test_a_table_loaded_without_its_subclasses_plays_out(krk8_file):
     # Decisive KRvK rows never reach KvK, so the policy builds without it.
     loaded = sg.Tablebase.load(krk8_file)
-    idx = int(np.flatnonzero(loaded.dtm == loaded.counts()["max_dtm"])[0])
+    idx = int(np.flatnonzero(wdl_dtm(loaded)[1] == loaded.counts()["max_dtm"])[0])
     playout = sg.generate_playout(sg.position_at(idx, loaded.material), loaded)
     assert playout.plies == loaded.counts()["max_dtm"]
     assert playout.terminal is sg.Outcome.CHECKMATE
@@ -212,7 +219,7 @@ def test_playouts_and_policy_steps_share_one_build(kpk4, monkeypatch):
 def test_one_line_fills_only_the_blocks_it_touches(krk8_file):
     loaded = sg.Tablebase.load(krk8_file)
     material = loaded.material
-    starts = [int(i) for i in np.flatnonzero(loaded.dtm == loaded.counts()["max_dtm"])]
+    starts = [int(i) for i in np.flatnonzero(wdl_dtm(loaded)[1] == loaded.counts()["max_dtm"])]
     policy = loaded.policy()
     slot = policy.slots[material.key]
     first = sg.generate_playout(sg.position_at(starts[0], material), loaded)
@@ -241,7 +248,7 @@ def test_one_line_holds_only_its_blocks(krk8_file):
     # as the index of a class it enters.
     loaded = sg.Tablebase.load(krk8_file)
     material = loaded.material
-    start = sg.position_at(int(np.flatnonzero(loaded.dtm == loaded.counts()["max_dtm"])[0]), material)
+    start = sg.position_at(int(np.flatnonzero(wdl_dtm(loaded)[1] == loaded.counts()["max_dtm"])[0]), material)
     line = []
     peak = traced_peak(lambda: line.append(sg.generate_playout(start, loaded)))
     played = [start] + [step.position for step in line[0].steps[:-1]]
@@ -327,9 +334,9 @@ def test_small_blocks_choose_the_same_moves(kqkr34, monkeypatch):
 
 
 def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
-    broken = dataclasses.replace(kqk4, dtm=kqk4.dtm.copy())
-    idx = next(i for i in kqk4.decisive_indices().tolist() if kqk4.wdl[i] == sg.Wdl.WIN.value)
-    broken.dtm[idx] += 2
+    broken = dataclasses.replace(kqk4, code=kqk4.code.copy())
+    idx = next(i for i in kqk4.decisive_indices().tolist() if tablebase._wdl(kqk4.code[i]) == sg.Wdl.WIN.value)
+    broken.code[idx] += 2
     pos = sg.position_at(idx, kqk4.material)
     policy = broken.policy()
     slot = policy.slots[kqk4.material.key]
@@ -342,7 +349,7 @@ def test_a_broken_dtm_recurrence_raises_and_memoizes_nothing(kqk4):
     with pytest.raises(RuntimeError, match="dtm - 1"):
         policy.walk([slot], [idx])
     assert policy.blocks == {}
-    broken.dtm[idx] -= 2
+    broken.code[idx] -= 2
     assert sg.policy_step(pos, broken) == sg.policy_step(pos, kqk4)
 
 
@@ -353,17 +360,18 @@ def false_mates(table):
         pos = sg.position_at(idx, table.material)
         if pos is None:
             continue
-        if table.wdl[idx] == sg.Wdl.DRAW.value and not sg.legal_transitions(pos):
+        wdl = tablebase._wdl(table.code[idx])
+        if wdl == sg.Wdl.DRAW.value and not sg.legal_transitions(pos):
             found.setdefault("stalemate", idx)
-        elif table.wdl[idx] == sg.Wdl.LOSS.value and table.dtm[idx] > 0:
+        elif wdl == sg.Wdl.LOSS.value and table.code[idx] > 0:
             found.setdefault("has-a-move", idx)
     return sorted(found.items())
 
 
 def plant_false_mate(table, idx):
     """A copy of `table` whose entry `idx` is (LOSS, 0)."""
-    broken = dataclasses.replace(table, wdl=table.wdl.copy(), dtm=table.dtm.copy())
-    broken.wdl[idx], broken.dtm[idx] = sg.Wdl.LOSS.value, 0
+    broken = dataclasses.replace(table, code=table.code.copy())
+    broken.code[idx] = 0  # a loss, as 0 is even
     return broken
 
 
@@ -401,19 +409,11 @@ def test_a_false_mate_no_line_reaches_still_raises(kpk4):
         return sub.material.key in {sg.material_key_of(step.position) for step in line.steps}
 
     starts = kpk4.decisive_indices().tolist()
-    start = next(i for i in starts if kpk4.dtm[i] > 0 and not reaches_kqk(i))
+    start = next(i for i in starts if kpk4.code[i] > 0 and not reaches_kqk(i))
     with pytest.raises(RuntimeError, match=not_checkmate("KQvK", idx)):
         table.policy()
     with pytest.raises(RuntimeError, match=not_checkmate("KQvK", idx)):
         sg.generate_playout(sg.position_at(start, kpk4.material), table)
-
-
-def test_a_win_at_dtm_0_raises(kqk4):
-    idx = next(i for i in kqk4.decisive_indices().tolist() if kqk4.wdl[i] == sg.Wdl.WIN.value)
-    broken = dataclasses.replace(kqk4, dtm=kqk4.dtm.copy())
-    broken.dtm[idx] = 0
-    with pytest.raises(RuntimeError, match=f"KQvK index {idx}: a \\(WIN, 0\\) entry"):
-        broken.policy()
 
 
 @pytest.mark.parametrize("name", ["krk8", "kpk6"])
@@ -443,7 +443,7 @@ def test_choosing_a_block_holds_one_slot_of_candidates(krk8_file):
     loaded = sg.Tablebase.load(krk8_file)
     policy = loaded.policy()
     side, lo, hi = tablebase._block_of(loaded.material, 0)
-    rows = np.flatnonzero(tablebase._decisive(loaded.wdl[lo:hi]) & (loaded.dtm[lo:hi] > 0)) + lo
+    rows = np.flatnonzero(decisive_nonterminal(loaded.code[lo:hi])) + lo
     assert rows.size == 2922
     tablebase._choose(loaded, side, rows, policy)  # the move tables, cached once
     assert traced_peak(lambda: tablebase._choose(loaded, side, rows, policy)) < 2.7 * 2**20

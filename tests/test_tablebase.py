@@ -14,11 +14,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 import strategia as sg
 import oracles
 from strategia import tablebase
+from positions import wdl_dtm
 from strategia.tablebase import (
+    _BUILD_BLOCK,
     _CHUNK,
     _CHUNK_BYTES,
     _INDEX_BYTES,
-    _OPEN,
     _block_bytes,
     _closure,
     _max_move_bound,
@@ -66,14 +67,40 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+# (wdl code, dtm) records that no table value has: a win at an even dtm,
+# a loss at an odd one, a draw or an illegal entry with a dtm other than
+# DTM_ABSENT, and a decisive dtm at a reserved code or at DTM_ABSENT.
+BAD_RECORDS = {
+    "win-at-0": (1, 0),
+    "win-at-8": (1, 8),
+    "loss-at-7": (3, 7),
+    "draw-at-3": (2, 3),
+    "illegal-at-0": (0, 0),
+    "win-at-7fff": (1, 0x7FFF),
+    "loss-at-7ffe": (3, 0x7FFE),
+    "win-at-ffff": (1, 0xFFFF),
+}
+
+
+def rewrite_records(path, entries, writes):
+    """Write each (index, wdl code, dtm) of `writes` over its record in the table file at `path`, under a fresh CRC."""
+    blob = bytearray(path.read_bytes())
+    body = len(blob) - 3 * entries - 4
+    for idx, wdl, dtm in writes:
+        struct.pack_into("<BH", blob, body + 3 * idx, wdl, dtm)
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[body:-4]))
+    path.write_bytes(bytes(blob))
+
+
 def assert_table_matches_oracle(tb):
     expected = oracle_values_by_index(tb.material)
-    legal = set(np.flatnonzero(tb.wdl != 0).tolist())
+    table_wdl, table_dtm = wdl_dtm(tb)
+    legal = set(np.flatnonzero(table_wdl != 0).tolist())
     assert legal == set(expected), "legal position sets differ"
     names = {1: "win", 2: "draw", 3: "loss"}
     for idx, (wdl_name, dtm) in expected.items():
-        got_wdl = names[int(tb.wdl[idx])]
-        got_dtm = None if got_wdl == "draw" else int(tb.dtm[idx])
+        got_wdl = names[int(table_wdl[idx])]
+        got_dtm = None if got_wdl == "draw" else int(table_dtm[idx])
         assert (got_wdl, got_dtm) == (wdl_name, dtm), f"index {idx}"
 
 
@@ -86,8 +113,9 @@ class TestSolveAgainstOracle:
 
     def test_kvk_4x4_all_draws(self):
         tb = sg.solve(sg.MaterialClass.from_string("KvK", sg.BoardSpec(4, 4)))
-        legal = tb.wdl != 0
-        assert (tb.wdl[legal] == sg.Wdl.DRAW.value).all()
+        wdl, _ = wdl_dtm(tb)
+        legal = wdl != 0
+        assert (wdl[legal] == sg.Wdl.DRAW.value).all()
 
     def test_krrk_3x3_exact_with_duplicate_pieces(self):
         # Two identical rooks: exercises duplicate-square canonicalization in
@@ -165,12 +193,13 @@ class TestSolveProperties:
 
     def test_trichotomy_no_undecided_entries(self, kqk4, kpk4, krk5):
         for tb in (kqk4, kpk4, krk5):
-            legal = tb.wdl != 0
-            assert np.isin(tb.wdl[legal], (1, 2, 3)).all()
-            decisive = (tb.wdl == 1) | (tb.wdl == 3)
-            assert (tb.dtm[decisive] != 0xFFFF).all()
-            draws = tb.wdl == 2
-            assert (tb.dtm[draws] == 0xFFFF).all()
+            wdl, dtm = wdl_dtm(tb)
+            legal = wdl != 0
+            assert np.isin(wdl[legal], (1, 2, 3)).all()
+            decisive = (wdl == 1) | (wdl == 3)
+            assert (dtm[decisive] != 0xFFFF).all()
+            draws = wdl == 2
+            assert (dtm[draws] == 0xFFFF).all()
 
     def test_passes_grow_monotonically(self, kqk4):
         labeled = 0
@@ -239,10 +268,10 @@ class TestSolveProperties:
         assert estimate > budget
 
     def test_the_widest_class_counts_its_moves_in_seven_bits(self):
-        # An open row's wdl byte holds its count of moves not yet won
-        # under the top bit. Three queens and a king on 8x8 have the
-        # most moves of any class: 3 * 27 + 10.
-        assert _max_move_bound(sg.MaterialClass.from_string("KQQQvK", STANDARD)) == 91 < _OPEN
+        # An open row's code holds its count of moves not yet won in 7
+        # bits under the top bit. Three queens and a king on 8x8 have
+        # the most moves of any class: 3 * 27 + 10.
+        assert _max_move_bound(sg.MaterialClass.from_string("KQQQvK", STANDARD)) == 91 < 0x80
 
     def test_a_move_bound_over_seven_bits_is_refused_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(tablebase, "_max_move_bound", lambda material: 128)
@@ -250,6 +279,24 @@ class TestSolveProperties:
         with pytest.raises(RuntimeError, match="KQvK: a position may have 128 moves"):
             sg.solve(sg.MaterialClass.from_string("KQvK", sg.BoardSpec(4, 4)), progress=messages.append)
         assert messages == []
+
+    @pytest.mark.parametrize("top", [254, 255])
+    def test_a_subtable_dtm_over_eight_bits_of_exit_at_is_refused_before_the_solve(self, top):
+        # An open row's exit_at, 1 + the dtm a capture reaches, takes 8
+        # bits. KQvK 4x4 captures into KvK, here a synthetic table whose
+        # every entry is a loss at dtm `top`: 254 solves, with wins at
+        # 255 by a capture, and 255 is refused before KQvK is solved.
+        material = sg.MaterialClass.from_string("KQvK", sg.BoardSpec(4, 4))
+        kvk = sg.MaterialClass.from_string("KvK", material.spec)
+        synthetic = sg.Tablebase(kvk, np.full(kvk.index_size, top, dtype=np.uint16))
+        messages = []
+        if top == 255:
+            with pytest.raises(RuntimeError, match="KQvK: a capture or promotion reaches dtm 255"):
+                tablebase._solve_missing(_closure(material), {kvk.key: synthetic}, messages.append)
+            assert messages == []
+        else:
+            tables = tablebase._solve_missing(_closure(material), {kvk.key: synthetic}, messages.append)
+            assert tables[material.key].counts()["max_dtm"] >= 255
 
     @pytest.mark.parametrize("text, size", [("KRvK", 8), ("KQvK", 8), ("KPvK", 6), ("KQvKR", 6)],
                              ids=["KRvK", "KQvK", "KPvK-6x6", "KQvKR-6x6"])
@@ -291,16 +338,16 @@ class TestSolveProperties:
         for text, size in [("KRvK", 8), ("KPvK", 6), ("KQvKR", 6), ("KQvKR", 8)]:
             material = sg.MaterialClass.from_string(text, sg.BoardSpec(size, size))
             closure = _closure(material)
-            rest = max(map(_block_bytes, closure)) + 3 * sum(sub.index_size for sub in closure[:-1])
+            rest = max(map(_block_bytes, closure)) + 2 * sum(sub.index_size for sub in closure[:-1])
             rest += _CHUNK_BYTES * min(_CHUNK, material.index_size)
             term, extra = divmod(_solve_bytes(material) - rest, material.index_size)
             assert extra == 0, text
             per_index.add(term)
-        assert per_index == {_INDEX_BYTES} == {3}
+        assert per_index == {_INDEX_BYTES} == {2}
         assert _solve_bytes(sg.MaterialClass.from_string("KQvKR", STANDARD)) < 1 << 30
 
     def test_kqkr5_solves_under_an_18_mib_budget(self, monkeypatch):
-        # 18 MiB is above the 9.8 MiB bound of 3 bytes per index and one
+        # 18 MiB is above the 9.0 MiB bound of 2 bytes per index and one
         # chunk, and below the 20 MiB that 19 bytes per index would need.
         material = sg.MaterialClass.from_string("KQvKR", sg.BoardSpec(5, 5))
         monkeypatch.delenv("STRATEGIA_MEM_BUDGET_MB", raising=False)
@@ -309,8 +356,7 @@ class TestSolveProperties:
         budgeted = sg.solve(material)
         assert budgeted.checksum == unbudgeted.checksum
         assert budgeted.stats == unbudgeted.stats
-        assert np.array_equal(budgeted.wdl, unbudgeted.wdl)
-        assert np.array_equal(budgeted.dtm, unbudgeted.dtm)
+        assert np.array_equal(budgeted.code, unbudgeted.code)
 
     def test_probe_material_mismatch(self, kqk4):
         pos = sg.parse_fen("k3/4/4/K3 w - -", sg.BoardSpec(4, 4))
@@ -358,8 +404,7 @@ class TestPersistence:
         path = tmp_path / "kqk4.ctb"
         kqk4.save(path)
         again = sg.Tablebase.load(path)
-        assert np.array_equal(kqk4.wdl, again.wdl)
-        assert np.array_equal(kqk4.dtm, again.dtm)
+        assert np.array_equal(kqk4.code, again.code)
         assert again.material.key == kqk4.material.key
         assert again.checksum == kqk4.checksum
 
@@ -372,16 +417,17 @@ class TestPersistence:
         assert header["pieces"] == [
             (p.kind.value, p.color.value) for p in kqk4.material.pieces
         ]
+        table_wdl, table_dtm = wdl_dtm(kqk4)
         for idx, (wdl, dtm) in enumerate(records):
-            assert wdl == int(kqk4.wdl[idx])
-            assert dtm == int(kqk4.dtm[idx])
+            assert wdl == int(table_wdl[idx])
+            assert dtm == int(table_dtm[idx])
 
     def test_a_replaced_table_computes_its_own_checksum(self, kqk4):
         # The checksum is a memo of the body, so dataclasses.replace must not copy it.
         assert kqk4.checksum == 0x0F4255FA
-        changed = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy())
+        changed = dataclasses.replace(kqk4, code=kqk4.code.copy())
         idx = int(kqk4.decisive_indices()[0])
-        changed.wdl[idx] = sg.Wdl.DRAW.value
+        changed.code[idx] = tablebase._DRAW
         assert changed.checksum == zlib.crc32(b"".join(changed._body_chunks()))
         assert changed.checksum != kqk4.checksum
         assert kqk4.checksum == 0x0F4255FA
@@ -389,7 +435,7 @@ class TestPersistence:
     def test_equality_is_identity(self, kqk4):
         # Comparing the columns would ask numpy for one truth value of
         # an array, so two tables are equal only when they are one.
-        copy = dataclasses.replace(kqk4, wdl=kqk4.wdl.copy(), dtm=kqk4.dtm.copy())
+        copy = dataclasses.replace(kqk4, code=kqk4.code.copy())
         assert kqk4 == kqk4 and kqk4 != copy
         assert copy in [kqk4, copy] and kqk4 not in [copy]
         assert {kqk4: 1}[kqk4] == 1
@@ -448,6 +494,16 @@ class TestPersistence:
         with pytest.raises(sg.TablebaseFormatError, match="out-of-range wdl codes"):
             sg.Tablebase.load(path)
 
+    @pytest.mark.parametrize("wdl, dtm", BAD_RECORDS.values(), ids=BAD_RECORDS)
+    def test_a_record_no_code_holds_is_refused(self, kqk4, tmp_path, wdl, dtm):
+        # Written at two indices, under a fresh CRC: the first is named.
+        path = tmp_path / "kqk4.ctb"
+        kqk4.save(path)
+        rewrite_records(path, kqk4.material.index_size, [(4131, wdl, dtm), (4231, wdl, dtm)])
+        message = f"^index 4131: no table value has wdl code {wdl} and dtm {dtm}$"
+        with pytest.raises(sg.TablebaseFormatError, match=message):
+            sg.Tablebase.load(path)
+
     # Each way the reader refuses a file, as a change to the KQvK 4x4
     # file: magic, version, board, 3 pieces (kind, color), 8192 entries,
     # then 8192 records of 3 bytes and the CRC. The last case is a
@@ -499,10 +555,10 @@ class TestPersistence:
         assert traced_peak(lambda: sg.Tablebase.load(krk8_file)) <= 2.5 * body
 
     def test_load_holds_the_body_once(self, krk8_file):
-        # The wdl and dtm columns and one reused chunk of records: a copy
-        # of the file's bytes breaks the bound.
+        # The code column and one reused block of records: a copy of the
+        # file's bytes, or a wdl column beside the codes, breaks the bound.
         n = sg.MaterialClass.from_string("KRvK", STANDARD).index_size
-        bound = 3 * n + 3 * min(_CHUNK, n) + (64 << 10)
+        bound = 2 * n + 3 * _BUILD_BLOCK + (64 << 10)
         assert traced_peak(lambda: sg.Tablebase.load(krk8_file)) <= bound
 
 
@@ -538,7 +594,7 @@ class TestCounts:
 
     def test_equals_the_whole_array_count(self, tables):
         for table in tables:
-            wdl, dtm = table.wdl, table.dtm
+            wdl, dtm = wdl_dtm(table)
             decisive = (wdl == 1) | (wdl == 3)
             assert table.counts() == {
                 "entries": wdl.size,
@@ -566,7 +622,8 @@ class TestCounts:
 @pytest.mark.parametrize("name, win, loss", [("kqk8", 19, 20), ("krk8", 31, 32)])
 def test_the_longest_8x8_mates_are_the_published_ones(name, win, loss, request):
     table = request.getfixturevalue(name)
-    greatest = [int(table.dtm[table.wdl == code.value].max()) for code in (sg.Wdl.WIN, sg.Wdl.LOSS)]
+    wdl, dtm = wdl_dtm(table)
+    greatest = [int(dtm[wdl == code.value].max()) for code in (sg.Wdl.WIN, sg.Wdl.LOSS)]
     assert greatest == [win, loss]
 
 
@@ -588,6 +645,7 @@ def test_the_longest_8x8_mates_are_the_published_ones(name, win, loss, request):
 ])
 def test_the_longest_4_piece_8x8_mates_are_the_published_ones(name, moves, loss, crc, spec88):
     table = sg.solve(sg.MaterialClass.from_string(name, spec88))
-    greatest = [int(table.dtm[table.wdl == code.value].max()) for code in (sg.Wdl.WIN, sg.Wdl.LOSS)]
+    wdl, dtm = wdl_dtm(table)
+    greatest = [int(dtm[wdl == code.value].max()) for code in (sg.Wdl.WIN, sg.Wdl.LOSS)]
     assert greatest == [2 * moves - 1, loss]
     assert table.checksum == crc
