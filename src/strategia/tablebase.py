@@ -565,13 +565,13 @@ class Tablebase:
         """The table in the file at `path`, read as ``save`` writes it; a malformed file raises TablebaseFormatError.
 
         The size is checked against the header before any allocation.
-        The body is read through one reused block of records, each
-        packed into the code column, so a load holds the codes and one
-        block. Only once the CRC has matched are out-of-range wdl codes
-        reported, then the first record that no code holds, one whose
-        wdl is not its code's (a win at an even dtm, a loss at an odd
-        one, a decisive dtm at a reserved code or above) or a draw or
-        illegal entry whose dtm is not DTM_ABSENT.
+        The body is read ``_CHUNK`` records at a time, each chunk packed
+        into the code column through reused scratch (9 bytes a record).
+        Once the CRC has matched, out-of-range wdl codes are reported,
+        then the first record that ``_records`` of its code does not
+        give back: a win at an even dtm, a loss at an odd one, a decisive
+        dtm at a reserved code or above, or a draw or illegal entry whose
+        dtm is not DTM_ABSENT.
         """
         with open(path, "rb") as handle:
             head = handle.read(8)
@@ -579,9 +579,7 @@ class Tablebase:
                 raise TablebaseFormatError("bad magic: not a tablebase file")
             version, width, height, count = struct.unpack_from("<BBBB", head, 4)
             if version != FORMAT_VERSION:
-                raise TablebaseFormatError(
-                    f"incompatible tablebase version {version}, expected {FORMAT_VERSION}"
-                )
+                raise TablebaseFormatError(f"incompatible tablebase version {version}, expected {FORMAT_VERSION}")
             fields = handle.read(2 * count + 8)
             if len(fields) < 2 * count + 8:
                 raise TablebaseFormatError("truncated header")
@@ -598,36 +596,39 @@ class Tablebase:
             except ValidationError as exc:
                 raise TablebaseFormatError(f"bad header fields: {exc}") from None
             if entries != material.index_size:
-                raise TablebaseFormatError(
-                    f"entry count {entries} does not match index space {material.index_size}"
-                )
+                raise TablebaseFormatError(f"entry count {entries} does not match index space {material.index_size}")
             body_len = entries * _RECORD.itemsize
             if os.fstat(handle.fileno()).st_size != len(head) + len(fields) + body_len + 4:
                 raise TablebaseFormatError("truncated or oversized file body")
             code = np.empty(entries, dtype=np.uint16)
-            buffer = np.empty(min(_BUILD_BLOCK, entries), dtype=_RECORD)
-            crc = top = 0
-            bad = None
-            for lo in range(0, entries, _BUILD_BLOCK):
-                block = buffer[:min(_BUILD_BLOCK, entries - lo)]
-                handle.readinto(block)  # a short read leaves the trailer short
-                crc = zlib.crc32(block, crc)
-                wdl, dtm, part = block["wdl"], block["dtm"], code[lo:lo + block.size]
-                np.copyto(part, dtm)
-                np.copyto(part, _DRAW, where=wdl == Wdl.DRAW.value)
-                np.copyto(part, _ILLEGAL, where=wdl == 0)
+            buffer = np.empty(min(_CHUNK, entries), dtype=_RECORD)
+            scratch, mask = np.empty((2, buffer.size), dtype=np.uint16), np.empty(buffer.size, dtype=bool)
+            crc, top, bad = 0, 0, None
+            for lo in range(0, entries, _CHUNK):
+                chunk = buffer[:min(_CHUNK, entries - lo)]
+                handle.readinto(chunk)  # a short read leaves the trailer short
+                crc = zlib.crc32(chunk, crc)
+                (wdl, echo), at, part = scratch[:, :chunk.size], mask[:chunk.size], code[lo:lo + chunk.size]
+                np.copyto(wdl, chunk["wdl"])
                 top = max(top, int(wdl.max()))
-                wrong = np.flatnonzero((_wdl(part) != wdl) | ((part >= _DRAW) & (dtm != DTM_ABSENT)))
-                if bad is None and wrong.size:
-                    bad = lo + int(wrong[0]), *block[wrong[0]].tolist()
+                # A decisive dtm is its code; DTM_ABSENT less its top bit is ``_ILLEGAL``, less 1 ``_DRAW``.
+                np.bitwise_and(chunk["dtm"], 0x7FFF, out=part)
+                np.subtract(part, np.equal(wdl, Wdl.DRAW.value, out=at), out=part)
+                # ``_records`` gives it back: wdl + 2 * parity + (reserved) is 3, dtm is code | 0x8001 * (reserved).
+                np.greater_equal(part, _DRAW, out=at)
+                wdl += np.left_shift(np.bitwise_and(part, 1, out=echo), 1, out=echo)
+                wdl += at
+                np.bitwise_or(np.multiply(at, np.uint16(0x8001), out=echo), part, out=echo)
+                np.not_equal(echo, chunk["dtm"], out=at)
+                at |= wdl != 3  # a mask's temporary
+                if bad is None and at.any():
+                    bad = lo + int(at.argmax()), *chunk[at.argmax()].tolist()
             trailer = handle.read(4)
         if len(trailer) != 4:
             raise TablebaseFormatError("truncated or oversized file body")
         (stored_crc,) = struct.unpack("<I", trailer)
         if stored_crc != crc:
-            raise TablebaseFormatError(
-                f"checksum failure: stored {stored_crc:#010x}, computed {crc:#010x}"
-            )
+            raise TablebaseFormatError(f"checksum failure: stored {stored_crc:#010x}, computed {crc:#010x}")
         if top > Wdl.LOSS.value:
             raise TablebaseFormatError("body contains out-of-range wdl codes")
         if bad is not None:
@@ -1174,9 +1175,9 @@ def _successor_values(material, side, idx, policy):
     The indices must be legal positions of `material`. Yields per mover
     slot its dense (rows, candidates) arrays: the legal mask, the move
     key ``(from * S + to) * 8 + promotion kind``, the successor's class
-    slot (``policy.slots``) and index, and its wdl and code. Only the
-    classes that the moves reach are asked of ``policy.table``, which
-    raises MaterialMismatchError for one with no table.
+    slot (``policy.slots``) and index, and its code. Only the classes
+    that the moves reach are asked of ``policy.table``, which raises
+    MaterialMismatchError for one with no table.
     """
     ok, digits, occ = _legal_rows(material, side, idx)
     _refuse(material, idx, ok, ValidationError, "a valued entry is not a legal position")
@@ -1203,7 +1204,7 @@ def _successor_values(material, side, idx, policy):
             to_slot[rows, cols] = policy.slots[sub.key]
             succ[rows, cols] = sub_idx
             code[rows, cols] = policy.table(sub.key).code[sub_idx]
-        yield legal, key, to_slot, succ, _wdl(code), code
+        yield legal, key, to_slot, succ, code
 
 
 class Policy:
@@ -1348,7 +1349,8 @@ def _choose(table, side, idx, policy) -> tuple:
     wins = (_wdl(own) == Wdl.WIN.value)[:, None]
     illegal = unwon = np.zeros(idx.size, dtype=bool)
     rows, picks = np.arange(idx.size), ()
-    for legal, key, to_slot, to_idx, wdl, code in _successor_values(material, side, idx, policy):
+    for legal, key, to_slot, to_idx, code in _successor_values(material, side, idx, policy):
+        wdl = _wdl(code)
         illegal = illegal | (legal & (wdl == 0)).any(axis=1)
         unwon = unwon | (legal & ~wins & (wdl != Wdl.WIN.value)).any(axis=1)
         score = np.where(wins, code, ~code).astype(np.int64) << 16 | key  # a loss takes the greatest dtm

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import strategia as sg
-from strategia.tablebase import _records
+from strategia.tablebase import _ILLEGAL, _records
 
 PIECE_POOL = (
     sg.PieceKind.PAWN,
@@ -117,7 +117,12 @@ def _plant_castle_setup(rng, placement):
 
 
 def wdl_dtm(tb):
-    """(wdl, dtm) of every index of a table, as its file records them: dtm 0xFFFF for a draw or an illegal entry."""
+    """(wdl, dtm) of every index of a table, as its file records them: dtm 0xFFFF for a draw or an illegal entry.
+
+    A code the solve left open has no record (``_records`` would read
+    it as a draw or an illegal entry), so it fails here.
+    """
+    assert (tb.code <= _ILLEGAL).all(), f"{tb.material.name}: open codes left in the table"
     records = _records(tb.code)
     return records["wdl"], records["dtm"]
 

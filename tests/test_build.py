@@ -146,8 +146,8 @@ def build_range(material, registry, lo, hi):
         per_slot = _successor_values(
             material, side, idx, SimpleNamespace(table=tables.__getitem__, slots=slots)
         )
-        legal, _, to_slot, to_idx, wdl, code = (np.hstack(columns) for columns in zip(*per_slot))
-        wdl = wdl.astype(np.int64)
+        legal, _, to_slot, to_idx, code = (np.hstack(columns) for columns in zip(*per_slot))
+        wdl = _wdl(code).astype(np.int64)
         dtm = np.where(wdl == sg.Wdl.DRAW.value, DTM_ABSENT, code.astype(np.int64))
         values = np.where(to_slot == slots[material.key], to_idx, _static_code(wdl, dtm))
         counts = np.count_nonzero(legal, axis=1)

@@ -6,7 +6,8 @@ some successor was lost at the previous depth, lost if all successors
 are won and the deepest was won at the previous depth. The solver must
 give the same tables and the same SolveStats, per-pass counts included,
 on every table of each closure. A table's values are compared as its
-file records them, a wdl and a dtm column (``_records``).
+file records them, a wdl and a dtm column (``positions.wdl_dtm``),
+which fails on a code the solve left open.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ import pytest
 
 import strategia as sg
 from strategia import tablebase
-from strategia.tablebase import DTM_ABSENT, SolveStats, _max_move_bound, _records
+from strategia.tablebase import DTM_ABSENT, SolveStats, _max_move_bound
+from positions import wdl_dtm
 from test_build import build_range
 
 ROOK_KNIGHT = frozenset({sg.PieceKind.ROOK, sg.PieceKind.KNIGHT})
@@ -94,9 +96,9 @@ def reference_solve(material, registry):
 
 @pytest.fixture(autouse=True)
 def file_columns(monkeypatch):
-    """Every table reads here as the wdl and dtm columns of its file, through ``_records``."""
-    for name in ("wdl", "dtm"):
-        column = property(lambda table, name=name: _records(table.code)[name])
+    """Every table reads here as the wdl and dtm columns of its file (``wdl_dtm``), which no open code has."""
+    for i, name in enumerate(("wdl", "dtm")):
+        column = property(lambda table, i=i: wdl_dtm(table)[i])
         monkeypatch.setattr(sg.Tablebase, name, column, raising=False)
 
 

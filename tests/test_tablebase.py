@@ -16,7 +16,6 @@ import oracles
 from strategia import tablebase
 from positions import wdl_dtm
 from strategia.tablebase import (
-    _BUILD_BLOCK,
     _CHUNK,
     _CHUNK_BYTES,
     _INDEX_BYTES,
@@ -69,7 +68,7 @@ def traced_peak(fn):
 
 # (wdl code, dtm) records that no table value has: a win at an even dtm,
 # a loss at an odd one, a draw or an illegal entry with a dtm other than
-# DTM_ABSENT, and a decisive dtm at a reserved code or at DTM_ABSENT.
+# DTM_ABSENT, and a decisive dtm at a reserved code or above it.
 BAD_RECORDS = {
     "win-at-0": (1, 0),
     "win-at-8": (1, 8),
@@ -79,6 +78,10 @@ BAD_RECORDS = {
     "win-at-7fff": (1, 0x7FFF),
     "loss-at-7ffe": (3, 0x7FFE),
     "win-at-ffff": (1, 0xFFFF),
+    "draw-at-7fff": (2, 0x7FFF),
+    "illegal-at-7fff": (0, 0x7FFF),
+    "win-at-8001": (1, 0x8001),
+    "loss-at-8002": (3, 0x8002),
 }
 
 
@@ -555,10 +558,11 @@ class TestPersistence:
         assert traced_peak(lambda: sg.Tablebase.load(krk8_file)) <= 2.5 * body
 
     def test_load_holds_the_body_once(self, krk8_file):
-        # The code column and one reused block of records: a copy of the
-        # file's bytes, or a wdl column beside the codes, breaks the bound.
+        # The code column and one chunk of records with its scratch, 9
+        # bytes a record: a copy of the file's bytes, or a wdl column
+        # beside the codes (n bytes, 8 times the slack), breaks the bound.
         n = sg.MaterialClass.from_string("KRvK", STANDARD).index_size
-        bound = 2 * n + 3 * _BUILD_BLOCK + (64 << 10)
+        bound = 2 * n + 9 * min(_CHUNK, n) + (64 << 10)
         assert traced_peak(lambda: sg.Tablebase.load(krk8_file)) <= bound
 
 
